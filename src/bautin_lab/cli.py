@@ -27,6 +27,7 @@ from .engine import compute_series
 from .errors import SolverInternalError, UsageError
 from .fields import (
     VectorField,
+    coerce_field,
     parse_vector_field,
     random_field,
     random_homogeneous_field,
@@ -69,11 +70,13 @@ def _load_field(cfg: RunConfig) -> VectorField:
     if src is None:
         raise UsageError("no input field given")
     if src.startswith("random-homogeneous:"):
-        return random_homogeneous_field(int(src.split(":", 1)[1]), cfg.seed)
-    if src.startswith("random:"):
-        return random_field(int(src.split(":", 1)[1]), cfg.seed)
-    text = sys.stdin.read() if src == "-" else Path(src).read_text(encoding="utf-8")
-    return parse_vector_field(text, cfg.domain)
+        vf = random_homogeneous_field(int(src.split(":", 1)[1]), cfg.seed)
+    elif src.startswith("random:"):
+        vf = random_field(int(src.split(":", 1)[1]), cfg.seed)
+    else:
+        text = sys.stdin.read() if src == "-" else Path(src).read_text(encoding="utf-8")
+        return parse_vector_field(text, cfg.domain)
+    return coerce_field(vf, cfg.domain)
 
 
 def _emit_pairs(cfg: RunConfig, pairs: list[tuple[str, str]], payload: dict) -> None:

@@ -27,10 +27,14 @@ a+1, the K+1 equations decouple by slot parity into two chains:
 The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.
 
-Two computation modes share this machinery.  Plain mode solves every degree
-concretely.  Unknown-carrying mode, used for the center-certificate matrix,
-replaces the independent coefficients of selected directly-driven blocks by
-formal unknowns and propagates all later degrees as linear forms in them.
+The center-certificate matrix needs the constants as functions of the
+independent coefficients of selected directly-driven blocks V_(k+1).  Each
+degree's solve is linear in R_K, and R_K is linear in the lower V terms, so
+every later V and L is exactly affine in those coefficients (the linear parts
+of the Lyapunov constants).  ``compute_series_unknown`` therefore reads the
+affine forms off plain runs of the one per-degree loop: an offset run with
+every block coefficient at zero, and one run per coefficient that starts from
+V_2 = 0 with that coefficient set to one.
 """
 
 from __future__ import annotations
@@ -90,11 +94,7 @@ class LyapunovSeries:
     domain: Domain
     V: dict[int, HomogPoly] = dataclass_field(default_factory=dict)
     L: dict[int, Scalar] = dataclass_field(default_factory=dict)
-    tiebreaks: list[TieBreakRecord] = dataclass_field(default_factory=list)
     unknowns: list[Unknown] = dataclass_field(default_factory=list)
-    #: per replaced level: the response part of that block at the unknown
-    #: slots, as linear forms in the lower-level unknowns
-    level_responses: dict[int, dict[UnknownId, Scalar]] = dataclass_field(default_factory=dict)
 
     @property
     def max_index(self) -> int:
@@ -113,13 +113,9 @@ class LyapunovSeries:
 
     def evaluate_at(self, assignment: Mapping[UnknownId, Scalar]) -> "LyapunovSeries":
         """Substitute concrete values for the unknowns in every V and L."""
-        def subst(x: Scalar) -> Scalar:
-            return x.evaluate(assignment) if isinstance(x, LinearForm) else x
-
         out = LyapunovSeries(self.field, "plain", self.domain)
-        out.V = {k: p.map_coeffs(subst) for k, p in self.V.items()}
-        out.L = {j: subst(v) for j, v in self.L.items()}
-        out.tiebreaks = list(self.tiebreaks)
+        out.V = {k: p.map_coeffs(lambda x: x.evaluate(assignment)) for k, p in self.V.items()}
+        out.L = {j: form.evaluate(assignment) for j, form in self.L.items()}
         return out
 
 
@@ -127,8 +123,8 @@ def accumulate_rhs(series: LyapunovSeries, k: int, include_direct: bool = True) 
     """The degree-k source term R_k built from already-solved V terms.
 
     ``include_direct=False`` drops the d = k-1 contribution x*F_(k-1) +
-    y*G_(k-1) (the one coming from V_2), which the unknown-carrying mode
-    handles separately.
+    y*G_(k-1) (the one coming from V_2), leaving the response of a
+    directly-driven block to the lower degrees.
     """
     vf = series.field
     total = HomogPoly.zero(k)
@@ -273,12 +269,7 @@ def compute_series(vf: VectorField, J: int) -> LyapunovSeries:
     """Plain-mode series: V_3..V_(2J+2) and L_1..L_J in the field's domain."""
     if J < 1:
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
-    domain = vf.domain
-    series = LyapunovSeries(vf, "plain", domain)
-    with domain.context():
-        half = domain.coerce(Fraction(1, 2))
-        series.V[2] = HomogPoly(2, [half, 0, half])
-    return extend_series(series, J)
+    return extend_series(_start(vf), J)
 
 
 def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
@@ -289,31 +280,75 @@ def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
     """
     if series.mode != "plain":
         raise UsageError("only plain-mode series can be extended")
+    return _extend(series, J, {}, respond=False)
+
+
+def _extend(
+    series: LyapunovSeries, J: int, pins: Mapping[int, HomogPoly], respond: bool
+) -> LyapunovSeries:
+    """The per-degree loop behind every series.  At a degree k in ``pins``
+    the solved V_k is replaced by the pinned block ``pins[k]``, plus (with
+    ``respond``) its response to the lower degrees; the constant keeps the
+    value solved from the full source term, which never involves V_k."""
     domain = series.domain
     with domain.context():
+        zero = domain.coerce(0)
         for k in range(series.max_degree + 1, 2 * J + 3):
             R = accumulate_rhs(series, k)
-            Vk, L, tb = rotational_solve(k, R, domain)
+            if R.is_zero():
+                # the unique solution is zero: gap degrees of homogeneous
+                # fields, and the degrees below an unknown's own in its run
+                Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
+            else:
+                Vk, L, _ = rotational_solve(k, R, domain)
+            if k in pins:
+                Vk = pins[k] + _response(series, k) if respond else pins[k]
             series.V[k] = Vk
             if L is not None:
                 series.L[k // 2 - 1] = L
-            if tb is not None:
-                series.tiebreaks.append(tb)
         return series
+
+
+def _start(vf: VectorField) -> LyapunovSeries:
+    """A plain series holding only V_2 = (x^2+y^2)/2."""
+    half = vf.domain.coerce(Fraction(1, 2))
+    return LyapunovSeries(vf, "plain", vf.domain, V={2: HomogPoly(2, [half, 0, half])})
+
+
+def _response(series: LyapunovSeries, k: int) -> HomogPoly:
+    """The part of V_k solved from the lower degrees alone, without the
+    direct drive from V_2."""
+    R = accumulate_rhs(series, k, include_direct=False)
+    return rotational_solve(k, R, series.domain)[0]
 
 
 def compute_series_unknown(
     vf: VectorField, levels: Iterable[int], J: int
 ) -> LyapunovSeries:
     """Unknown-carrying series: like compute_series, but at each degree k+1
-    with k in ``levels`` the directly-driven block is solved, its independent
-    coefficients are replaced by fresh formal unknowns, and the response to
-    the accumulated lower contributions is added on top.  Every later V and L
-    is then a linear form in the registered unknowns.
+    with k in ``levels`` the independent coefficients of the directly-driven
+    block stand for formal unknowns, with the response to the accumulated
+    lower contributions added on top.  Every later V and L is then a linear
+    form in the registered unknowns.
 
     At an even driven degree the constant solved there keeps the concrete
     directly-driven part as the form's constant term; with no lower levels
     selected (the homogeneous case) that constant carries no unknowns at all.
+    """
+    return _affine_series(vf, levels, J, full_blocks=False)
+
+
+def _affine_series(
+    vf: VectorField, levels: Iterable[int], J: int, full_blocks: bool
+) -> LyapunovSeries:
+    """compute_series_unknown, optionally with each unknown standing for the
+    full V-term coefficient at its degree (direct part plus the response to
+    lower levels) instead of the directly-driven part alone.
+
+    In the default convention each pinned block keeps its response to lower
+    degrees, and the run for one unknown solves later replaced degrees like
+    ordinary ones.  With full blocks the pinned values are exact, and the run
+    for one unknown pins every other replaced block at zero.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -323,53 +358,49 @@ def compute_series_unknown(
     if J < 1:
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
     domain = vf.domain
-    level_set = set(levels)
+    degrees = [k + 1 for k in levels if k + 1 <= 2 * J + 2]
+    series = LyapunovSeries(vf, "unknown", domain)
     with domain.context():
-        series = LyapunovSeries(vf, "unknown", domain)
-        half = domain.coerce(Fraction(1, 2))
-        series.V[2] = HomogPoly(2, [half, 0, half])
-        for k in range(3, 2 * J + 3):
-            if k - 1 in level_set:
-                x = HomogPoly.monomial(1, 0, domain.coerce(1))
-                y = HomogPoly.monomial(0, 1, domain.coerce(1))
-                drive = x * vf.f_part(k - 1) + y * vf.g_part(k - 1)
-                block, Lh, tb = rotational_solve(k, drive, domain)
-                skip = tb.slot if tb is not None else None
-                unknown_coeffs: list[Scalar] = [0] * (k + 1)
-                for a in range(k + 1):
-                    slot = (k - a, a)
-                    if slot == skip:
-                        continue
-                    series.unknowns.append(Unknown(slot, k - 1, block.coeffs[a]))
-                    unknown_coeffs[a] = LinearForm.unknown(slot, domain.coerce(1))
-                response = accumulate_rhs(series, k, include_direct=False)
-                U, Lu, _ = rotational_solve(k, response, domain)
-                series.V[k] = HomogPoly(k, unknown_coeffs) + U
-                series.level_responses[k - 1] = {
-                    (k - a, a): U.coeffs[a] for a in range(k + 1) if (k - a, a) != skip
-                }
-                if Lu is not None:
-                    # Constant part: the L the direct drive alone would produce.
-                    series.L[k // 2 - 1] = _as_form(Lu) + Lh
-            else:
-                R = accumulate_rhs(series, k)
-                Vk, L, tb = rotational_solve(k, R, domain)
-                series.V[k] = Vk
-                if L is not None:
-                    series.L[k // 2 - 1] = _as_form(L)
-            if k % 2 == 0:
-                series.tiebreaks.append(TieBreakRecord(k, tiebreak_slot(k)))
+        # each unknown's plain-mode value: the full V_k coefficient, or its
+        # directly-driven part (V_k minus the response)
+        plain = _extend(_start(vf), (max(degrees, default=3) - 1) // 2, {}, False)
+        for k in degrees:
+            block = plain.V[k] if full_blocks else plain.V[k] - _response(plain, k)
+            pinned = tiebreak_slot(k) if k % 2 == 0 else None
+            series.unknowns += [
+                Unknown((k - a, a), k - 1, c)
+                for a, c in enumerate(block.coeffs)
+                if (k - a, a) != pinned
+            ]
+
+        zero_blocks = {k: HomogPoly.zero(k) for k in degrees}
+        offset = _extend(_start(vf), J, zero_blocks, not full_blocks)
+        runs: dict[UnknownId, LyapunovSeries] = {}
+        for u in series.unknowns:
+            pins = dict(zero_blocks) if full_blocks else {}
+            pins[u.level + 1] = HomogPoly.monomial(*u.slot, domain.coerce(1))
+            run = LyapunovSeries(vf, "plain", domain, V={2: HomogPoly.zero(2)})
+            runs[u.slot] = _extend(run, J, pins, not full_blocks)
+
+        series.V = {
+            k: HomogPoly(k, [
+                LinearForm(c, {s: run.V[k].coeffs[a] for s, run in runs.items()})
+                for a, c in enumerate(Vk.coeffs)
+            ])
+            for k, Vk in offset.V.items()
+        }
+        series.L = {
+            j: LinearForm(c, {s: run.L[j] for s, run in runs.items()})
+            for j, c in offset.L.items()
+        }
         return series
-
-
-def _as_form(x: Scalar) -> LinearForm:
-    return x if isinstance(x, LinearForm) else LinearForm(x)
 
 
 def residual(series: LyapunovSeries, k: int) -> HomogPoly:
     """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2); identically zero for
-    every plain-mode degree and for every unknown-mode degree that was not
-    replaced by formal unknowns."""
+    every plain-mode degree, and for every degree above the replaced levels
+    of an unknown-carrying series once its unknowns are given values
+    (``evaluate_at``)."""
     R = accumulate_rhs(series, k)
     out = rot_apply(series.V[k]) + R
     if k % 2 == 0:

@@ -7,9 +7,10 @@ the target workloads) and the rotational operator x*d/dy - y*d/dx only couples
 neighbouring entries, so a dense layout is both simpler and faster than a
 sparse one.
 
-Coefficients may be any scalar the package knows (Fraction, mpf, LinearForm,
-or plain int for structural zeros); operations never assume a particular
-carrier.
+Coefficients may be any scalar the package knows (Fraction, mpf, or plain
+int for structural zeros); operations never assume a particular carrier.
+Products skip zero coefficients of either carrier, which keeps the sparse
+series of homogeneous, reversible and divergence-free fields cheap.
 """
 
 from __future__ import annotations
@@ -53,16 +54,6 @@ class HomogPoly:
         coeffs[j] = coeff
         return cls(i + j, coeffs)
 
-    @classmethod
-    def from_terms(cls, degree: int, terms: Iterable[tuple[int, int, Scalar]]) -> "HomogPoly":
-        """Build from (x-exponent, y-exponent, coefficient) triples."""
-        coeffs: list[Scalar] = [0] * (degree + 1)
-        for i, j, c in terms:
-            if i + j != degree:
-                raise UsageError(f"term x^{i} y^{j} does not have degree {degree}")
-            coeffs[j] = coeffs[j] + c
-        return cls(degree, coeffs)
-
     def coeff(self, i: int, j: int) -> Scalar:
         """Coefficient of x^i y^j (must satisfy i + j = degree)."""
         if i + j != self.degree or j < 0 or i < 0:
@@ -95,20 +86,15 @@ class HomogPoly:
         return HomogPoly(self.degree, [-c for c in self.coeffs])
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        """Homogeneous product of degree deg(a) + deg(b).
-
-        At most one operand may carry linear-form coefficients; the scalar
-        layer rejects form-times-form products.
-        """
+        """Homogeneous product of degree deg(a) + deg(b)."""
         if not isinstance(other, HomogPoly):
             return NotImplemented
         out: list[Scalar] = [0] * (self.degree + other.degree + 1)
+        right = [(b, cb) for b, cb in enumerate(other.coeffs) if cb != 0]
         for a, ca in enumerate(self.coeffs):
-            if isinstance(ca, int) and ca == 0:
+            if ca == 0:
                 continue
-            for b, cb in enumerate(other.coeffs):
-                if isinstance(cb, int) and cb == 0:
-                    continue
+            for b, cb in right:
                 out[a + b] = out[a + b] + ca * cb
         return HomogPoly(self.degree + other.degree, out)
 
@@ -134,7 +120,7 @@ class HomogPoly:
     def terms(self) -> Iterable[tuple[int, int, Scalar]]:
         """Nonzero (x-exponent, y-exponent, coefficient) triples."""
         for a, c in enumerate(self.coeffs):
-            if not (isinstance(c, int) and c == 0) and c != 0:
+            if c != 0:
                 yield (self.degree - a, a, c)
 
     def __str__(self) -> str:

@@ -1,18 +1,17 @@
-"""Coefficient domains: exact rationals, extended-precision reals, linear forms.
+"""Coefficient domains: exact rationals and extended-precision reals.
 
 Every higher layer of the package is generic over a small "scalar" protocol:
 values combine with ``+ - * /`` and with plain ints, and ``x == 0`` is a
-meaningful zero test.  Three carriers satisfy it:
+meaningful zero test.  Two carriers satisfy it:
 
   * ``fractions.Fraction``     -- exact rational mode (the default),
-  * ``mpmath.mpf``             -- extended-precision real mode,
-  * ``LinearForm``             -- an affine form  c0 + sum_i c_i * u_i  in
-                                  registered unknowns, over either base carrier.
+  * ``mpmath.mpf``             -- extended-precision real mode.
 
-A linear form may be multiplied or divided by a concrete scalar, but the
-product of two forms that both carry unknowns is refused: the degree-by-degree
-recursion never needs it, and allowing it would silently create quadratic
-expressions in the unknowns.
+``LinearForm`` is not a carrier but a read-only record of an affine
+expression  c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i
+in one carrier.  The engine never computes with forms: Lyapunov constants are
+exactly affine in the replaced block coefficients, so it fills the record in
+from one plain run per coefficient (see ``engine.compute_series_unknown``).
 
 A ``Domain`` object packages the carrier choice, the conversion of ints /
 Fractions / text into it, and (for the floating carrier) the working precision
@@ -26,8 +25,9 @@ must run in separate processes (mpmath's precision is process-global).
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 import mpmath as mp
@@ -37,7 +37,7 @@ from .errors import UsageError
 #: Unknowns are labelled by the (x-exponent, y-exponent) slot they stand for.
 UnknownId = tuple[int, int]
 
-Scalar = Union[int, Fraction, mp.mpf, "LinearForm"]
+Scalar = Union[int, Fraction, mp.mpf]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -52,23 +52,23 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
+@dataclass(frozen=True, eq=False)
 class LinearForm:
     """Affine expression ``const + sum coeffs[u] * u`` over formal unknowns.
 
-    Coefficients and the constant live in a concrete base carrier (Fraction or
-    mpf).  Structurally zero coefficients are pruned on construction so the
-    exact zero test is just "constant is zero and no coefficients survive".
+    The constant and the coefficients live in a concrete carrier (Fraction or
+    mpf).  Zero coefficients are pruned on construction, so the exact zero
+    test is just "constant is zero and no coefficients survive".  A form
+    compares equal to a plain scalar when it carries no unknowns and its
+    constant equals that scalar.
     """
 
-    __slots__ = ("const", "coeffs")
+    const: Scalar = 0
+    coeffs: Mapping[UnknownId, Scalar] = dataclass_field(default_factory=dict)
 
-    def __init__(self, const: Scalar = 0, coeffs: Mapping[UnknownId, Scalar] | None = None):
-        self.const = const
-        self.coeffs: dict[UnknownId, Scalar] = {}
-        if coeffs:
-            for uid, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[uid] = c
+    def __post_init__(self):
+        pruned = {uid: c for uid, c in self.coeffs.items() if c != 0}
+        object.__setattr__(self, "coeffs", MappingProxyType(pruned))
 
     @classmethod
     def unknown(cls, uid: UnknownId, one: Scalar = 1) -> "LinearForm":
@@ -90,57 +90,10 @@ class LinearForm:
     def coefficient(self, uid: UnknownId) -> Scalar:
         return self.coeffs.get(uid, 0)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, LinearForm):
-            out = dict(self.coeffs)
-            for uid, c in other.coeffs.items():
-                out[uid] = out.get(uid, 0) + c
-            return LinearForm(self.const + other.const, out)
-        return LinearForm(self.const + other, self.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return LinearForm(-self.const, {uid: -c for uid, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LinearForm):
-            if other.carries_unknowns():
-                if self.carries_unknowns():
-                    raise UsageError("product of two unknown-carrying linear forms")
-                return other * self.const
-            other = other.const
-        return LinearForm(self.const * other, {uid: c * other for uid, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, LinearForm):
-            if other.carries_unknowns():
-                raise UsageError("division by an unknown-carrying linear form")
-            other = other.const
-        return LinearForm(self.const / other, {uid: c / other for uid, c in self.coeffs.items()})
-
     def __eq__(self, other):
         if isinstance(other, LinearForm):
             return self.const == other.const and self.coeffs == other.coeffs
         return not self.coeffs and self.const == other
-
-    def __hash__(self):
-        return hash((self.const, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        terms = [repr(self.const)] if self.const != 0 or not self.coeffs else []
-        terms += [f"{c!r}*u{uid}" for uid, c in sorted(self.coeffs.items())]
-        return " + ".join(terms) if terms else "0"
 
 
 @dataclass(frozen=True)
@@ -151,7 +104,7 @@ class RationalDomain:
     exact: bool = True
 
     def coerce(self, x) -> Scalar:
-        if isinstance(x, (Fraction, LinearForm)):
+        if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
             return Fraction(x)
@@ -189,8 +142,6 @@ class BigRealDomain:
             raise UsageError("extended-precision domain needs at least 30 digits")
 
     def coerce(self, x) -> Scalar:
-        if isinstance(x, LinearForm):
-            return x
         with mp.workdps(self.dps):
             if isinstance(x, Fraction):
                 return mp.mpf(x.numerator) / x.denominator
@@ -229,18 +180,13 @@ RATIONAL = RationalDomain()
 
 def scalar_is_zero(x, domain: Domain) -> bool:
     """Zero test appropriate to the domain: exact for rationals, thresholded
-    for extended-precision reals.  Linear forms are tested structurally."""
-    if isinstance(x, LinearForm):
-        return x.is_zero()
+    for extended-precision reals."""
     return domain.is_negligible(x)
 
 
 def scalar_to_str(x, domain: Domain) -> str:
     """Lossless text for a scalar: 'p/q' in rational mode, a full-precision
     decimal in floating mode."""
-    if isinstance(x, LinearForm):
-        inner = {uid: scalar_to_str(c, domain) for uid, c in sorted(x.coeffs.items())}
-        return f"LinearForm(const={scalar_to_str(x.const, domain)}, coeffs={inner})"
     if isinstance(x, int):
         return str(x)
     return domain.to_str(x)

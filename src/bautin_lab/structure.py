@@ -6,10 +6,12 @@ j = m(n-1) for even n, j = m(n-1)/2 for odd n.  ``gap_profile`` predicts the
 pattern and ``verify_gaps`` confirms a computed series obeys it exactly.
 
 The certificate machinery links the leading nontrivial constants to the
-independent coefficients of the directly-driven homogeneous blocks: running
-the engine in unknown-carrying mode and reading off each constant's
-linear-form coefficients yields a square matrix P with one row per leading
-constant and one column per registered unknown.  A nonzero determinant means
+independent coefficients of the directly-driven homogeneous blocks.  The
+constants are exactly affine in those coefficients, so one plain engine run
+per coefficient, plus one offset run with every coefficient at zero, gives
+the linear part: a square matrix P with one row per leading constant and one
+column per coefficient, and the offsets the rows keep at zero block values
+(see ``engine.compute_series_unknown``).  A nonzero determinant means
 the leading constants pin those coefficients one-to-one, which certifies that
 a field whose leading constants all vanish is a center (the generic case) and
 bounds the number of small-amplitude limit cycles by the row count.
@@ -27,7 +29,7 @@ import mpmath as mp
 
 from .engine import (
     LyapunovSeries,
-    Unknown,
+    _affine_series,
     compute_series,
     compute_series_unknown,
     extend_series,
@@ -37,7 +39,6 @@ from .fields import VectorField
 from .scalars import (
     BigRealDomain,
     Domain,
-    LinearForm,
     RationalDomain,
     Scalar,
     UnknownId,
@@ -205,7 +206,7 @@ def build_p_matrix(
     column_order: Sequence[UnknownId] | None = None,
     full_block_columns: bool = False,
 ) -> PMatrix:
-    """Run the unknown-carrying engine and extract the certificate matrix.
+    """Build the unknown-carrying series and read off the certificate matrix.
 
     Homogeneous fields replace only the top-level block; general fields
     replace every level 2..n.  Columns follow unknown registration order
@@ -224,9 +225,10 @@ def build_p_matrix(
     rows, standalone_idx = p_matrix_row_indices(n, homogeneous)
     levels = [n] if homogeneous else list(range(2, n + 1))
     with vf.domain.context():
-        series = compute_series_unknown(vf, levels, J=max(rows))
         if full_block_columns:
-            series = _rebase_to_full_blocks(series)
+            series = _affine_series(vf, levels, max(rows), full_blocks=True)
+        else:
+            series = compute_series_unknown(vf, levels, J=max(rows))
 
         slots = [u.slot for u in series.unknowns]
         if column_order is not None:
@@ -239,60 +241,12 @@ def build_p_matrix(
                 f"certificate matrix is {len(rows)}x{len(slots)}, expected square"
             )
 
-        entries: list[list[Scalar]] = []
-        offsets: list[Scalar] = []
         zero = vf.domain.coerce(0)
-        for j in rows:
-            form = series.L[j]
-            if not isinstance(form, LinearForm):
-                form = LinearForm(form)
-            entries.append([form.coefficient(uid) if form.coefficient(uid) != 0 else zero
-                            for uid in slots])
-            offsets.append(form.const)
-
-        standalone = None
-        if standalone_idx is not None:
-            lead = series.L[standalone_idx]
-            standalone = lead.const if isinstance(lead, LinearForm) else lead
+        entries = [[series.L[j].coeffs.get(uid, zero) for uid in slots] for j in rows]
+        offsets = [series.L[j].const for j in rows]
+        standalone = series.L[standalone_idx].const if standalone_idx is not None else None
 
         return PMatrix(entries, rows, slots, offsets, n, homogeneous, vf.domain, standalone)
-
-
-def _rebase_to_full_blocks(series: LyapunovSeries) -> LyapunovSeries:
-    """Re-express an unknown-carrying series so each unknown stands for the
-    full V-term coefficient at its replaced degree rather than the
-    directly-driven part alone.
-
-    The full-block unknown is u' = u + (response at that slot), so the
-    original ones satisfy u = u' - response, substituted level by level from
-    the bottom up (each response only involves strictly lower levels)."""
-    plain = series.plain_assignment()
-    prim: dict[UnknownId, LinearForm] = {}
-    new_unknowns = []
-    for u in series.unknowns:  # registration order is ascending level
-        resp = series.level_responses.get(u.level, {}).get(u.slot, 0)
-        resp_form = resp if isinstance(resp, LinearForm) else LinearForm(resp)
-        expanded = LinearForm(resp_form.const)
-        for t, c in resp_form.coeffs.items():
-            expanded = expanded + c * prim[t]
-        prim[u.slot] = LinearForm.unknown(u.slot) - expanded
-        new_unknowns.append(Unknown(u.slot, u.level, u.plain_value + resp_form.evaluate(plain)))
-
-    def subst(x: Scalar) -> Scalar:
-        if not isinstance(x, LinearForm):
-            return x
-        out: Scalar = LinearForm(x.const)
-        for s, c in x.coeffs.items():
-            out = out + c * prim[s]
-        return out
-
-    out = LyapunovSeries(series.field, "unknown", series.domain)
-    out.V = {k: p.map_coeffs(subst) for k, p in series.V.items()}
-    out.L = {j: subst(v) for j, v in series.L.items()}
-    out.tiebreaks = list(series.tiebreaks)
-    out.unknowns = new_unknowns
-    out.level_responses = dict(series.level_responses)
-    return out
 
 
 def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
@@ -360,28 +314,6 @@ def _det_pivoted(matrix: Sequence[Sequence[Scalar]], domain: BigRealDomain) -> S
                     continue
                 A[r] = [a - f * b for a, b in zip(A[r], A[col])]
         return det
-
-
-def elimination_growth(matrix: Sequence[Sequence[Scalar]], domain: BigRealDomain) -> float:
-    """Diagnostic for the floating determinant: ratio of the largest entry
-    magnitude seen during pivoted elimination to the largest input magnitude."""
-    with domain.context():
-        A = [[mp.mpf(x) for x in row] for row in matrix]
-        start = max((abs(x) for row in A for x in row), default=mp.mpf(0))
-        if start == 0:
-            return 1.0
-        peak = start
-        size = len(A)
-        for col in range(size):
-            piv = max(range(col, size), key=lambda r: abs(A[r][col]))
-            if A[piv][col] == 0:
-                break
-            A[col], A[piv] = A[piv], A[col]
-            for r in range(col + 1, size):
-                f = A[r][col] / A[col][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-                peak = max(peak, max(abs(x) for x in A[r]))
-        return float(peak / start)
 
 
 @dataclass

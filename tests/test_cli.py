@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from bautin_lab.cli import main
 
@@ -69,6 +70,23 @@ def test_gaps_divergence_free_note(tmp_path, capsys):
     code, out, _ = run(capsys, "gaps", path, "-J", "6")
     assert code == 0
     assert "partial center condition" in out
+
+
+def test_random_sources_follow_float_mode(capsys):
+    args = ("lyapunov", "random:3", "--seed", "1", "-J", "2", "--output", "json")
+    code, out, _ = run(capsys, *args)
+    exact = json.loads(out)["L"]
+    code, out, _ = run(capsys, *args, "--mode", "float", "--precision", "40")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "float"
+    for j, text in payload["L"].items():
+        assert "/" not in text and "." in text  # a decimal, not p/q
+        assert len(text.lstrip("-").replace(".", "").lstrip("0")) == 40  # --precision digits
+        assert abs(Fraction(text) - Fraction(exact[j])) < Fraction(1, 10**30)
+    # gap verification needs exact arithmetic, also for a generated field
+    code, _, err = run(capsys, "gaps", "random-homogeneous:4", "--seed", "3", "--mode", "float")
+    assert code == 1 and "exact" in err
 
 
 def test_gaps_rejects_non_homogeneous(capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bautin_lab.errors import UsageError
 from bautin_lab.hpoly import HomogPoly, circle_power, rot_apply
-from bautin_lab.scalars import LinearForm
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=12
@@ -41,12 +40,6 @@ def test_mul_examples():
     assert ((x + y) * (x - y)).coeffs == (Fraction(1), Fraction(0), Fraction(-1))
     circle = circle_power(1)
     assert (circle * circle).coeffs == circle_power(2).coeffs
-
-
-def test_mul_rejects_two_unknown_carriers():
-    u = HomogPoly(1, [LinearForm.unknown((1, 0)), 0])
-    with pytest.raises(UsageError):
-        u * u
 
 
 def test_derivative_examples():

@@ -1,14 +1,17 @@
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from bautin_lab.engine import compute_series, compute_series_unknown
 from bautin_lab.errors import UsageError
 from bautin_lab.fields import (
+    coerce_field,
     parse_vector_field,
     random_divergence_free_field,
     random_field,
     random_homogeneous_field,
+    random_reversible_field,
     rotational_family_field,
 )
 from bautin_lab.scalars import RATIONAL, BigRealDomain
@@ -138,20 +141,37 @@ def test_p_matrix_identity_general_fields_with_offsets():
 
 
 def test_p_matrix_full_block_columns_keep_determinant():
-    vf = random_field(3, seed=77)
-    P = build_p_matrix(vf)
-    Q = build_p_matrix(vf, full_block_columns=True)
-    assert P.determinant() == Q.determinant()
-    # identity still holds against the full V-term coefficients
-    series = compute_series_unknown(vf, [2, 3], J=max(P.row_labels))
-    plain = compute_series(vf, max(P.row_labels))
-    rebased_values = []
-    for uid in Q.col_labels:
-        k = sum(uid)
-        rebased_values.append(plain.V[k].coeff(*uid))
-    product = Q.apply_to(rebased_values)
-    for i, j in enumerate(Q.row_labels):
-        assert product[i] + Q.row_offsets[i] == plain.L[j]
+    fields = [random_field(3, seed=77)] + [
+        make(n, seed=78 + n)
+        for n in (4, 5)
+        for make in (random_divergence_free_field, random_reversible_field)
+    ]
+    for vf in fields:
+        P = build_p_matrix(vf)
+        Q = build_p_matrix(vf, full_block_columns=True)
+        assert Q.col_labels == P.col_labels
+        assert P.determinant() == Q.determinant()
+        # identity still holds against the full V-term coefficients
+        plain = compute_series(vf, max(P.row_labels))
+        full_values = [plain.V[sum(uid)].coeff(*uid) for uid in Q.col_labels]
+        product = Q.apply_to(full_values)
+        for i, j in enumerate(Q.row_labels):
+            assert product[i] + Q.row_offsets[i] == plain.L[j], (vf.degree, j)
+
+
+def test_p_matrix_float_agrees_with_exact():
+    dom = BigRealDomain(dps=60)
+    for vf in (random_field(3, seed=91), random_homogeneous_field(4, seed=92)):
+        exact = build_p_matrix(vf)
+        approx = build_p_matrix(coerce_field(vf, dom))
+        assert approx.col_labels == exact.col_labels
+        with dom.context():
+            for row_f, row_q in zip(approx.entries, exact.entries):
+                scale = max(abs(x) for x in row_q)
+                for x, q in zip(row_f, row_q):
+                    assert abs(x - dom.coerce(q)) <= scale * mp.mpf(10) ** -50
+            det_q = exact.determinant()
+            assert abs(approx.determinant() - dom.coerce(det_q)) <= abs(det_q) * mp.mpf(10) ** -45
 
 
 def test_p_matrix_column_order_override():
