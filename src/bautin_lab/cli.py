@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .cubic_family import reproduce_example
@@ -32,7 +31,7 @@ from .fields import (
     random_field,
     random_homogeneous_field,
 )
-from .scalars import RATIONAL, BigRealDomain, Domain, scalar_to_str
+from .scalars import RATIONAL, BigRealDomain, Domain, parse_rational, scalar_to_str
 from .structure import center_check, gap_profile, verify_gaps
 
 SCHEMA = "bautin-lab/1"
@@ -187,7 +186,7 @@ def cmd_center_check(cfg: RunConfig) -> int:
 
 
 def cmd_example_jl(cfg: RunConfig) -> int:
-    b4 = Fraction(cfg.b4)
+    b4 = parse_rational(cfg.b4)
     if b4 >= 0:
         raise UsageError("--b4 must be negative")
     roots = [cfg.root] if cfg.root else [1, 2]

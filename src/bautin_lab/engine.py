@@ -13,6 +13,15 @@ where R_K collects the already-known lower terms
 
 terms with K+1-d < 2 omitted (V_2 contributes x F_(K-1) + y G_(K-1)).
 
+In exact mode R_K is built as integer numerators over one shared
+denominator, R_K = num/den: each V_m and each field part is put over the lcm
+of its coefficient denominators, the products run on plain ints, and the
+running sum is rescaled only when its denominator grows, so no per-coefficient
+gcd is taken while accumulating.  The solve below is linear in R_K, so it runs
+on num and V_K and L are divided by den once per degree.  Float mode runs the
+same code with den = 1, in the same order of operations as a plain
+polynomial sum of products.
+
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:
 
@@ -41,6 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import SolverInternalError, UsageError
@@ -104,6 +115,19 @@ class LyapunovSeries:
     def max_degree(self) -> int:
         return max(self.V, default=2)
 
+    @cached_property
+    def _field_terms(self) -> dict[int, tuple[list, int, list, int]]:
+        """Per field degree d: the nonzero (slot, numerator) pairs of F_d and
+        G_d, each part over its own denominator, as (f, f_den, g, g_den).
+        Converted once per series; empty lists stand for zero parts."""
+        exact = self.domain.exact
+        out = {}
+        for d in range(2, self.field.degree + 1):
+            f, f_den = _over_lcm(self.field.f_part(d).coeffs, exact)
+            g, g_den = _over_lcm(self.field.g_part(d).coeffs, exact)
+            out[d] = (_nonzero(f), f_den, _nonzero(g), g_den)
+        return out
+
     def l_values(self) -> list[tuple[int, Scalar]]:
         return sorted(self.L.items())
 
@@ -119,27 +143,74 @@ class LyapunovSeries:
         return out
 
 
-def accumulate_rhs(series: LyapunovSeries, k: int, include_direct: bool = True) -> HomogPoly:
-    """The degree-k source term R_k built from already-solved V terms.
+def accumulate_rhs(
+    series: LyapunovSeries, k: int, include_direct: bool = True
+) -> tuple[HomogPoly, int]:
+    """The degree-k source term R_k built from already-solved V terms, as
+    ``(num, den)`` with R_k = num/den.
 
-    ``include_direct=False`` drops the d = k-1 contribution x*F_(k-1) +
-    y*G_(k-1) (the one coming from V_2), leaving the response of a
-    directly-driven block to the lower degrees.
+    In exact mode ``num`` has integer coefficients and ``den`` is a positive
+    int (not necessarily the least one); in float mode ``num`` holds the
+    carrier's values and ``den`` is 1.  ``include_direct=False`` drops the
+    d = k-1 contribution x*F_(k-1) + y*G_(k-1) (the one coming from V_2),
+    leaving the response of a directly-driven block to the lower degrees.
     """
-    vf = series.field
-    total = HomogPoly.zero(k)
-    top = min(vf.degree, k - 1 if include_direct else k - 2)
+    exact = series.domain.exact
+    terms = series._field_terms
+    total: list = [0] * (k + 1)
+    den = 1
+    top = min(series.field.degree, k - 1 if include_direct else k - 2)
     for d in range(2, top + 1):
         Vm = series.V.get(k + 1 - d)
         if Vm is None or Vm.is_zero():
             continue
-        Fd = vf.f_part(d)
-        Gd = vf.g_part(d)
-        if not Fd.is_zero():
-            total = total + Vm.dx() * Fd
-        if not Gd.is_zero():
-            total = total + Vm.dy() * Gd
-    return total
+        f, f_den, g, g_den = terms[d]
+        v, v_den = _over_lcm(Vm.coeffs, exact)
+        m = Vm.degree
+        if f:
+            dx = [(m - a) * v[a] for a in range(m)]
+            total, den = _add_scaled(total, den, _product(dx, f, k), v_den * f_den)
+        if g:
+            dy = [(a + 1) * v[a + 1] for a in range(m)]
+            total, den = _add_scaled(total, den, _product(dy, g, k), v_den * g_den)
+    return HomogPoly(k, total), den
+
+
+def _over_lcm(coeffs, exact: bool) -> tuple[list, int]:
+    """Exact coefficients as integer numerators over their lcm denominator
+    (no gcd per coefficient); inexact ones unchanged over 1."""
+    if not exact:
+        return list(coeffs), 1
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _nonzero(coeffs: list) -> list[tuple[int, Scalar]]:
+    return [(b, c) for b, c in enumerate(coeffs) if c != 0]
+
+
+def _product(left: list, right: list[tuple[int, Scalar]], degree: int) -> list:
+    """Coefficients of the degree-``degree`` product of a dense coefficient
+    list and the nonzero (slot, value) pairs of the other factor, summed in
+    the order HomogPoly.__mul__ uses."""
+    out: list = [0] * (degree + 1)
+    for a, ca in enumerate(left):
+        if ca == 0:
+            continue
+        for b, cb in right:
+            out[a + b] = out[a + b] + ca * cb
+    return out
+
+
+def _add_scaled(total: list, den: int, part: list, part_den: int) -> tuple[list, int]:
+    """total/den + part/part_den over the lcm of the two denominators; a
+    side is rescaled only when its denominator is smaller than the lcm."""
+    new = lcm(den, part_den)
+    if new != den:
+        total = [t * (new // den) for t in total]
+    if new != part_den:
+        part = [p * (new // part_den) for p in part]
+    return [t + p for t, p in zip(total, part)], new
 
 
 def rotational_solve(
@@ -294,13 +365,17 @@ def _extend(
     with domain.context():
         zero = domain.coerce(0)
         for k in range(series.max_degree + 1, 2 * J + 3):
-            R = accumulate_rhs(series, k)
-            if R.is_zero():
+            num, den = accumulate_rhs(series, k)
+            if num.is_zero():
                 # the unique solution is zero: gap degrees of homogeneous
                 # fields, and the degrees below an unknown's own in its run
                 Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
             else:
-                Vk, L, _ = rotational_solve(k, R, domain)
+                # the solve is linear in R_k = num/den
+                Vk, L, _ = rotational_solve(k, num, domain)
+                if den != 1:
+                    Vk = Vk.map_coeffs(lambda c: c / den)
+                    L = None if L is None else L / den
             if k in pins:
                 Vk = pins[k] + _response(series, k) if respond else pins[k]
             series.V[k] = Vk
@@ -318,8 +393,9 @@ def _start(vf: VectorField) -> LyapunovSeries:
 def _response(series: LyapunovSeries, k: int) -> HomogPoly:
     """The part of V_k solved from the lower degrees alone, without the
     direct drive from V_2."""
-    R = accumulate_rhs(series, k, include_direct=False)
-    return rotational_solve(k, R, series.domain)[0]
+    num, den = accumulate_rhs(series, k, include_direct=False)
+    V = rotational_solve(k, num, series.domain)[0]
+    return V if den == 1 else V.map_coeffs(lambda c: c / den)
 
 
 def compute_series_unknown(
@@ -401,7 +477,8 @@ def residual(series: LyapunovSeries, k: int) -> HomogPoly:
     every plain-mode degree, and for every degree above the replaced levels
     of an unknown-carrying series once its unknowns are given values
     (``evaluate_at``)."""
-    R = accumulate_rhs(series, k)
+    num, den = accumulate_rhs(series, k)
+    R = num if den == 1 else num.map_coeffs(lambda c: Fraction(c, den))
     out = rot_apply(series.V[k]) + R
     if k % 2 == 0:
         L = series.L.get(k // 2 - 1)

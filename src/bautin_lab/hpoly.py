@@ -9,8 +9,9 @@ sparse one.
 
 Coefficients may be any scalar the package knows (Fraction, mpf, or plain
 int for structural zeros); operations never assume a particular carrier.
-Products skip zero coefficients of either carrier, which keeps the sparse
-series of homogeneous, reversible and divergence-free fields cheap.
+Products skip zero coefficients of either carrier.  The engine's per-degree
+loop does not use them: it forms its source terms on integer numerators (see
+``engine.accumulate_rhs``).
 """
 
 from __future__ import annotations

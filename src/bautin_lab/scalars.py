@@ -142,15 +142,22 @@ class BigRealDomain:
             raise UsageError("extended-precision domain needs at least 30 digits")
 
     def coerce(self, x) -> Scalar:
+        """Convert into an mpf at this precision; non-finite values and zero
+        denominators raise UsageError, as they do in exact mode."""
         with mp.workdps(self.dps):
-            if isinstance(x, Fraction):
-                return mp.mpf(x.numerator) / x.denominator
-            if isinstance(x, str):
-                if "/" in x:
+            try:
+                if isinstance(x, Fraction):
+                    value = mp.mpf(x.numerator) / x.denominator
+                elif isinstance(x, str) and "/" in x:
                     num, _, den = x.partition("/")
-                    return mp.mpf(num.strip()) / mp.mpf(den.strip())
-                return mp.mpf(x.strip())
-            return mp.mpf(x)
+                    value = mp.mpf(num.strip()) / mp.mpf(den.strip())
+                else:
+                    value = mp.mpf(x.strip() if isinstance(x, str) else x)
+            except ZeroDivisionError as exc:
+                raise UsageError(f"zero denominator in {x!r}") from exc
+            if not mp.isfinite(value):
+                raise UsageError(f"not a finite number: {x!r}")
+            return value
 
     @contextmanager
     def context(self) -> Iterator[None]:

@@ -56,6 +56,11 @@ def test_parse_error_is_bad_input(tmp_path, capsys):
     path = write_field(tmp_path, "bad.vf", "n 2\nF 5 0 1\n")
     code, _, err = run(capsys, "lyapunov", path)
     assert code == 1 and "line 2" in err
+    # float mode rejects what exact mode rejects, instead of a nan/inf verdict
+    for coeff in ("nan", "inf", "1/0"):
+        path = write_field(tmp_path, "bad.vf", f"n 3\nF 3 0 {coeff}\n")
+        code, out, err = run(capsys, "center-check", path, "--mode", "float")
+        assert code == 1 and out == "" and "line 2" in err, coeff
 
 
 def test_gaps_match(tmp_path, capsys):
@@ -123,6 +128,8 @@ def test_example_jl_rejects_nonnegative_b4(capsys):
     assert code == 1 and "negative" in err
     code, _, err = run(capsys, "example-jl", "--b4", "0")
     assert code == 1
+    code, out, err = run(capsys, "example-jl", "--b4=1/0")
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_example_jl_single_root_json(capsys):

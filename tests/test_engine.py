@@ -14,14 +14,16 @@ from bautin_lab.engine import (
 )
 from bautin_lab.errors import UsageError
 from bautin_lab.fields import (
+    coerce_field,
     parse_vector_field,
     random_divergence_free_field,
     random_field,
     random_homogeneous_field,
     random_reversible_field,
+    rotational_family_field,
 )
 from bautin_lab.hpoly import HomogPoly
-from bautin_lab.scalars import LinearForm
+from bautin_lab.scalars import BigRealDomain, LinearForm
 from bautin_lab.structure import gap_profile
 
 
@@ -61,17 +63,68 @@ def test_solve_degree4_y3_drive():
     assert V.coeffs == (0, F(0), F(0), F(0), F(-1, 4))
 
 
+def _reference_rhs(series, k, include_direct=True):
+    """R_k as a plain sum of HomogPoly products, in the loop order the
+    shared-denominator kernel has to reproduce."""
+    vf = series.field
+    total = HomogPoly.zero(k)
+    top = min(vf.degree, k - 1 if include_direct else k - 2)
+    for d in range(2, top + 1):
+        Vm = series.V.get(k + 1 - d)
+        if Vm is None or Vm.is_zero():
+            continue
+        Fd, Gd = vf.f_part(d), vf.g_part(d)
+        if not Fd.is_zero():
+            total = total + Vm.dx() * Fd
+        if not Gd.is_zero():
+            total = total + Vm.dy() * Gd
+    return total
+
+
 def test_accumulate_homogeneous_cubic():
     vf = parse_vector_field("n 3\nF 3 0 1\nF 0 3 -2\nG 2 1 5\n")
     series = compute_series(vf, 3)
     x = HomogPoly.monomial(1, 0, F(1))
     y = HomogPoly.monomial(0, 1, F(1))
     expected4 = x * vf.f_part(3) + y * vf.g_part(3)
-    assert accumulate_rhs(series, 4).coeffs == expected4.coeffs
+    num, den = accumulate_rhs(series, 4)
+    assert [F(c, den) for c in num.coeffs] == list(expected4.coeffs)
     # V_3 = 0, so the degree-5 source is empty
-    assert accumulate_rhs(series, 5).is_zero()
+    assert accumulate_rhs(series, 5)[0].is_zero()
     expected6 = series.V[4].dx() * vf.f_part(3) + series.V[4].dy() * vf.g_part(3)
-    assert accumulate_rhs(series, 6).coeffs == expected6.coeffs
+    num, den = accumulate_rhs(series, 6)
+    assert [F(c, den) for c in num.coeffs] == list(expected6.coeffs)
+
+    # the shared-denominator kernel against the HomogPoly-product formula
+    fields = [random_field(n, seed=40 + n) for n in (2, 3, 4, 5)]
+    fields += [
+        make(n, seed=n)
+        for n in (2, 3, 4, 5)
+        for make in (
+            random_homogeneous_field,
+            random_divergence_free_field,
+            random_reversible_field,
+            rotational_family_field,
+        )
+    ]
+    float_domain = BigRealDomain(dps=60)
+    for vf in fields:
+        J = vf.degree + 3
+        exact = compute_series(vf, J)
+        inexact = compute_series(coerce_field(vf, float_domain), J)
+        for k in range(3, 2 * J + 4):
+            for direct in (True, False):
+                num, den = accumulate_rhs(exact, k, direct)
+                assert isinstance(den, int) and den > 0
+                assert all(isinstance(c, int) for c in num.coeffs)
+                ref = _reference_rhs(exact, k, direct)
+                assert [F(c, den) for c in num.coeffs] == list(ref.coeffs), (vf, k, direct)
+                with float_domain.context():  # repr round-trips at this precision
+                    num, den = accumulate_rhs(inexact, k, direct)
+                    got = list(map(repr, num.coeffs))
+                    want = list(map(repr, _reference_rhs(inexact, k, direct).coeffs))
+                # den == 1 and the same summation order, so the same bits
+                assert den == 1 and got == want, (vf, k, direct)
 
 
 def test_series_divergence_free_quadratic():
@@ -137,9 +190,9 @@ def test_dense_oracle_agreement():
         vf = random_field(n, seed + 100)
         series = compute_series(vf, n + 2)
         for k in range(3, 2 * (n + 2) + 3):
-            R = accumulate_rhs(series, k)
-            fast = rotational_solve(k, R)
-            dense = dense_rotational_solve(k, R)
+            num, _ = accumulate_rhs(series, k)
+            fast = rotational_solve(k, num)
+            dense = dense_rotational_solve(k, num)
             assert fast[0].coeffs == dense[0].coeffs
             assert fast[1] == dense[1]
 

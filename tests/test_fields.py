@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from bautin_lab.errors import FieldParseError, UsageError
@@ -14,7 +15,7 @@ from bautin_lab.fields import (
     serialize_vector_field,
 )
 from bautin_lab.hpoly import HomogPoly
-from bautin_lab.scalars import BigRealDomain
+from bautin_lab.scalars import RATIONAL, BigRealDomain
 
 
 def test_parse_simple_cubic():
@@ -64,6 +65,19 @@ def test_float_mode_parsing():
     with dom.context():
         assert vf.f_part(2).coeff(2, 0) == 0.5
         assert abs(vf.g_part(2).coeff(1, 1) + 0.25) == 0
+
+
+def test_non_finite_and_zero_denominator_coefficients_are_rejected():
+    # both modes refuse them at parse time, with the offending line
+    for text in ("nan", "inf", "-inf", "1/0", "0/0", "2/0.0"):
+        for dom in (RATIONAL, BigRealDomain(dps=40)):
+            with pytest.raises(FieldParseError) as err:
+                parse_vector_field(f"n 3\nF 2 0 1\nF 3 0 {text}\n", dom)
+            assert err.value.line_no == 3, (text, dom)
+    dom = BigRealDomain(dps=40)
+    for value in (mp.mpf("nan"), mp.mpf("inf"), float("-inf")):
+        with pytest.raises(UsageError):
+            dom.coerce(value)
 
 
 def test_serialize_round_trip_random_fields():
