@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cubic_family import reproduce_example
@@ -31,7 +30,7 @@ from .fields import (
     random_field,
     random_homogeneous_field,
 )
-from .scalars import RATIONAL, BigRealDomain, Domain, parse_rational, scalar_to_str
+from .scalars import RATIONAL, BigRealDomain, parse_rational, scalar_to_str
 from .structure import center_check, gap_profile, verify_gaps
 
 SCHEMA = "bautin-lab/1"
@@ -44,44 +43,26 @@ EXIT_WEAK_FOCUS = 5
 EXIT_INCONCLUSIVE = 6
 
 
-@dataclass
-class RunConfig:
-    command: str
-    source: str | None = None
-    max_index: int = 8
-    mode: str = "exact"  # "exact" | "float"
-    precision: int = 60
-    output: str = "table"  # "table" | "json" | "csv"
-    seed: int = 0
-    show_terms: bool = False
-    root: int | None = None
-    b4: str = "-1"
-
-    @property
-    def domain(self) -> Domain:
-        return RATIONAL if self.mode == "exact" else BigRealDomain(dps=self.precision)
-
-
-def _load_field(cfg: RunConfig) -> VectorField:
+def _load_field(args: argparse.Namespace) -> VectorField:
     """Read a field from a file, '-' for stdin, or 'random:<n>' /
-    'random-homogeneous:<n>' seeded by --seed."""
-    src = cfg.source
-    if src is None:
-        raise UsageError("no input field given")
+    'random-homogeneous:<n>' seeded by --seed, in the domain --mode and
+    --precision select."""
+    domain = RATIONAL if args.mode == "exact" else BigRealDomain(dps=args.precision)
+    src = args.source
     if src.startswith("random-homogeneous:"):
-        vf = random_homogeneous_field(int(src.split(":", 1)[1]), cfg.seed)
+        vf = random_homogeneous_field(int(src.split(":", 1)[1]), args.seed)
     elif src.startswith("random:"):
-        vf = random_field(int(src.split(":", 1)[1]), cfg.seed)
+        vf = random_field(int(src.split(":", 1)[1]), args.seed)
     else:
         text = sys.stdin.read() if src == "-" else Path(src).read_text(encoding="utf-8")
-        return parse_vector_field(text, cfg.domain)
-    return coerce_field(vf, cfg.domain)
+        return parse_vector_field(text, domain)
+    return coerce_field(vf, domain)
 
 
-def _emit_pairs(cfg: RunConfig, pairs: list[tuple[str, str]], payload: dict) -> None:
-    if cfg.output == "json":
+def _emit_pairs(output: str, pairs: list[tuple[str, str]], payload: dict) -> None:
+    if output == "json":
         print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
-    elif cfg.output == "csv":
+    elif output == "csv":
         print("key,value")
         for key, val in pairs:
             print(f"{key},{val}")
@@ -90,33 +71,33 @@ def _emit_pairs(cfg: RunConfig, pairs: list[tuple[str, str]], payload: dict) -> 
             print(f"{key} = {val}")
 
 
-def cmd_lyapunov(cfg: RunConfig) -> int:
-    vf = _load_field(cfg)
-    series = compute_series(vf, cfg.max_index)
+def cmd_lyapunov(args: argparse.Namespace) -> int:
+    vf = _load_field(args)
+    series = compute_series(vf, args.max_index)
     dom = vf.domain
     pairs = [(f"L_{j}", scalar_to_str(L, dom)) for j, L in series.l_values()]
     payload: dict = {
         "command": "lyapunov",
         "degree": vf.degree,
-        "mode": cfg.mode,
+        "mode": args.mode,
         "L": {str(j): scalar_to_str(L, dom) for j, L in series.l_values()},
     }
-    if cfg.show_terms:
+    if args.show_terms:
         terms = {
             str(k): {f"{i},{j}": scalar_to_str(c, dom) for i, j, c in series.V[k].terms()}
             for k in sorted(series.V)
         }
         payload["V"] = terms
         pairs += [(f"V_{k}", str(series.V[k])) for k in sorted(series.V) if k > 2]
-    _emit_pairs(cfg, pairs, payload)
+    _emit_pairs(args.output, pairs, payload)
     return EXIT_OK
 
 
-def cmd_gaps(cfg: RunConfig) -> int:
-    vf = _load_field(cfg)
+def cmd_gaps(args: argparse.Namespace) -> int:
+    vf = _load_field(args)
     if not vf.is_homogeneous():
         raise UsageError("gap analysis requires a homogeneous field")
-    J = cfg.max_index or 2 * (vf.degree + 2)  # default budget: the gap-law audit range
+    J = args.max_index or 2 * (vf.degree + 2)  # default budget: the gap-law audit range
     series = compute_series(vf, J)
     report = verify_gaps(series)
     profile = gap_profile(vf.degree)
@@ -147,12 +128,12 @@ def cmd_gaps(cfg: RunConfig) -> int:
             {"kind": v.kind, "key": v.key, "value": v.value} for v in report.violations
         ],
     }
-    _emit_pairs(cfg, pairs, payload)
+    _emit_pairs(args.output, pairs, payload)
     return EXIT_OK if report.passed else EXIT_GAP_MISMATCH
 
 
-def cmd_center_check(cfg: RunConfig) -> int:
-    vf = _load_field(cfg)
+def cmd_center_check(args: argparse.Namespace) -> int:
+    vf = _load_field(args)
     cert = center_check(vf)
     dom = vf.domain
     pairs = [
@@ -181,21 +162,21 @@ def cmd_center_check(cfg: RunConfig) -> int:
         "ordering": "cyclicity <= weak-focus order <= center bound",
         "reason": cert.reason,
     }
-    _emit_pairs(cfg, pairs, payload)
+    _emit_pairs(args.output, pairs, payload)
     return cert.exit_code
 
 
-def cmd_example_jl(cfg: RunConfig) -> int:
-    b4 = parse_rational(cfg.b4)
+def cmd_example_jl(args: argparse.Namespace) -> int:
+    b4 = parse_rational(args.b4)
     if b4 >= 0:
         raise UsageError("--b4 must be negative")
-    roots = [cfg.root] if cfg.root else [1, 2]
-    reports = [reproduce_example(root=r, b4=b4, precision=cfg.precision) for r in roots]
-    if cfg.output == "json":
+    roots = [args.root] if args.root else [1, 2]
+    reports = [reproduce_example(root=r, b4=b4, precision=args.precision) for r in roots]
+    if args.output == "json":
         out = reports[0] if len(reports) == 1 else {"schema": SCHEMA, "roots": reports}
         print(json.dumps(out, indent=2))
         return EXIT_OK
-    if cfg.output == "csv":
+    if args.output == "csv":
         print("key,value")
         for rep in reports:
             r = rep["root_index"]
@@ -230,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_j: int = 8):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("source", help="field file, '-' for stdin, or random:<n> / random-homogeneous:<n>")
-        p.add_argument("-J", "--max-index", type=int, default=default_j, help="highest Lyapunov index")
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--precision", type=int, default=60, help="decimal digits in float mode")
         p.add_argument("--output", choices=("table", "json", "csv"), default="table")
@@ -240,10 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lyapunov", help="compute Lyapunov constants")
     common(p)
+    p.add_argument("-J", "--max-index", type=int, default=8, help="highest Lyapunov index")
     p.add_argument("--show-terms", action="store_true", help="also print the V_k terms")
 
     p = sub.add_parser("gaps", help="verify the homogeneous sparsity pattern")
-    common(p, default_j=0)  # 0 = choose the audit budget from the degree
+    common(p)
+    # 0 = choose the audit budget from the degree
+    p.add_argument("-J", "--max-index", type=int, default=0, help="highest Lyapunov index")
 
     p = sub.add_parser("center-check", help="weak-focus / center certificate")
     common(p)
@@ -259,18 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        source=getattr(args, "source", None),
-        max_index=getattr(args, "max_index", 8),
-        mode=getattr(args, "mode", "exact"),
-        precision=args.precision,
-        output=args.output,
-        seed=getattr(args, "seed", 0),
-        show_terms=getattr(args, "show_terms", False),
-        root=getattr(args, "root", None),
-        b4=getattr(args, "b4", "-1"),
-    )
     handlers = {
         "lyapunov": cmd_lyapunov,
         "gaps": cmd_gaps,
@@ -278,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         "example-jl": cmd_example_jl,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

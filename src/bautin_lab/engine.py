@@ -37,13 +37,15 @@ The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.
 
 The center-certificate matrix needs the constants as functions of the
-independent coefficients of selected directly-driven blocks V_(k+1).  Each
+independent coefficients of the V_(k+1) blocks at selected levels k.  Each
 degree's solve is linear in R_K, and R_K is linear in the lower V terms, so
-every later V and L is exactly affine in those coefficients (the linear parts
-of the Lyapunov constants).  ``compute_series_unknown`` therefore reads the
-affine forms off plain runs of the one per-degree loop: an offset run with
-every block coefficient at zero, and one run per coefficient that starts from
-V_2 = 0 with that coefficient set to one.
+once those blocks are pinned every later V and L is exactly affine in their
+coefficients (the linear parts of the Lyapunov constants).
+``compute_series_unknown`` therefore reads the affine forms off plain runs of
+the one per-degree loop: an offset run with every pinned block at zero, and
+one run per coefficient that starts from V_2 = 0 with that coefficient at one
+and the other pinned blocks at zero.  A column then stands for one full V_k
+coefficient, the attribution of the published tables.
 """
 
 from __future__ import annotations
@@ -69,27 +71,6 @@ def tiebreak_slot(degree: int) -> tuple[int, int]:
     return (h, h) if h % 2 == 0 else (h - 1, h + 1)
 
 
-@dataclass(frozen=True)
-class TieBreakRecord:
-    """One pinned slot: at even degree k the coefficient of x^slot[0] y^slot[1]
-    in V_k was fixed to 0 to select a unique solution."""
-
-    degree: int
-    slot: tuple[int, int]
-    value: int = 0
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """A formal unknown standing for one independent coefficient of a
-    directly-driven homogeneous block V^h (slot = (x-exp, y-exp)), together
-    with the concrete value that block takes in plain mode."""
-
-    slot: UnknownId
-    level: int
-    plain_value: Scalar
-
-
 @dataclass
 class LyapunovSeries:
     """Computed Lyapunov-function terms V_k and constants L_j.
@@ -97,15 +78,15 @@ class LyapunovSeries:
     ``V`` maps degree k -> HomogPoly (V_2 included), ``L`` maps index j -> the
     constant solved at degree 2j+2.  In unknown-carrying mode the V and L
     entries hold linear forms over the registered unknowns and ``unknowns``
-    lists them in registration order (ascending level, then descending
-    x-power)."""
+    lists their slots (x-exp, y-exp) in registration order (ascending degree,
+    then descending x-power)."""
 
     field: VectorField
     mode: str  # "plain" | "unknown"
     domain: Domain
     V: dict[int, HomogPoly] = dataclass_field(default_factory=dict)
     L: dict[int, Scalar] = dataclass_field(default_factory=dict)
-    unknowns: list[Unknown] = dataclass_field(default_factory=list)
+    unknowns: list[UnknownId] = dataclass_field(default_factory=list)
 
     @property
     def max_index(self) -> int:
@@ -131,10 +112,6 @@ class LyapunovSeries:
     def l_values(self) -> list[tuple[int, Scalar]]:
         return sorted(self.L.items())
 
-    def plain_assignment(self) -> dict[UnknownId, Scalar]:
-        """Map each unknown to the concrete value its slot takes in plain mode."""
-        return {u.slot: u.plain_value for u in self.unknowns}
-
     def evaluate_at(self, assignment: Mapping[UnknownId, Scalar]) -> "LyapunovSeries":
         """Substitute concrete values for the unknowns in every V and L."""
         out = LyapunovSeries(self.field, "plain", self.domain)
@@ -143,24 +120,19 @@ class LyapunovSeries:
         return out
 
 
-def accumulate_rhs(
-    series: LyapunovSeries, k: int, include_direct: bool = True
-) -> tuple[HomogPoly, int]:
+def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     """The degree-k source term R_k built from already-solved V terms, as
     ``(num, den)`` with R_k = num/den.
 
     In exact mode ``num`` has integer coefficients and ``den`` is a positive
     int (not necessarily the least one); in float mode ``num`` holds the
-    carrier's values and ``den`` is 1.  ``include_direct=False`` drops the
-    d = k-1 contribution x*F_(k-1) + y*G_(k-1) (the one coming from V_2),
-    leaving the response of a directly-driven block to the lower degrees.
+    carrier's values and ``den`` is 1.
     """
     exact = series.domain.exact
     terms = series._field_terms
     total: list = [0] * (k + 1)
     den = 1
-    top = min(series.field.degree, k - 1 if include_direct else k - 2)
-    for d in range(2, top + 1):
+    for d in range(2, min(series.field.degree, k - 1) + 1):
         Vm = series.V.get(k + 1 - d)
         if Vm is None or Vm.is_zero():
             continue
@@ -215,12 +187,12 @@ def _add_scaled(total: list, den: int, part: list, part_den: int) -> tuple[list,
 
 def rotational_solve(
     k: int, R: HomogPoly, domain: Domain = RATIONAL
-) -> tuple[HomogPoly, Scalar | None, TieBreakRecord | None]:
+) -> tuple[HomogPoly, Scalar | None]:
     """Solve rot(V) + R = [k even] * L * (x^2+y^2)^(k/2) for V (and L).
 
-    Returns (V, L, tiebreak); L and the tie-break record are None at odd
-    degrees.  The two parity chains are always solvable in exact arithmetic;
-    a vanishing closing denominator would mean a solver bug, not bad input.
+    Returns (V, L); L is None at odd degrees.  The two parity chains are
+    always solvable in exact arithmetic; a vanishing closing denominator would
+    mean a solver bug, not bad input.
     """
     if k < 3:
         raise UsageError("rotational solve needs degree >= 3")
@@ -235,7 +207,7 @@ def rotational_solve(
             v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
         for b in range(k, 0, -2):  # determines even slots, right to left
             v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
-        return HomogPoly(k, v), None, None
+        return HomogPoly(k, v), None
 
     cp = circle_power(k // 2).coeffs
     # Odd slots plus L: carry v[odd] = base + L * unit, with `unit` concrete,
@@ -257,19 +229,16 @@ def rotational_solve(
         v[a] = base[a] + L * unit[a]
 
     # Even slots: bidiagonal chain with nullity one, pinned at the designated slot.
-    slot = tiebreak_slot(k)
-    a_t = slot[1]
+    a_t = tiebreak_slot(k)[1]
     v[a_t] = domain.coerce(0)
     for b in range(a_t + 1, k, 2):
         v[b + 1] = ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
     for b in range(a_t - 1, 0, -2):
         v[b - 1] = ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
-    return HomogPoly(k, v), L, TieBreakRecord(k, slot)
+    return HomogPoly(k, v), L
 
 
-def dense_rotational_solve(
-    k: int, R: HomogPoly
-) -> tuple[HomogPoly, Scalar | None, TieBreakRecord | None]:
+def dense_rotational_solve(k: int, R: HomogPoly) -> tuple[HomogPoly, Scalar | None]:
     """Oracle for rotational_solve: assemble the full linear system over exact
     rationals (tie-break row included) and run dense Gaussian elimination.
 
@@ -295,17 +264,15 @@ def dense_rotational_solve(
             row[k + 1] = Fraction(-cp[b])
         rows.append(row)
         rhs.append(Fraction(-R.coeffs[b]))
-    tb = None
     if even:
-        tb = TieBreakRecord(k, tiebreak_slot(k))
         row = [Fraction(0)] * ncols
-        row[tb.slot[1]] = Fraction(1)
+        row[tiebreak_slot(k)[1]] = Fraction(1)
         rows.append(row)
         rhs.append(Fraction(0))
 
     sol = _gauss_solve(rows, rhs)
     V = HomogPoly(k, sol[: k + 1])
-    return (V, sol[k + 1], tb) if even else (V, None, None)
+    return V, (sol[k + 1] if even else None)
 
 
 def _gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -351,16 +318,16 @@ def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
     """
     if series.mode != "plain":
         raise UsageError("only plain-mode series can be extended")
-    return _extend(series, J, {}, respond=False)
+    return _extend(series, J, {})
 
 
 def _extend(
-    series: LyapunovSeries, J: int, pins: Mapping[int, HomogPoly], respond: bool
+    series: LyapunovSeries, J: int, pins: Mapping[int, HomogPoly]
 ) -> LyapunovSeries:
     """The per-degree loop behind every series.  At a degree k in ``pins``
-    the solved V_k is replaced by the pinned block ``pins[k]``, plus (with
-    ``respond``) its response to the lower degrees; the constant keeps the
-    value solved from the full source term, which never involves V_k."""
+    the solved V_k is replaced by the pinned block ``pins[k]``; the constant
+    keeps the value solved from the full source term, which never involves
+    V_k."""
     domain = series.domain
     with domain.context():
         zero = domain.coerce(0)
@@ -372,13 +339,11 @@ def _extend(
                 Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
             else:
                 # the solve is linear in R_k = num/den
-                Vk, L, _ = rotational_solve(k, num, domain)
+                Vk, L = rotational_solve(k, num, domain)
                 if den != 1:
                     Vk = Vk.map_coeffs(lambda c: c / den)
                     L = None if L is None else L / den
-            if k in pins:
-                Vk = pins[k] + _response(series, k) if respond else pins[k]
-            series.V[k] = Vk
+            series.V[k] = pins.get(k, Vk)
             if L is not None:
                 series.L[k // 2 - 1] = L
         return series
@@ -390,41 +355,20 @@ def _start(vf: VectorField) -> LyapunovSeries:
     return LyapunovSeries(vf, "plain", vf.domain, V={2: HomogPoly(2, [half, 0, half])})
 
 
-def _response(series: LyapunovSeries, k: int) -> HomogPoly:
-    """The part of V_k solved from the lower degrees alone, without the
-    direct drive from V_2."""
-    num, den = accumulate_rhs(series, k, include_direct=False)
-    V = rotational_solve(k, num, series.domain)[0]
-    return V if den == 1 else V.map_coeffs(lambda c: c / den)
-
-
 def compute_series_unknown(
     vf: VectorField, levels: Iterable[int], J: int
 ) -> LyapunovSeries:
     """Unknown-carrying series: like compute_series, but at each degree k+1
-    with k in ``levels`` the independent coefficients of the directly-driven
-    block stand for formal unknowns, with the response to the accumulated
-    lower contributions added on top.  Every later V and L is then a linear
-    form in the registered unknowns.
+    with k in ``levels`` every independent coefficient of the full block
+    V_(k+1) stands for a formal unknown (the tie-break slot carries none).
+    Every later V and L is then a linear form in the registered unknowns.
 
-    At an even driven degree the constant solved there keeps the concrete
-    directly-driven part as the form's constant term; with no lower levels
-    selected (the homogeneous case) that constant carries no unknowns at all.
-    """
-    return _affine_series(vf, levels, J, full_blocks=False)
-
-
-def _affine_series(
-    vf: VectorField, levels: Iterable[int], J: int, full_blocks: bool
-) -> LyapunovSeries:
-    """compute_series_unknown, optionally with each unknown standing for the
-    full V-term coefficient at its degree (direct part plus the response to
-    lower levels) instead of the directly-driven part alone.
-
-    In the default convention each pinned block keeps its response to lower
-    degrees, and the run for one unknown solves later replaced degrees like
-    ordinary ones.  With full blocks the pinned values are exact, and the run
-    for one unknown pins every other replaced block at zero.
+    Each replaced block is pinned exactly: at zero in the offset run, which
+    starts from V_2 = (x^2+y^2)/2, and in the run of one unknown, which
+    starts from V_2 = 0, at that unknown's unit monomial with the other
+    replaced blocks at zero.  A constant solved at a replaced even degree
+    never involves that block, so with no lower levels selected (the
+    homogeneous case) it carries no unknowns at all.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -436,27 +380,20 @@ def _affine_series(
     domain = vf.domain
     degrees = [k + 1 for k in levels if k + 1 <= 2 * J + 2]
     series = LyapunovSeries(vf, "unknown", domain)
+    series.unknowns = [
+        (k - a, a)
+        for k in degrees
+        for a in range(k + 1)
+        if k % 2 == 1 or (k - a, a) != tiebreak_slot(k)
+    ]
     with domain.context():
-        # each unknown's plain-mode value: the full V_k coefficient, or its
-        # directly-driven part (V_k minus the response)
-        plain = _extend(_start(vf), (max(degrees, default=3) - 1) // 2, {}, False)
-        for k in degrees:
-            block = plain.V[k] if full_blocks else plain.V[k] - _response(plain, k)
-            pinned = tiebreak_slot(k) if k % 2 == 0 else None
-            series.unknowns += [
-                Unknown((k - a, a), k - 1, c)
-                for a, c in enumerate(block.coeffs)
-                if (k - a, a) != pinned
-            ]
-
         zero_blocks = {k: HomogPoly.zero(k) for k in degrees}
-        offset = _extend(_start(vf), J, zero_blocks, not full_blocks)
+        offset = _extend(_start(vf), J, zero_blocks)
         runs: dict[UnknownId, LyapunovSeries] = {}
-        for u in series.unknowns:
-            pins = dict(zero_blocks) if full_blocks else {}
-            pins[u.level + 1] = HomogPoly.monomial(*u.slot, domain.coerce(1))
+        for slot in series.unknowns:
+            pins = {**zero_blocks, sum(slot): HomogPoly.monomial(*slot, domain.coerce(1))}
             run = LyapunovSeries(vf, "plain", domain, V={2: HomogPoly.zero(2)})
-            runs[u.slot] = _extend(run, J, pins, not full_blocks)
+            runs[slot] = _extend(run, J, pins)
 
         series.V = {
             k: HomogPoly(k, [

@@ -70,10 +70,6 @@ class LinearForm:
         pruned = {uid: c for uid, c in self.coeffs.items() if c != 0}
         object.__setattr__(self, "coeffs", MappingProxyType(pruned))
 
-    @classmethod
-    def unknown(cls, uid: UnknownId, one: Scalar = 1) -> "LinearForm":
-        return cls(0, {uid: one})
-
     def is_zero(self) -> bool:
         return self.const == 0 and not self.coeffs
 

@@ -6,15 +6,15 @@ j = m(n-1) for even n, j = m(n-1)/2 for odd n.  ``gap_profile`` predicts the
 pattern and ``verify_gaps`` confirms a computed series obeys it exactly.
 
 The certificate machinery links the leading nontrivial constants to the
-independent coefficients of the directly-driven homogeneous blocks.  The
-constants are exactly affine in those coefficients, so one plain engine run
-per coefficient, plus one offset run with every coefficient at zero, gives
-the linear part: a square matrix P with one row per leading constant and one
-column per coefficient, and the offsets the rows keep at zero block values
-(see ``engine.compute_series_unknown``).  A nonzero determinant means
-the leading constants pin those coefficients one-to-one, which certifies that
-a field whose leading constants all vanish is a center (the generic case) and
-bounds the number of small-amplitude limit cycles by the row count.
+independent coefficients of the replaced homogeneous blocks V_k.  The
+constants are exactly affine in those coefficients, so
+``engine.compute_series_unknown`` gives the linear part: a square matrix P
+with one row per leading constant and one column per full V_k coefficient,
+and the offsets the rows keep with every replaced block at zero.  A nonzero
+determinant means the leading constants pin those coefficients one-to-one,
+which certifies that a field whose leading constants all vanish is a center
+(the generic case) and bounds the number of small-amplitude limit cycles by
+the row count.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .engine import (
-    LyapunovSeries,
-    _affine_series,
-    compute_series,
-    compute_series_unknown,
-    extend_series,
-)
+from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
 from .scalars import (
@@ -149,14 +143,14 @@ def center_number_bound(n: int, homogeneous: bool) -> int:
 
 @dataclass
 class PMatrix:
-    """Square matrix sending the directly-driven block coefficients to the
-    leading nontrivial Lyapunov constants.
+    """Square matrix sending the replaced V_k coefficients to the leading
+    nontrivial Lyapunov constants.
 
     Row i holds the linear-form coefficients of constant L_(row_labels[i])
     over the unknowns in column order; ``row_offsets`` carries each form's
-    constant part (zero for every homogeneous-mode row; in general mode the
-    rows solved at a directly-driven even degree keep the concrete drive
-    contribution there, so the exact identity is P * V^h + offsets = L).
+    constant part, its value with every replaced block at zero (zero for
+    every homogeneous-mode row), so the exact identity is
+    P * v + offsets = L with v the V_k coefficients of the plain series.
     """
 
     entries: list[list[Scalar]]
@@ -202,35 +196,22 @@ def p_matrix_row_indices(n: int, homogeneous: bool) -> tuple[list[int], int | No
 
 
 def build_p_matrix(
-    vf: VectorField,
-    column_order: Sequence[UnknownId] | None = None,
-    full_block_columns: bool = False,
+    vf: VectorField, column_order: Sequence[UnknownId] | None = None
 ) -> PMatrix:
     """Build the unknown-carrying series and read off the certificate matrix.
 
     Homogeneous fields replace only the top-level block; general fields
     replace every level 2..n.  Columns follow unknown registration order
-    (ascending level, then descending x-power) unless ``column_order`` gives
+    (ascending degree, then descending x-power) unless ``column_order`` gives
     an explicit slot permutation.
-
-    By default a column stands for one coefficient of a directly-driven block
-    (the drive response alone).  With ``full_block_columns`` the columns are
-    re-expressed against the full V-term coefficients at each replaced degree
-    (direct part plus the response to lower levels), the attribution used by
-    published tables of this matrix.  The two conventions differ by a
-    unimodular mixing, so the determinant is unchanged.
     """
     n = vf.degree
     homogeneous = vf.is_homogeneous()
     rows, standalone_idx = p_matrix_row_indices(n, homogeneous)
     levels = [n] if homogeneous else list(range(2, n + 1))
     with vf.domain.context():
-        if full_block_columns:
-            series = _affine_series(vf, levels, max(rows), full_blocks=True)
-        else:
-            series = compute_series_unknown(vf, levels, J=max(rows))
-
-        slots = [u.slot for u in series.unknowns]
+        series = compute_series_unknown(vf, levels, J=max(rows))
+        slots = list(series.unknowns)
         if column_order is not None:
             missing = set(column_order) ^ set(slots)
             if len(column_order) != len(slots) or missing:

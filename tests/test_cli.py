@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from bautin_lab.cli import main
 
 
@@ -112,6 +114,16 @@ def test_center_check_hamiltonian_never_weak_focus(tmp_path, capsys):
     code, out, _ = run(capsys, "center-check", path)
     assert code in (0, 6)
     assert "weak-focus" not in out
+
+
+def test_center_check_rejects_max_index(capsys):
+    # center-check fixes its own budget from the center bound, so -J is not
+    # one of its flags: argparse refuses it instead of silently ignoring it
+    with pytest.raises(SystemExit) as exc:
+        main(["center-check", "random:3", "-J", "-2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "-J" in captured.err
 
 
 def test_center_check_json_round_trip(tmp_path, capsys):

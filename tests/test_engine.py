@@ -42,34 +42,32 @@ def test_tiebreak_slots():
 
 
 def test_solve_zero_rhs_odd_degree():
-    V, L, tb = rotational_solve(3, HomogPoly.zero(3))
-    assert V.is_zero() and L is None and tb is None
+    V, L = rotational_solve(3, HomogPoly.zero(3))
+    assert V.is_zero() and L is None
 
 
 def test_solve_degree4_x_drive():
     # R = x * F_3 with F_3 = x^3
-    V, L, tb = rotational_solve(4, HomogPoly.monomial(4, 0, F(1)))
+    V, L = rotational_solve(4, HomogPoly.monomial(4, 0, F(1)))
     assert L == F(3, 8)
     assert V.coeff(3, 1) == F(-5, 8)
     assert V.coeff(1, 3) == F(-3, 8)
     assert V.coeff(4, 0) == 0 and V.coeff(2, 2) == 0 and V.coeff(0, 4) == 0
-    assert tb.slot == (2, 2) and tb.value == 0
 
 
 def test_solve_degree4_y3_drive():
     # R = x * F_3 with F_3 = y^3
-    V, L, _ = rotational_solve(4, HomogPoly.monomial(1, 3, F(1)))
+    V, L = rotational_solve(4, HomogPoly.monomial(1, 3, F(1)))
     assert L == 0
     assert V.coeffs == (0, F(0), F(0), F(0), F(-1, 4))
 
 
-def _reference_rhs(series, k, include_direct=True):
+def _reference_rhs(series, k):
     """R_k as a plain sum of HomogPoly products, in the loop order the
     shared-denominator kernel has to reproduce."""
     vf = series.field
     total = HomogPoly.zero(k)
-    top = min(vf.degree, k - 1 if include_direct else k - 2)
-    for d in range(2, top + 1):
+    for d in range(2, min(vf.degree, k - 1) + 1):
         Vm = series.V.get(k + 1 - d)
         if Vm is None or Vm.is_zero():
             continue
@@ -113,18 +111,17 @@ def test_accumulate_homogeneous_cubic():
         exact = compute_series(vf, J)
         inexact = compute_series(coerce_field(vf, float_domain), J)
         for k in range(3, 2 * J + 4):
-            for direct in (True, False):
-                num, den = accumulate_rhs(exact, k, direct)
-                assert isinstance(den, int) and den > 0
-                assert all(isinstance(c, int) for c in num.coeffs)
-                ref = _reference_rhs(exact, k, direct)
-                assert [F(c, den) for c in num.coeffs] == list(ref.coeffs), (vf, k, direct)
-                with float_domain.context():  # repr round-trips at this precision
-                    num, den = accumulate_rhs(inexact, k, direct)
-                    got = list(map(repr, num.coeffs))
-                    want = list(map(repr, _reference_rhs(inexact, k, direct).coeffs))
-                # den == 1 and the same summation order, so the same bits
-                assert den == 1 and got == want, (vf, k, direct)
+            num, den = accumulate_rhs(exact, k)
+            assert isinstance(den, int) and den > 0
+            assert all(isinstance(c, int) for c in num.coeffs)
+            ref = _reference_rhs(exact, k)
+            assert [F(c, den) for c in num.coeffs] == list(ref.coeffs), (vf, k)
+            with float_domain.context():  # repr round-trips at this precision
+                num, den = accumulate_rhs(inexact, k)
+                got = list(map(repr, num.coeffs))
+                want = list(map(repr, _reference_rhs(inexact, k).coeffs))
+            # den == 1 and the same summation order, so the same bits
+            assert den == 1 and got == want, (vf, k)
 
 
 def test_series_divergence_free_quadratic():
@@ -200,7 +197,7 @@ def test_dense_oracle_agreement():
 def test_unknown_mode_quadratic_forms():
     vf = random_homogeneous_field(2, seed=5)
     series = compute_series_unknown(vf, [2], J=4)
-    assert [u.slot for u in series.unknowns] == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert series.unknowns == [(3, 0), (2, 1), (1, 2), (0, 3)]
     for j in (1, 2, 3, 4):
         form = series.L[j]
         assert isinstance(form, LinearForm)
@@ -226,7 +223,9 @@ def test_unknown_mode_matches_plain_on_substitution():
         J = n + 3
         unknown = compute_series_unknown(vf, range(2, n + 1), J)
         plain = compute_series(vf, J)
-        evaluated = unknown.evaluate_at(unknown.plain_assignment())
+        # each unknown stands for the full V_k coefficient of the plain series
+        values = {uid: plain.V[sum(uid)].coeff(*uid) for uid in unknown.unknowns}
+        evaluated = unknown.evaluate_at(values)
         for j, L in plain.l_values():
             assert evaluated.L[j] == L, (n, seed, j)
         for k in plain.V:
@@ -239,9 +238,7 @@ def test_unknown_mode_residuals_identically_zero_off_levels():
     vf = random_field(3, seed=8)
     series = compute_series_unknown(vf, [2, 3], J=5)
     rng = random.Random(8)
-    assignment = {
-        u.slot: F(rng.randint(-9, 9), rng.randint(1, 9)) for u in series.unknowns
-    }
+    assignment = {uid: F(rng.randint(-9, 9), rng.randint(1, 9)) for uid in series.unknowns}
     evaluated = series.evaluate_at(assignment)
     for k in range(5, 13):  # degrees above every replaced level
         assert residual(evaluated, k).is_zero(), k

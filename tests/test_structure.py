@@ -111,9 +111,8 @@ def test_p_matrix_identity_on_plain_values():
     for n in (2, 3, 4, 5):
         vf = random_homogeneous_field(n, seed=40 + n)
         P = build_p_matrix(vf)
-        series = compute_series_unknown(vf, [n], J=max(P.row_labels))
-        values = [series.plain_assignment()[uid] for uid in P.col_labels]
         plain = compute_series(vf, max(P.row_labels))
+        values = [plain.V[sum(uid)].coeff(*uid) for uid in P.col_labels]
         product = P.apply_to(values)
         for i, j in enumerate(P.row_labels):
             assert product[i] == plain.L[j], (n, j)
@@ -121,42 +120,28 @@ def test_p_matrix_identity_on_plain_values():
 
 
 def test_p_matrix_identity_general_fields_with_offsets():
-    # general fields: rows solved at a directly-driven even degree keep the
-    # concrete drive part as an affine offset; the identity is P v + c = L
-    for n in (3, 4):
-        vf = random_field(n, seed=50 + n)
-        P = build_p_matrix(vf)
-        assert P.size == center_number_bound(n, False)
-        series = compute_series_unknown(vf, range(2, n + 1), J=max(P.row_labels))
-        values = [series.plain_assignment()[uid] for uid in P.col_labels]
-        plain = compute_series(vf, max(P.row_labels))
-        product = P.apply_to(values)
-        for i, j in enumerate(P.row_labels):
-            assert product[i] + P.row_offsets[i] == plain.L[j], (n, j)
-        # offsets only at rows whose degree 2j+2 is a replaced even degree
-        driven = {k + 1 for k in range(2, n + 1) if (k + 1) % 2 == 0}
-        for i, j in enumerate(P.row_labels):
-            if 2 * j + 2 not in driven:
-                assert P.row_offsets[i] == 0
-
-
-def test_p_matrix_full_block_columns_keep_determinant():
-    fields = [random_field(3, seed=77)] + [
+    # general fields: a column stands for one full V_k coefficient, and the
+    # rows solved at a replaced even degree keep the value they take with
+    # every replaced block at zero as an affine offset; P v + c = L
+    fields = [random_field(n, seed=50 + n) for n in (3, 4)] + [
         make(n, seed=78 + n)
         for n in (4, 5)
         for make in (random_divergence_free_field, random_reversible_field)
     ]
     for vf in fields:
+        n = vf.degree
         P = build_p_matrix(vf)
-        Q = build_p_matrix(vf, full_block_columns=True)
-        assert Q.col_labels == P.col_labels
-        assert P.determinant() == Q.determinant()
-        # identity still holds against the full V-term coefficients
+        assert P.size == center_number_bound(n, False)
         plain = compute_series(vf, max(P.row_labels))
-        full_values = [plain.V[sum(uid)].coeff(*uid) for uid in Q.col_labels]
-        product = Q.apply_to(full_values)
-        for i, j in enumerate(Q.row_labels):
-            assert product[i] + Q.row_offsets[i] == plain.L[j], (vf.degree, j)
+        values = [plain.V[sum(uid)].coeff(*uid) for uid in P.col_labels]
+        product = P.apply_to(values)
+        for i, j in enumerate(P.row_labels):
+            assert product[i] + P.row_offsets[i] == plain.L[j], (n, j)
+        # offsets only at rows whose degree 2j+2 is a replaced even degree
+        replaced = {k + 1 for k in range(2, n + 1) if (k + 1) % 2 == 0}
+        for i, j in enumerate(P.row_labels):
+            if 2 * j + 2 not in replaced:
+                assert P.row_offsets[i] == 0
 
 
 def test_p_matrix_float_agrees_with_exact():
