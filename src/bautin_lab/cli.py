@@ -7,7 +7,8 @@ Subcommands:
     example-jl    reproduce the eight-cycle cubic family report
 
 Exit codes: 0 success (or certified center), 1 bad input, 3 internal solver
-or precision failure, 4 gap mismatch, 5 weak focus, 6 inconclusive.
+or precision failure, 4 gap mismatch, 5 weak focus, 6 inconclusive (the
+center-check verdict codes come from ``CenterCertificate.exit_code``).
 Results go to stdout, diagnostics to stderr.  JSON output carries a top-level
 ``"schema": "bautin-lab/1"`` key and renders every number as an exact string
 ('p/q' or a full-precision decimal), never a binary float.
@@ -39,8 +40,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_INTERNAL = 3
 EXIT_GAP_MISMATCH = 4
-EXIT_WEAK_FOCUS = 5
-EXIT_INCONCLUSIVE = 6
 
 
 def _load_field(args: argparse.Namespace) -> VectorField:

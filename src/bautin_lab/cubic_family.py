@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath as mp
 
@@ -38,7 +37,7 @@ from .engine import compute_series
 from .errors import SolverInternalError, StageDomainError, UsageError
 from .fields import VectorField
 from .hpoly import HomogPoly
-from .scalars import BigRealDomain, Scalar
+from .scalars import BigRealDomain, Scalar, parse_rational
 from .structure import build_p_matrix
 
 #: Coefficients of Q(sigma), constant term first, leading coefficient last.
@@ -99,10 +98,10 @@ class CubicFamilyParams:
         }
 
 
-def q_eval(x: Scalar, coeffs: Sequence[int] = Q_COEFFS) -> Scalar:
-    """Horner evaluation; exact when x is a Fraction."""
+def q_eval(x: Scalar) -> Scalar:
+    """Horner evaluation of Q; exact when x is a Fraction."""
     acc: Scalar = 0
-    for c in reversed(coeffs):
+    for c in reversed(Q_COEFFS):
         acc = acc * x + c
     return acc
 
@@ -281,7 +280,8 @@ def substitution_chain(
 
     Raises StageDomainError naming the stage whose denominator vanishes or
     whose radicand goes negative.  ``b6_sign`` selects the square-root branch
-    for b6 (+1 by default; both branches are legitimate family members).
+    for b6 (``DEFAULT_B6_SIGN`` = -1 by default; both branches are legitimate
+    family members).
     """
     if b6_sign not in (1, -1):
         raise UsageError("b6_sign must be +1 or -1")
@@ -346,36 +346,38 @@ def family_vector_field(params: CubicFamilyParams, precision: int = 60) -> Vecto
 
 
 def reproduce_example(
-    root: int = 1,
-    b4: Scalar | Fraction = Fraction(-1),
-    precision: int = 60,
-    b6_sign: int = DEFAULT_B6_SIGN,
-    scaling_check_second_b4: Fraction | None = None,
+    root: int = 1, b4: int | str | Fraction = Fraction(-1), precision: int = 60
 ) -> dict:
     """Full quantitative reproduction for one admissible root.
 
-    Resolves the parameters, computes L_1..L_8, builds the 8x8 certificate
-    matrix in the published column order, and reports the b4-scaled values
-    L_8 / b4^8 and det(P) / b4^30.  The two scaling exponents are verified by
-    recomputing at a second b4 value and comparing ratios rather than assumed.
+    ``b4`` is a negative rational: an int, ``p/q`` text or a Fraction.
+    Resolves the parameters on the ``DEFAULT_B6_SIGN`` branch, computes
+    L_1..L_8, builds the 8x8 certificate matrix in the published column
+    order, and reports the b4-scaled values L_8 / b4^8 and det(P) / b4^30.
+    The two scaling exponents are verified by recomputing at b4 / 2 and
+    comparing ratios rather than assumed.
     """
     if root not in (1, 2):
         raise UsageError("root must be 1 or 2")
-    if isinstance(b4, (int, str)):
+    if isinstance(b4, str):
+        b4 = parse_rational(b4)
+    elif isinstance(b4, (int, Fraction)):
         b4 = Fraction(b4)
+    else:
+        raise UsageError(
+            f"b4 must be rational (int, 'p/q' text or Fraction), not {type(b4).__name__}"
+        )
 
     sigma1, sigma2 = find_sigma_roots(precision)
     sigma = sigma1 if root == 1 else sigma2
-    second_b4 = scaling_check_second_b4
-    if second_b4 is None:
-        second_b4 = (b4 if isinstance(b4, Fraction) else Fraction(-1)) / 2
+    second_b4 = b4 / 2
 
-    main = _resolved_run(sigma, b4, precision, b6_sign)
-    other = _resolved_run(sigma, second_b4, precision, b6_sign)
+    main = _resolved_run(sigma, b4, precision)
+    other = _resolved_run(sigma, second_b4, precision)
 
     with mp.workdps(precision):
         ratio = mp.mpf(second_b4.numerator) / second_b4.denominator
-        ratio /= mp.mpf(Fraction(b4).numerator) / Fraction(b4).denominator
+        ratio /= mp.mpf(b4.numerator) / b4.denominator
         l8_dev = abs(other["L8"] / main["L8"] / ratio**8 - 1)
         det_dev = abs(other["detP"] / main["detP"] / ratio**30 - 1)
 
@@ -384,9 +386,9 @@ def reproduce_example(
         "schema": "bautin-lab/1",
         "root_index": root,
         "precision": precision,
-        "b6_sign": b6_sign,
+        "b6_sign": DEFAULT_B6_SIGN,
         "sigma": domain.to_str(sigma),
-        "b4": str(Fraction(b4)),
+        "b4": str(b4),
         "params": {k: domain.to_str(v) for k, v in main["params"].as_dict().items()},
         "L": {str(j): domain.to_str(v) for j, v in main["series"].l_values()},
         "L8_over_b4_8": domain.to_str(main["L8_scaled"]),
@@ -409,8 +411,8 @@ def reproduce_example(
     return report
 
 
-def _resolved_run(sigma: mp.mpf, b4: Fraction, precision: int, b6_sign: int) -> dict:
-    params = substitution_chain(b4, sigma, precision, b6_sign)
+def _resolved_run(sigma: mp.mpf, b4: Fraction, precision: int) -> dict:
+    params = substitution_chain(b4, sigma, precision)
     vf = family_vector_field(params, precision)
     series = compute_series(vf, 8)
     P = build_p_matrix(vf, column_order=REPORT_COLUMN_ORDER)

@@ -59,7 +59,7 @@ from typing import Iterable, Mapping
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
 from .hpoly import HomogPoly, circle_power, rot_apply
-from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId
+from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId, over_lcm
 
 
 def tiebreak_slot(degree: int) -> tuple[int, int]:
@@ -83,10 +83,13 @@ class LyapunovSeries:
 
     field: VectorField
     mode: str  # "plain" | "unknown"
-    domain: Domain
     V: dict[int, HomogPoly] = dataclass_field(default_factory=dict)
     L: dict[int, Scalar] = dataclass_field(default_factory=dict)
     unknowns: list[UnknownId] = dataclass_field(default_factory=list)
+
+    @property
+    def domain(self) -> Domain:
+        return self.field.domain
 
     @property
     def max_index(self) -> int:
@@ -114,7 +117,7 @@ class LyapunovSeries:
 
     def evaluate_at(self, assignment: Mapping[UnknownId, Scalar]) -> "LyapunovSeries":
         """Substitute concrete values for the unknowns in every V and L."""
-        out = LyapunovSeries(self.field, "plain", self.domain)
+        out = LyapunovSeries(self.field, "plain")
         out.V = {k: p.map_coeffs(lambda x: x.evaluate(assignment)) for k, p in self.V.items()}
         out.L = {j: form.evaluate(assignment) for j, form in self.L.items()}
         return out
@@ -149,12 +152,9 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
 
 
 def _over_lcm(coeffs, exact: bool) -> tuple[list, int]:
-    """Exact coefficients as integer numerators over their lcm denominator
-    (no gcd per coefficient); inexact ones unchanged over 1."""
-    if not exact:
-        return list(coeffs), 1
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    """Exact coefficients as integer numerators over their lcm denominator;
+    inexact ones unchanged over 1."""
+    return over_lcm(coeffs) if exact else (list(coeffs), 1)
 
 
 def _nonzero(coeffs: list) -> list[tuple[int, Scalar]]:
@@ -352,7 +352,7 @@ def _extend(
 def _start(vf: VectorField) -> LyapunovSeries:
     """A plain series holding only V_2 = (x^2+y^2)/2."""
     half = vf.domain.coerce(Fraction(1, 2))
-    return LyapunovSeries(vf, "plain", vf.domain, V={2: HomogPoly(2, [half, 0, half])})
+    return LyapunovSeries(vf, "plain", V={2: HomogPoly(2, [half, 0, half])})
 
 
 def compute_series_unknown(
@@ -379,7 +379,7 @@ def compute_series_unknown(
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
     domain = vf.domain
     degrees = [k + 1 for k in levels if k + 1 <= 2 * J + 2]
-    series = LyapunovSeries(vf, "unknown", domain)
+    series = LyapunovSeries(vf, "unknown")
     series.unknowns = [
         (k - a, a)
         for k in degrees
@@ -392,7 +392,7 @@ def compute_series_unknown(
         runs: dict[UnknownId, LyapunovSeries] = {}
         for slot in series.unknowns:
             pins = {**zero_blocks, sum(slot): HomogPoly.monomial(*slot, domain.coerce(1))}
-            run = LyapunovSeries(vf, "plain", domain, V={2: HomogPoly.zero(2)})
+            run = LyapunovSeries(vf, "plain", V={2: HomogPoly.zero(2)})
             runs[slot] = _extend(run, J, pins)
 
         series.V = {

@@ -163,28 +163,29 @@ def serialize_vector_field(vf: VectorField) -> str:
 # -- random families for tests and the CLI's seeded inputs ------------------
 
 
-def _random_fraction(rng: random.Random, bound: int = 9) -> Fraction:
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
+def _random_fraction(rng: random.Random) -> Fraction:
+    """p/q with |p| <= 9 and 1 <= q <= 9."""
+    num = rng.randint(-9, 9)
+    den = rng.randint(1, 9)
     return Fraction(num, den)
 
 
-def _random_part(k: int, rng: random.Random, bound: int = 9) -> HomogPoly:
-    return HomogPoly(k, [_random_fraction(rng, bound) for _ in range(k + 1)])
+def _random_part(k: int, rng: random.Random) -> HomogPoly:
+    return HomogPoly(k, [_random_fraction(rng) for _ in range(k + 1)])
 
 
-def random_homogeneous_field(n: int, seed: int, bound: int = 9) -> VectorField:
+def random_homogeneous_field(n: int, seed: int) -> VectorField:
     """Degree-n field with only the top-degree parts populated, small random
     rational coefficients."""
     rng = random.Random(seed)
-    return VectorField(n, {n: _random_part(n, rng, bound)}, {n: _random_part(n, rng, bound)})
+    return VectorField(n, {n: _random_part(n, rng)}, {n: _random_part(n, rng)})
 
 
-def random_field(n: int, seed: int, bound: int = 9) -> VectorField:
+def random_field(n: int, seed: int) -> VectorField:
     """Degree-n field with every level 2..n populated."""
     rng = random.Random(seed)
-    F = {k: _random_part(k, rng, bound) for k in range(2, n + 1)}
-    G = {k: _random_part(k, rng, bound) for k in range(2, n + 1)}
+    F = {k: _random_part(k, rng) for k in range(2, n + 1)}
+    G = {k: _random_part(k, rng) for k in range(2, n + 1)}
     return VectorField(n, F, G)
 
 

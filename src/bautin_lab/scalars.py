@@ -27,8 +27,9 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import mpmath as mp
 
@@ -50,6 +51,13 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
+
+
+def over_lcm(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Exact values as integer numerators over their least common
+    denominator (no gcd per value)."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +104,8 @@ class LinearForm:
 class RationalDomain:
     """Exact rational coefficients (fractions.Fraction)."""
 
-    name: str = "rational"
-    exact: bool = True
+    name = "rational"
+    exact = True
 
     def coerce(self, x) -> Scalar:
         if isinstance(x, Fraction):
@@ -130,8 +138,8 @@ class BigRealDomain:
     """
 
     dps: int = 60
-    name: str = "bigreal"
-    exact: bool = False
+    name = "bigreal"
+    exact = False
 
     def __post_init__(self):
         if self.dps < 30:
@@ -172,8 +180,9 @@ class BigRealDomain:
         with mp.workdps(self.dps):
             return mp.nstr(mp.mpf(x), self.dps)
 
-    def widened(self, factor: int = 2) -> "BigRealDomain":
-        return BigRealDomain(dps=self.dps * factor)
+    def widened(self) -> "BigRealDomain":
+        """The same domain at twice the working precision."""
+        return BigRealDomain(dps=self.dps * 2)
 
 
 Domain = Union[RationalDomain, BigRealDomain]

@@ -20,9 +20,8 @@ the row count.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 import mpmath as mp
@@ -30,14 +29,7 @@ import mpmath as mp
 from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
-from .scalars import (
-    BigRealDomain,
-    Domain,
-    RationalDomain,
-    Scalar,
-    UnknownId,
-    scalar_is_zero,
-)
+from .scalars import BigRealDomain, Domain, Scalar, UnknownId, over_lcm, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -87,9 +79,6 @@ class GapViolation:
 
 @dataclass
 class GapReport:
-    profile: GapProfile
-    max_degree: int
-    max_index: int
     violations: list[GapViolation]
     all_constants_zero: bool
 
@@ -109,7 +98,7 @@ def verify_gaps(series: LyapunovSeries) -> GapReport:
     rational series is exactly zero.  A violation signals an engine bug."""
     if series.mode != "plain":
         raise UsageError("gap verification runs on plain-mode series")
-    if not isinstance(series.domain, RationalDomain):
+    if not series.domain.exact:
         raise UsageError("gap verification requires exact rational arithmetic")
     if not series.field.is_homogeneous():
         raise UsageError(
@@ -125,7 +114,7 @@ def verify_gaps(series: LyapunovSeries) -> GapReport:
         if not profile.l_index_expected_nonzero(j) and L != 0:
             violations.append(GapViolation("L", j, str(L)))
     all_zero = all(L == 0 for _, L in series.l_values())
-    return GapReport(profile, series.max_degree, series.max_index, violations, all_zero)
+    return GapReport(violations, all_zero)
 
 
 def center_number_bound(n: int, homogeneous: bool) -> int:
@@ -139,6 +128,14 @@ def center_number_bound(n: int, homogeneous: bool) -> int:
     if n % 2 == 0:
         return (n * n + 4 * n - 4) // 2
     return (n * n + 4 * n - 5) // 2
+
+
+def _leading_indices(n: int, homogeneous: bool) -> list[int]:
+    """Indices of the leading nontrivial constants, center_number_bound of
+    them: every index for general fields, the multiples of the gap law's
+    first nonzero index for homogeneous ones."""
+    step = gap_profile(n).first_nonzero_index if homogeneous else 1
+    return [m * step for m in range(1, center_number_bound(n, homogeneous) + 1)]
 
 
 @dataclass
@@ -157,20 +154,16 @@ class PMatrix:
     row_labels: list[int]
     col_labels: list[UnknownId]
     row_offsets: list[Scalar]
-    degree: int
-    homogeneous: bool
     domain: Domain
     standalone_leading: Scalar | None = None
-    _det: Scalar | None = dataclass_field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
     def determinant(self) -> Scalar:
-        if self._det is None:
-            self._det = det_exact(self.entries, self.domain)
-        return self._det
+        """det P, computed afresh on each call."""
+        return det_exact(self.entries, self.domain)
 
     def apply_to(self, values: Sequence[Scalar]) -> list[Scalar]:
         """Matrix-vector product P @ values (no offsets)."""
@@ -183,18 +176,6 @@ class PMatrix:
             ]
 
 
-def p_matrix_row_indices(n: int, homogeneous: bool) -> tuple[list[int], int | None]:
-    """The constant indices forming the matrix rows, plus the index reported
-    standalone (homogeneous odd degree only, where the very first nontrivial
-    constant does not involve the block coefficients)."""
-    if homogeneous:
-        if n % 2 == 0:
-            return [m * (n - 1) for m in range(1, n + 3)], None
-        rows = [m * (n - 1) // 2 for m in range(2, n + 3)]
-        return rows, (n - 1) // 2
-    return list(range(1, center_number_bound(n, False) + 1)), None
-
-
 def build_p_matrix(
     vf: VectorField, column_order: Sequence[UnknownId] | None = None
 ) -> PMatrix:
@@ -203,11 +184,14 @@ def build_p_matrix(
     Homogeneous fields replace only the top-level block; general fields
     replace every level 2..n.  Columns follow unknown registration order
     (ascending degree, then descending x-power) unless ``column_order`` gives
-    an explicit slot permutation.
+    an explicit slot permutation.  For homogeneous odd degree the first
+    leading constant does not involve the block coefficients: it is reported
+    standalone and the rest form the rows.
     """
     n = vf.degree
     homogeneous = vf.is_homogeneous()
-    rows, standalone_idx = p_matrix_row_indices(n, homogeneous)
+    rows = _leading_indices(n, homogeneous)
+    standalone_idx = rows.pop(0) if homogeneous and n % 2 == 1 else None
     levels = [n] if homogeneous else list(range(2, n + 1))
     with vf.domain.context():
         series = compute_series_unknown(vf, levels, J=max(rows))
@@ -227,7 +211,7 @@ def build_p_matrix(
         offsets = [series.L[j].const for j in rows]
         standalone = series.L[standalone_idx].const if standalone_idx is not None else None
 
-        return PMatrix(entries, rows, slots, offsets, n, homogeneous, vf.domain, standalone)
+        return PMatrix(entries, rows, slots, offsets, vf.domain, standalone)
 
 
 def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
@@ -238,7 +222,7 @@ def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
         raise UsageError("determinant needs a square matrix")
     if size == 0:
         return domain.coerce(1)
-    if isinstance(domain, RationalDomain):
+    if domain.exact:
         return _det_bareiss(matrix)
     return _det_pivoted(matrix, domain)
 
@@ -251,12 +235,9 @@ def _det_bareiss(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     rows: list[list[int]] = []
     scale = Fraction(1)
     for row in matrix:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
+        ints, den = over_lcm(row)
         scale /= den
-        rows.append([int(x * den) for x in fr])
+        rows.append(ints)
 
     sign = 1
     prev = 1
@@ -312,8 +293,6 @@ class CenterCertificate:
     weak_focus_order: int | None = None
     first_nonzero: tuple[int, Scalar] | None = None
     det_p: Scalar | None = None
-    generic: bool | None = None
-    budget_indices: list[int] = dataclass_field(default_factory=list)
     reason: str | None = None
 
     @property
@@ -333,7 +312,7 @@ def center_check(vf: VectorField) -> CenterCertificate:
     "inconclusive".
     """
     domain = vf.domain
-    if isinstance(domain, BigRealDomain):
+    if not domain.exact:
         first = _center_check_once(vf, domain, domain)
         second = _center_check_once(vf, domain.widened(), domain)
         if first.verdict != second.verdict or first.weak_focus_order != second.weak_focus_order:
@@ -341,7 +320,6 @@ def center_check(vf: VectorField) -> CenterCertificate:
                 "inconclusive",
                 first.center_bound,
                 det_p=first.det_p,
-                budget_indices=first.budget_indices,
                 reason=(
                     f"verdict unstable under precision doubling "
                     f"({first.verdict} at {domain.dps} digits, {second.verdict} at "
@@ -356,19 +334,8 @@ def _center_check_once(
     vf: VectorField, work_domain: Domain, data_domain: Domain
 ) -> CenterCertificate:
     work_field = vf if work_domain is vf.domain else dataclasses.replace(vf, domain=work_domain)
-    n = vf.degree
-    homogeneous = vf.is_homogeneous()
-    C = center_number_bound(n, homogeneous)
-    if homogeneous:
-        pattern = []
-        j = 0
-        profile = gap_profile(n)
-        while len(pattern) < C:
-            j += 1
-            if profile.l_index_expected_nonzero(j):
-                pattern.append(j)
-    else:
-        pattern = list(range(1, C + 1))
+    pattern = _leading_indices(vf.degree, vf.is_homogeneous())
+    C = len(pattern)
 
     # grow the series one pattern index at a time: the common outcome is an
     # early nonzero constant, long before the full center-bound budget
@@ -382,7 +349,6 @@ def _center_check_once(
                 C,
                 weak_focus_order=position,
                 first_nonzero=(j, L),
-                budget_indices=pattern,
             )
 
     P = build_p_matrix(work_field)
@@ -392,10 +358,6 @@ def _center_check_once(
             "inconclusive",
             C,
             det_p=det,
-            generic=False,
-            budget_indices=pattern,
             reason="degenerate: det P = 0, the generic certificate does not apply",
         )
-    return CenterCertificate(
-        "center-generic", C, det_p=det, generic=True, budget_indices=pattern
-    )
+    return CenterCertificate("center-generic", C, det_p=det)

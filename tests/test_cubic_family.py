@@ -319,6 +319,10 @@ def test_report_precision_stability():
 def test_report_validates_input():
     with pytest.raises(UsageError):
         reproduce_example(root=3)
+    # b4 must be rational; a float carrier is refused, not truncated
+    for b4 in (mp.mpf(-1), -1.0, "-1/0"):
+        with pytest.raises(UsageError):
+            reproduce_example(root=1, b4=b4)
 
 
 def test_center_check_reports_weak_focus_order_eight():

@@ -244,3 +244,16 @@ def test_center_check_reports_bound_and_order_consistently():
     assert cert.center_bound == 8
     if cert.weak_focus_order is not None:
         assert cert.weak_focus_order <= cert.center_bound
+
+
+def test_center_check_precision_doubling_disagreement():
+    # a general divergence-free quartic whose exact det P is 0: at 60 digits
+    # L_12 passes the zero threshold (weak focus), at 120 digits every
+    # constant vanishes and the float det does not, so the two runs disagree
+    vf = random_divergence_free_field(4, 1)
+    exact = center_check(vf)
+    assert exact.verdict == "inconclusive" and exact.det_p == 0
+    cert = center_check(coerce_field(vf, BigRealDomain(dps=60)))
+    assert cert.verdict == "inconclusive"
+    assert cert.center_bound == 14
+    assert "precision doubling" in cert.reason
