@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .cubic_family import reproduce_example
 from .engine import compute_series
@@ -31,7 +32,7 @@ from .fields import (
     random_field,
     random_homogeneous_field,
 )
-from .scalars import RATIONAL, BigRealDomain, parse_rational, scalar_to_str
+from .scalars import RATIONAL, BigRealDomain, Domain, parse_rational, scalar_to_str
 from .structure import center_check, gap_profile, verify_gaps
 
 SCHEMA = "bautin-lab/1"
@@ -42,20 +43,34 @@ EXIT_INTERNAL = 3
 EXIT_GAP_MISMATCH = 4
 
 
-def _load_field(args: argparse.Namespace) -> VectorField:
-    """Read a field from a file, '-' for stdin, or 'random:<n>' /
-    'random-homogeneous:<n>' seeded by --seed, in the domain --mode and
-    --precision select."""
-    domain = RATIONAL if args.mode == "exact" else BigRealDomain(dps=args.precision)
+def _domain(args: argparse.Namespace) -> Domain:
+    """The coefficient domain --mode and --precision select."""
+    return RATIONAL if args.mode == "exact" else BigRealDomain(dps=args.precision)
+
+
+def _field_reader(args: argparse.Namespace) -> Callable[[Domain], VectorField]:
+    """Read the source once -- a file, '-' for stdin, or 'random:<n>' /
+    'random-homogeneous:<n>' seeded by --seed -- and return the field it
+    gives in any domain."""
     src = args.source
-    if src.startswith("random-homogeneous:"):
-        vf = random_homogeneous_field(int(src.split(":", 1)[1]), args.seed)
-    elif src.startswith("random:"):
-        vf = random_field(int(src.split(":", 1)[1]), args.seed)
-    else:
+    if src.startswith(("random:", "random-homogeneous:")):
+        kind, _, degree = src.partition(":")
+        try:
+            n = int(degree)
+        except ValueError:
+            raise UsageError(f"not a field degree: {src!r}") from None
+        make = random_field if kind == "random" else random_homogeneous_field
+        vf = make(n, args.seed)
+        return lambda domain: coerce_field(vf, domain)
+    try:
         text = sys.stdin.read() if src == "-" else Path(src).read_text(encoding="utf-8")
-        return parse_vector_field(text, domain)
-    return coerce_field(vf, domain)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{src}: not UTF-8 text ({exc.reason})") from None
+    return lambda domain: parse_vector_field(text, domain)
+
+
+def _load_field(args: argparse.Namespace) -> VectorField:
+    return _field_reader(args)(_domain(args))
 
 
 def _emit_pairs(output: str, pairs: list[tuple[str, str]], payload: dict) -> None:
@@ -132,8 +147,11 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def cmd_center_check(args: argparse.Namespace) -> int:
-    vf = _load_field(args)
-    cert = center_check(vf)
+    read, domain = _field_reader(args), _domain(args)
+    vf = read(domain)
+    # in float mode the precision-doubling cross-check reads the input again
+    # at the doubled precision, so it also doubles the precision of the data
+    cert = center_check(vf, None if domain.exact else read(domain.widened()))
     dom = vf.domain
     pairs = [
         ("verdict", cert.verdict),
@@ -249,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UsageError, OSError, ValueError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SolverInternalError as exc:

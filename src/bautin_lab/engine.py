@@ -13,14 +13,17 @@ where R_K collects the already-known lower terms
 
 terms with K+1-d < 2 omitted (V_2 contributes x F_(K-1) + y G_(K-1)).
 
-In exact mode R_K is built as integer numerators over one shared
-denominator, R_K = num/den: each V_m and each field part is put over the lcm
-of its coefficient denominators, the products run on plain ints, and the
-running sum is rescaled only when its denominator grows, so no per-coefficient
-gcd is taken while accumulating.  The solve below is linear in R_K, so it runs
-on num and V_K and L are divided by den once per degree.  Float mode runs the
-same code with den = 1, in the same order of operations as a plain
-polynomial sum of products.
+R_K is built as integer numerators over one shared denominator,
+R_K = num/den: each V_m and each field part is put over one common
+denominator, the products run on plain ints, and the running sum is rescaled
+only when its denominator grows, so no per-coefficient gcd is taken while
+accumulating.  In exact mode the common denominator is the lcm of the
+coefficient denominators; the solve below is linear in R_K, so it runs on num
+and V_K and L are divided by den once per degree.  In float mode every mpf is
+read as the dyadic rational man * 2^exp it stores, so the common denominator
+is a power of two and the integer sum is the exact source term of the stored
+values; each coefficient is then rounded once to the working precision and
+den is 1.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:
@@ -55,6 +58,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping
+
+import mpmath as mp
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
@@ -128,8 +133,9 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     ``(num, den)`` with R_k = num/den.
 
     In exact mode ``num`` has integer coefficients and ``den`` is a positive
-    int (not necessarily the least one); in float mode ``num`` holds the
-    carrier's values and ``den`` is 1.
+    int (not necessarily the least one).  In float mode the sum is formed
+    exactly on the stored values, each coefficient of ``num`` is that exact
+    value rounded once to the working precision, and ``den`` is 1.
     """
     exact = series.domain.exact
     terms = series._field_terms
@@ -148,24 +154,43 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
         if g:
             dy = [(a + 1) * v[a + 1] for a in range(m)]
             total, den = _add_scaled(total, den, _product(dy, g, k), v_den * g_den)
-    return HomogPoly(k, total), den
+    if exact:
+        return HomogPoly(k, total), den
+    shift = den.bit_length() - 1  # den is a power of two in float mode
+    with series.domain.context():
+        return HomogPoly(k, [mp.mpf((t, -shift)) for t in total]), 1
 
 
-def _over_lcm(coeffs, exact: bool) -> tuple[list, int]:
-    """Exact coefficients as integer numerators over their lcm denominator;
-    inexact ones unchanged over 1."""
-    return over_lcm(coeffs) if exact else (list(coeffs), 1)
+def _over_lcm(coeffs, exact: bool) -> tuple[list[int], int]:
+    """Coefficients as integer numerators over one common denominator: the
+    lcm of the denominators for exact values, and for mpf values (man, exp)
+    the largest 2^-exp among them (at least 1), which loses nothing."""
+    if exact:
+        return over_lcm(coeffs)
+    pairs = [_dyadic(c) for c in coeffs]
+    low = min([0] + [e for m, e in pairs if m])
+    return [m << (e - low) for m, e in pairs], 1 << -low
 
 
-def _nonzero(coeffs: list) -> list[tuple[int, Scalar]]:
+def _dyadic(x) -> tuple[int, int]:
+    """(m, e) with x = m * 2^e exactly, for an mpf or a structural int zero.
+    ``mpf.man_exp`` drops the sign, so the raw (sign, man, exp, bc) tuple is
+    read; ``int`` keeps the result a Python int under either mpmath backend."""
+    if isinstance(x, int):
+        return x, 0
+    sign, man, exp, _ = x._mpf_
+    return (-int(man) if sign else int(man)), exp
+
+
+def _nonzero(coeffs: list[int]) -> list[tuple[int, int]]:
     return [(b, c) for b, c in enumerate(coeffs) if c != 0]
 
 
-def _product(left: list, right: list[tuple[int, Scalar]], degree: int) -> list:
-    """Coefficients of the degree-``degree`` product of a dense coefficient
-    list and the nonzero (slot, value) pairs of the other factor, summed in
-    the order HomogPoly.__mul__ uses."""
-    out: list = [0] * (degree + 1)
+def _product(left: list[int], right: list[tuple[int, int]], degree: int) -> list[int]:
+    """Coefficients of the degree-``degree`` product of a dense integer
+    coefficient list and the nonzero (slot, numerator) pairs of the other
+    factor."""
+    out = [0] * (degree + 1)
     for a, ca in enumerate(left):
         if ca == 0:
             continue
@@ -174,7 +199,9 @@ def _product(left: list, right: list[tuple[int, Scalar]], degree: int) -> list:
     return out
 
 
-def _add_scaled(total: list, den: int, part: list, part_den: int) -> tuple[list, int]:
+def _add_scaled(
+    total: list[int], den: int, part: list[int], part_den: int
+) -> tuple[list[int], int]:
     """total/den + part/part_den over the lcm of the two denominators; a
     side is rescaled only when its denominator is smaller than the lcm."""
     new = lcm(den, part_den)

@@ -17,11 +17,12 @@ loop does not use them: it forms its source terms on integer numerators (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import UsageError
-from .scalars import Scalar
+from .scalars import Scalar, exact_str
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,8 @@ class HomogPoly:
         parts = []
         for i, j, c in self.terms():
             mono = "*".join(filter(None, [f"x^{i}" if i else "", f"y^{j}" if j else ""])) or "1"
-            parts.append(f"({c})*{mono}")
+            text = exact_str(c) if isinstance(c, (int, Fraction)) else str(c)
+            parts.append(f"({text})*{mono}")
         return " + ".join(parts) if parts else "0"
 
 

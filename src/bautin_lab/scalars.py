@@ -7,6 +7,11 @@ meaningful zero test.  Two carriers satisfy it:
   * ``fractions.Fraction``     -- exact rational mode (the default),
   * ``mpmath.mpf``             -- extended-precision real mode.
 
+The engine's source-term kernel bypasses that protocol: it reads exact
+values as integer numerators over a common denominator and each mpf as the
+dyadic rational man * 2^exp it stores, sums on plain ints, and rounds a float
+source-term coefficient once (see ``engine.accumulate_rhs``).
+
 ``LinearForm`` is not a carrier but a read-only record of an affine
 expression  c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i
 in one carrier.  The engine never computes with forms: Lyapunov constants are
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -51,6 +57,15 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
+
+
+def exact_str(x: Fraction | int) -> str:
+    """``str(x)`` for an exact value, without the interpreter's limit on
+    int-to-decimal conversion (4300 digits by default): ``Decimal(n)`` is
+    built exactly and prints without that limit, and changes no global
+    state."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def over_lcm(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -104,7 +119,6 @@ class LinearForm:
 class RationalDomain:
     """Exact rational coefficients (fractions.Fraction)."""
 
-    name = "rational"
     exact = True
 
     def coerce(self, x) -> Scalar:
@@ -123,7 +137,7 @@ class RationalDomain:
         return x == 0
 
     def to_str(self, x) -> str:
-        return str(x)
+        return exact_str(x)
 
 
 @dataclass(frozen=True)
@@ -138,7 +152,6 @@ class BigRealDomain:
     """
 
     dps: int = 60
-    name = "bigreal"
     exact = False
 
     def __post_init__(self):
@@ -200,5 +213,5 @@ def scalar_to_str(x, domain: Domain) -> str:
     """Lossless text for a scalar: 'p/q' in rational mode, a full-precision
     decimal in floating mode."""
     if isinstance(x, int):
-        return str(x)
+        return exact_str(x)
     return domain.to_str(x)

@@ -300,7 +300,7 @@ class CenterCertificate:
         return {"center-generic": 0, "weak-focus": 5, "inconclusive": 6}[self.verdict]
 
 
-def center_check(vf: VectorField) -> CenterCertificate:
+def center_check(vf: VectorField, widened: VectorField | None = None) -> CenterCertificate:
     """Compute the leading nontrivial constants in pattern order up to the
     center bound; the first nonzero one gives a weak focus of that order.  If
     all vanish, a nonzero certificate-matrix determinant certifies a center;
@@ -308,13 +308,17 @@ def center_check(vf: VectorField) -> CenterCertificate:
 
     In extended-precision mode the verdict is recomputed at doubled working
     precision (the zero threshold stays anchored to the field's declared
-    precision, which is all the data carries); any disagreement yields
-    "inconclusive".
+    precision); any disagreement yields "inconclusive".  ``widened`` is the
+    same field read from its source at the doubled precision.  Without it the
+    recomputation reuses the stored coefficients, so it cannot expose a
+    constant that is nonzero only through the rounding of the input.
     """
     domain = vf.domain
+    if widened is not None and (domain.exact or widened.domain != domain.widened()):
+        raise UsageError("the widened field must be read at twice the working precision")
     if not domain.exact:
         first = _center_check_once(vf, domain, domain)
-        second = _center_check_once(vf, domain.widened(), domain)
+        second = _center_check_once(vf if widened is None else widened, domain.widened(), domain)
         if first.verdict != second.verdict or first.weak_focus_order != second.weak_focus_order:
             return CenterCertificate(
                 "inconclusive",

@@ -1,9 +1,13 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from bautin_lab.cli import main
+from bautin_lab.engine import compute_series
+from bautin_lab.fields import parse_vector_field, random_divergence_free_field, serialize_vector_field
+from bautin_lab.structure import center_check
 
 
 def run(capsys, *argv):
@@ -52,6 +56,40 @@ def test_lyapunov_float_mode(tmp_path, capsys):
 def test_missing_file_is_bad_input(capsys):
     code, out, err = run(capsys, "lyapunov", "missing.vf")
     assert code == 1 and out == "" and "missing.vf" in err
+
+
+def test_unreadable_sources_are_bad_input(tmp_path, capsys):
+    code, out, err = run(capsys, "lyapunov", "random:x")
+    assert code == 1 and out == "" and "random:x" in err
+    path = tmp_path / "binary.vf"
+    path.write_bytes(b"n 3\nF 3 0 \xff\n")
+    code, out, err = run(capsys, "lyapunov", str(path))
+    assert code == 1 and out == "" and "UTF-8" in err
+
+
+def test_exact_output_above_int_str_limit(tmp_path, capsys):
+    # 1201-digit coefficients give L_2 and L_3 more digits than Python
+    # converts from int to text by default (4300); the values must print in
+    # full, not end in a bad-input exit
+    N = 10**1200 + 7
+    text = f"n 3\nF 2 0 {N}\nF 3 0 {N}\nG 1 1 {-N}\nG 0 3 3\n"
+    path = write_field(tmp_path, "big.vf", text)
+    series = compute_series(parse_vector_field(text), 3)
+    code, out, err = run(capsys, "lyapunov", path, "-J", "3")
+    assert code == 0 and err == ""
+    rows = out.splitlines()
+    assert len(rows) == 3 and max(map(len, rows)) > 4300
+    for (j, L), row in zip(series.l_values(), rows):
+        key, _, value = row.partition(" = ")
+        num, _, den = value.partition("/")
+        assert key == f"L_{j}"
+        assert Decimal(num) == L.numerator and Decimal(den or 1) == L.denominator
+    # the terms and the JSON rendering take the same route
+    code, out, err = run(capsys, "lyapunov", path, "-J", "3", "--show-terms")
+    assert code == 0 and err == "" and out.startswith("\n".join(rows))
+    code, out, err = run(capsys, "lyapunov", path, "-J", "3", "--output", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["L"] == {row[2]: row.partition(" = ")[2] for row in rows}
 
 
 def test_parse_error_is_bad_input(tmp_path, capsys):
@@ -189,6 +227,19 @@ def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
     )
     assert code == 5
     assert "weak_focus_order = 8" in out
+
+
+def test_center_check_float_cross_check_rereads_input(tmp_path, capsys):
+    # general divergence-free quartics are centers with det P = 0.  Rounded
+    # to 60 digits, the coefficients of seeds 6 and 10 make a constant near
+    # L_12 nonzero at either working precision; read again at 120 digits the
+    # constants vanish, so the float verdict stays the exact one
+    for seed in (6, 8, 10):
+        vf = random_divergence_free_field(4, seed)
+        assert center_check(vf).verdict == "inconclusive"
+        path = write_field(tmp_path, f"div4-{seed}.vf", serialize_vector_field(vf))
+        code, out, _ = run(capsys, "center-check", path, "--mode", "float")
+        assert code == 6 and "verdict = inconclusive" in out, seed
 
 
 def test_gaps_default_budget_follows_degree(capsys):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from bautin_lab.engine import (
+    LyapunovSeries,
     accumulate_rhs,
     compute_series,
     compute_series_unknown,
@@ -14,6 +16,7 @@ from bautin_lab.engine import (
 )
 from bautin_lab.errors import UsageError
 from bautin_lab.fields import (
+    VectorField,
     coerce_field,
     parse_vector_field,
     random_divergence_free_field,
@@ -63,7 +66,7 @@ def test_solve_degree4_y3_drive():
 
 
 def _reference_rhs(series, k):
-    """R_k as a plain sum of HomogPoly products, in the loop order the
+    """R_k as a plain sum of HomogPoly products, the formula the
     shared-denominator kernel has to reproduce."""
     vf = series.field
     total = HomogPoly.zero(k)
@@ -110,18 +113,49 @@ def test_accumulate_homogeneous_cubic():
         J = vf.degree + 3
         exact = compute_series(vf, J)
         inexact = compute_series(coerce_field(vf, float_domain), J)
+        # the values the float series stores, as exact rationals
+        stored = LyapunovSeries(
+            VectorField(
+                vf.degree,
+                {d: p.map_coeffs(_stored_value) for d, p in inexact.field.F.items()},
+                {d: p.map_coeffs(_stored_value) for d, p in inexact.field.G.items()},
+            ),
+            "plain",
+            V={m: p.map_coeffs(_stored_value) for m, p in inexact.V.items()},
+        )
         for k in range(3, 2 * J + 4):
             num, den = accumulate_rhs(exact, k)
             assert isinstance(den, int) and den > 0
             assert all(isinstance(c, int) for c in num.coeffs)
             ref = _reference_rhs(exact, k)
             assert [F(c, den) for c in num.coeffs] == list(ref.coeffs), (vf, k)
-            with float_domain.context():  # repr round-trips at this precision
+            # float R_k: the exact source term of the stored values, rounded
+            # once (fdiv of two ints is correctly rounded)
+            with float_domain.context():
                 num, den = accumulate_rhs(inexact, k)
-                got = list(map(repr, num.coeffs))
-                want = list(map(repr, _reference_rhs(inexact, k).coeffs))
-            # den == 1 and the same summation order, so the same bits
-            assert den == 1 and got == want, (vf, k)
+                want = [mp.fdiv(c.numerator, c.denominator) for c in _reference_rhs(stored, k).coeffs]
+            assert den == 1 and list(num.coeffs) == want, (vf, k)
+
+
+def _stored_value(x):
+    """The dyadic rational an mpf stores (man_exp gives the magnitude only)."""
+    if isinstance(x, int):
+        return F(x)
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * F(int(man)) * F(2) ** exp
+
+
+def test_float_series_wide_exponent_range():
+    # coefficients 600 decades apart: the integer kernel carries the full
+    # spread and the float constants stay as accurate as the inputs
+    text = "n 3\nF 2 0 1e-300\nF 0 2 3\nF 3 0 1e300\nG 1 1 -2\nG 0 3 1e-300\n"
+    domain = BigRealDomain(dps=60)
+    exact = compute_series(parse_vector_field(text), 20)
+    inexact = compute_series(parse_vector_field(text, domain), 20)
+    with domain.context():
+        for j in range(1, 21):
+            want = mp.fdiv(exact.L[j].numerator, exact.L[j].denominator)
+            assert want != 0 and abs(inexact.L[j] - want) <= mp.mpf("1e-50") * abs(want), j
 
 
 def test_series_divergence_free_quadratic():

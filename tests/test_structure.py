@@ -257,3 +257,13 @@ def test_center_check_precision_doubling_disagreement():
     assert cert.verdict == "inconclusive"
     assert cert.center_bound == 14
     assert "precision doubling" in cert.reason
+    # the cross-check may read the field again at the doubled precision
+    # (the CLI does), but at no other
+    widened = coerce_field(vf, BigRealDomain(dps=120))
+    cert = center_check(coerce_field(vf, BigRealDomain(dps=60)), widened)
+    assert cert.verdict == "inconclusive" and "precision doubling" in cert.reason
+    for wrong in (coerce_field(vf, BigRealDomain(dps=90)), vf):
+        with pytest.raises(UsageError):
+            center_check(coerce_field(vf, BigRealDomain(dps=60)), wrong)
+    with pytest.raises(UsageError):
+        center_check(vf, widened)
