@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
-from typing import Callable
 
 from .cubic_family import reproduce_example
 from .engine import compute_series
@@ -48,10 +48,9 @@ def _domain(args: argparse.Namespace) -> Domain:
     return RATIONAL if args.mode == "exact" else BigRealDomain(dps=args.precision)
 
 
-def _field_reader(args: argparse.Namespace) -> Callable[[Domain], VectorField]:
-    """Read the source once -- a file, '-' for stdin, or 'random:<n>' /
-    'random-homogeneous:<n>' seeded by --seed -- and return the field it
-    gives in any domain."""
+def _load_field(args: argparse.Namespace, domain: Domain) -> VectorField:
+    """Read a field from a file, '-' for stdin, or 'random:<n>' /
+    'random-homogeneous:<n>' seeded by --seed, in ``domain``."""
     src = args.source
     if src.startswith(("random:", "random-homogeneous:")):
         kind, _, degree = src.partition(":")
@@ -60,17 +59,12 @@ def _field_reader(args: argparse.Namespace) -> Callable[[Domain], VectorField]:
         except ValueError:
             raise UsageError(f"not a field degree: {src!r}") from None
         make = random_field if kind == "random" else random_homogeneous_field
-        vf = make(n, args.seed)
-        return lambda domain: coerce_field(vf, domain)
+        return coerce_field(make(n, args.seed), domain)
     try:
         text = sys.stdin.read() if src == "-" else Path(src).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{src}: not UTF-8 text ({exc.reason})") from None
-    return lambda domain: parse_vector_field(text, domain)
-
-
-def _load_field(args: argparse.Namespace) -> VectorField:
-    return _field_reader(args)(_domain(args))
+    return parse_vector_field(text, domain)
 
 
 def _emit_pairs(output: str, pairs: list[tuple[str, str]], payload: dict) -> None:
@@ -86,7 +80,7 @@ def _emit_pairs(output: str, pairs: list[tuple[str, str]], payload: dict) -> Non
 
 
 def cmd_lyapunov(args: argparse.Namespace) -> int:
-    vf = _load_field(args)
+    vf = _load_field(args, _domain(args))
     series = compute_series(vf, args.max_index)
     dom = vf.domain
     pairs = [(f"L_{j}", scalar_to_str(L, dom)) for j, L in series.l_values()]
@@ -108,7 +102,7 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
-    vf = _load_field(args)
+    vf = _load_field(args, _domain(args))
     if not vf.is_homogeneous():
         raise UsageError("gap analysis requires a homogeneous field")
     J = args.max_index or 2 * (vf.degree + 2)  # default budget: the gap-law audit range
@@ -147,12 +141,11 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def cmd_center_check(args: argparse.Namespace) -> int:
-    read, domain = _field_reader(args), _domain(args)
-    vf = read(domain)
-    # in float mode the precision-doubling cross-check reads the input again
-    # at the doubled precision, so it also doubles the precision of the data
-    cert = center_check(vf, None if domain.exact else read(domain.widened()))
-    dom = vf.domain
+    dom = _domain(args)
+    # read the input at the doubled precision, so that the float cross-check
+    # at that precision sees the input to as many digits as it works with
+    vf = _load_field(args, dom.widened())
+    cert = center_check(vf, dom)
     pairs = [
         ("verdict", cert.verdict),
         ("center_bound", str(cert.center_bound)),
@@ -272,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     except SolverInternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        # any other failure is a defect of the program, not of its input
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -139,6 +139,10 @@ class RationalDomain:
     def to_str(self, x) -> str:
         return exact_str(x)
 
+    def widened(self) -> "RationalDomain":
+        """Exact values need no more precision: the domain itself."""
+        return self
+
 
 @dataclass(frozen=True)
 class BigRealDomain:

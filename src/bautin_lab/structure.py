@@ -19,7 +19,6 @@ the row count.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +27,7 @@ import mpmath as mp
 
 from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
 from .errors import SolverInternalError, UsageError
-from .fields import VectorField
+from .fields import VectorField, coerce_field
 from .scalars import BigRealDomain, Domain, Scalar, UnknownId, over_lcm, scalar_is_zero
 
 
@@ -300,50 +299,51 @@ class CenterCertificate:
         return {"center-generic": 0, "weak-focus": 5, "inconclusive": 6}[self.verdict]
 
 
-def center_check(vf: VectorField, widened: VectorField | None = None) -> CenterCertificate:
+def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertificate:
     """Compute the leading nontrivial constants in pattern order up to the
     center bound; the first nonzero one gives a weak focus of that order.  If
     all vanish, a nonzero certificate-matrix determinant certifies a center;
     a (numerically) zero one refuses to certify.
 
-    In extended-precision mode the verdict is recomputed at doubled working
-    precision (the zero threshold stays anchored to the field's declared
-    precision); any disagreement yields "inconclusive".  ``widened`` is the
-    same field read from its source at the doubled precision.  Without it the
-    recomputation reuses the stored coefficients, so it cannot expose a
-    constant that is nonzero only through the rounding of the input.
+    The check runs in ``domain`` (default: the field's own) on the field's
+    coefficients rounded to it.  In extended-precision mode the verdict is
+    recomputed on the coefficients rounded to the doubled working precision,
+    with the zero threshold still anchored to ``domain``; any disagreement
+    yields "inconclusive".  The recomputation sees only the digits ``vf``
+    carries: a field stored at the working precision gives both runs the
+    same rounded input, so a constant that is nonzero only through that
+    rounding can pass both.  Pass the field exactly or at the doubled
+    precision (the CLI reads its input at the doubled precision) to expose it.
     """
-    domain = vf.domain
-    if widened is not None and (domain.exact or widened.domain != domain.widened()):
-        raise UsageError("the widened field must be read at twice the working precision")
-    if not domain.exact:
-        first = _center_check_once(vf, domain, domain)
-        second = _center_check_once(vf if widened is None else widened, domain.widened(), domain)
-        if first.verdict != second.verdict or first.weak_focus_order != second.weak_focus_order:
-            return CenterCertificate(
-                "inconclusive",
-                first.center_bound,
-                det_p=first.det_p,
-                reason=(
-                    f"verdict unstable under precision doubling "
-                    f"({first.verdict} at {domain.dps} digits, {second.verdict} at "
-                    f"{domain.dps * 2})"
-                ),
-            )
+    if domain is None:
+        domain = vf.domain
+    first = _center_check_once(coerce_field(vf, domain), domain)
+    if domain.exact:
         return first
-    return _center_check_once(vf, domain, domain)
+    second = _center_check_once(coerce_field(vf, domain.widened()), domain)
+    if first.verdict != second.verdict or first.weak_focus_order != second.weak_focus_order:
+        return CenterCertificate(
+            "inconclusive",
+            first.center_bound,
+            det_p=first.det_p,
+            reason=(
+                f"verdict unstable under precision doubling "
+                f"({first.verdict} at {domain.dps} digits, {second.verdict} at "
+                f"{domain.dps * 2})"
+            ),
+        )
+    return first
 
 
-def _center_check_once(
-    vf: VectorField, work_domain: Domain, data_domain: Domain
-) -> CenterCertificate:
-    work_field = vf if work_domain is vf.domain else dataclasses.replace(vf, domain=work_domain)
+def _center_check_once(vf: VectorField, data_domain: Domain) -> CenterCertificate:
+    """One pass of the check at ``vf``'s working precision, with zero tests at
+    ``data_domain``'s threshold."""
     pattern = _leading_indices(vf.degree, vf.is_homogeneous())
     C = len(pattern)
 
     # grow the series one pattern index at a time: the common outcome is an
     # early nonzero constant, long before the full center-bound budget
-    series = compute_series(work_field, pattern[0])
+    series = compute_series(vf, pattern[0])
     for position, j in enumerate(pattern, start=1):
         extend_series(series, j)
         L = series.L[j]
@@ -355,7 +355,7 @@ def _center_check_once(
                 first_nonzero=(j, L),
             )
 
-    P = build_p_matrix(work_field)
+    P = build_p_matrix(vf)
     det = P.determinant()
     if scalar_is_zero(det, data_domain):
         return CenterCertificate(

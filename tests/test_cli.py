@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bautin_lab import cli
 from bautin_lab.cli import main
 from bautin_lab.engine import compute_series
 from bautin_lab.fields import parse_vector_field, random_divergence_free_field, serialize_vector_field
@@ -90,6 +91,17 @@ def test_exact_output_above_int_str_limit(tmp_path, capsys):
     code, out, err = run(capsys, "lyapunov", path, "-J", "3", "--output", "json")
     assert code == 0 and err == ""
     assert json.loads(out)["L"] == {row[2]: row.partition(" = ")[2] for row in rows}
+
+
+def test_internal_failure_is_not_bad_input(monkeypatch, capsys):
+    # a ValueError from inside the program is a defect, not bad input
+    def broken(args):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(cli, "cmd_lyapunov", broken)
+    code, out, err = run(capsys, "lyapunov", "random:3")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == "" and "ValueError: broken invariant" in err
 
 
 def test_parse_error_is_bad_input(tmp_path, capsys):
@@ -229,11 +241,12 @@ def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
     assert "weak_focus_order = 8" in out
 
 
-def test_center_check_float_cross_check_rereads_input(tmp_path, capsys):
+def test_center_check_float_reads_input_at_doubled_precision(tmp_path, capsys):
     # general divergence-free quartics are centers with det P = 0.  Rounded
     # to 60 digits, the coefficients of seeds 6 and 10 make a constant near
-    # L_12 nonzero at either working precision; read again at 120 digits the
-    # constants vanish, so the float verdict stays the exact one
+    # L_12 nonzero at either working precision; the CLI reads the input at
+    # 120 digits, where the constants vanish, so the runs disagree and the
+    # float verdict is inconclusive like the exact one
     for seed in (6, 8, 10):
         vf = random_divergence_free_field(4, seed)
         assert center_check(vf).verdict == "inconclusive"
