@@ -13,17 +13,17 @@ where R_K collects the already-known lower terms
 
 terms with K+1-d < 2 omitted (V_2 contributes x F_(K-1) + y G_(K-1)).
 
-R_K is built as integer numerators over one shared denominator,
-R_K = num/den: each V_m and each field part is put over one common
-denominator, the products run on plain ints, and the running sum is rescaled
-only when its denominator grows, so no per-coefficient gcd is taken while
-accumulating.  In exact mode the common denominator is the lcm of the
-coefficient denominators; the solve below is linear in R_K, so it runs on num
-and V_K and L are divided by den once per degree.  In float mode every mpf is
-read as the dyadic rational man * 2^exp it stores, so the common denominator
-is a power of two and the integer sum is the exact source term of the stored
-values; each coefficient is then rounded once to the working precision and
-den is 1.
+Every V_m of a series is stored as integer numerators over one positive
+denominator (``hpoly.ScaledPoly``), and R_K is built in the same form,
+R_K = num/den: each field part is put over one common denominator once per
+series, the products run on plain ints, and the running sum is rescaled only
+when its denominator grows, so no per-coefficient gcd is taken.  In exact
+mode the denominators are those of the stored blocks and lcms of the field's.
+In float mode every mpf is read as the dyadic rational man * 2^exp it stores
+(each solved V_m once, when it is stored; its mpf values are rebuilt exactly
+when read), so the denominators are powers of two and the integer sum is the
+exact source term of the stored values; each coefficient is then rounded once
+to the working precision and den is 1.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:
@@ -35,6 +35,16 @@ a+1, the K+1 equations decouple by slot parity into two chains:
     function of L and closing with the last equation); the odd-slot equations
     leave the even-slot coefficients with a one-dimensional kernel spanned by
     (x^2+y^2)^(K/2), resolved by pinning one designated slot to zero.
+
+In exact mode both chains run on ints.  The source numerators are first
+multiplied by a per-degree product of the chain divisors -- 3*5*...*K at odd
+K; at even K the odd-chain product, the closing factor 1 + unit[K-1] (as an
+integer over the odd-chain product) and the even-chain product -- so every
+step is an exact floor division.  V_K is stored as those numerators over the
+product times den, reduced once by a single gcd over all of them and L's
+numerator; L is the Fraction of that numerator over the same denominator.
+The per-coefficient Fractions of V_K are built only when something reads
+``series.V[K].coeffs``.  Float mode runs the same chains on mpf values.
 
 The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.
@@ -48,22 +58,24 @@ coefficients (the linear parts of the Lyapunov constants).
 the one per-degree loop: an offset run with every pinned block at zero, and
 one run per coefficient that starts from V_2 = 0 with that coefficient at one
 and the other pinned blocks at zero.  A column then stands for one full V_k
-coefficient, the attribution of the published tables.
+coefficient, the attribution of the published tables.  The forms of a V_k
+are built from the runs when something first reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from functools import cache, cached_property
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
-from .hpoly import HomogPoly, circle_power, rot_apply
+from .hpoly import HomogPoly, LazyPoly, ScaledPoly, circle_power, rot_apply
 from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId, over_lcm
 
 
@@ -81,8 +93,11 @@ class LyapunovSeries:
     """Computed Lyapunov-function terms V_k and constants L_j.
 
     ``V`` maps degree k -> HomogPoly (V_2 included), ``L`` maps index j -> the
-    constant solved at degree 2j+2.  In unknown-carrying mode the V and L
-    entries hold linear forms over the registered unknowns and ``unknowns``
+    constant solved at degree 2j+2.  A series built by this module stores
+    each V_k as a ``ScaledPoly``: integer numerators over one denominator,
+    with the coefficients in the carrier built on first read.  In
+    unknown-carrying mode the V and L entries hold linear forms over the
+    registered unknowns (the V forms built on first read) and ``unknowns``
     lists their slots (x-exp, y-exp) in registration order (ascending degree,
     then descending x-power)."""
 
@@ -146,7 +161,8 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
         if Vm is None or Vm.is_zero():
             continue
         f, f_den, g, g_den = terms[d]
-        v, v_den = _over_lcm(Vm.coeffs, exact)
+        Vm = _scaled(Vm, exact)
+        v, v_den = Vm.nums, Vm.den
         m = Vm.degree
         if f:
             dx = [(m - a) * v[a] for a in range(m)]
@@ -159,6 +175,21 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     shift = den.bit_length() - 1  # den is a power of two in float mode
     with series.domain.context():
         return HomogPoly(k, [mp.mpf((t, -shift)) for t in total]), 1
+
+
+def _scaled(p: HomogPoly, exact: bool) -> ScaledPoly:
+    """``p`` in stored form (``_over_lcm``), or ``p`` if it already is.  The
+    stored form reads back the same values: Fractions, or for mpf values the
+    mpfs of the same dyadic rationals."""
+    if isinstance(p, ScaledPoly):
+        return p
+    return ScaledPoly(p.degree, *_over_lcm(p.coeffs, exact), Fraction if exact else _dyadic_mpf)
+
+
+def _dyadic_mpf(num: int, den: int) -> mp.mpf:
+    """The mpf storing num/den exactly (den a power of two), built without
+    rounding, so the working precision at the time of reading is irrelevant."""
+    return mp.make_mpf(from_man_exp(num, 1 - den.bit_length()))
 
 
 def _over_lcm(coeffs, exact: bool) -> tuple[list[int], int]:
@@ -217,14 +248,19 @@ def rotational_solve(
 ) -> tuple[HomogPoly, Scalar | None]:
     """Solve rot(V) + R = [k even] * L * (x^2+y^2)^(k/2) for V (and L).
 
-    Returns (V, L); L is None at odd degrees.  The two parity chains are
-    always solvable in exact arithmetic; a vanishing closing denominator would
-    mean a solver bug, not bad input.
+    Returns (V, L); L is None at odd degrees.  In exact mode V is a
+    ``ScaledPoly`` solved on ints (``_solve_ints``), and a ``ScaledPoly`` R
+    is read as its numerators over its denominator.  The two parity chains
+    are always solvable in exact arithmetic; a vanishing closing denominator
+    would mean a solver bug, not bad input.
     """
     if k < 3:
         raise UsageError("rotational solve needs degree >= 3")
     if R.degree != k:
         raise UsageError(f"source term has degree {R.degree}, expected {k}")
+    if domain.exact:
+        R = _scaled(R, True)
+        return _solve_ints(k, R.nums, R.den)
     c = [domain.coerce(x) if isinstance(x, int) else x for x in R.coeffs]
     v: list[Scalar | None] = [None] * (k + 1)
 
@@ -263,6 +299,64 @@ def rotational_solve(
     for b in range(a_t - 1, 0, -2):
         v[b - 1] = ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
     return HomogPoly(k, v), L
+
+
+def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[ScaledPoly, Fraction | None]:
+    """The parity chains of ``rotational_solve`` for R = nums/den on ints.
+
+    The numerators are scaled by the ``scale`` of ``_chain_constants(k)``,
+    which makes every step an exact floor division, and the solution is
+    reduced by one gcd."""
+    scale, odd, unit, close = _chain_constants(k)
+    c = [scale * x for x in nums]
+    v = [0] * (k + 1)
+    # Equation at slot b: (b+1) v[b+1] - (k-b+1) v[b-1] + c[b] = 0.
+    for b in range(0, k, 2):  # odd slots, left to right (at even k: the L = 0 part)
+        v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) // (b + 1)
+    den *= scale
+    if k % 2 == 1:
+        for b in range(k, 0, -2):  # even slots, right to left
+            v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
+        g = gcd(*v, den)
+        return ScaledPoly(k, [x // g for x in v], den // g), None
+
+    # Close with the slot-k equation -v[k-1] + c[k] = L, where the odd slots
+    # are v + L * unit / odd and 1 + unit[k-1] / odd = close / odd.
+    step = (c[k] - v[k - 1]) // close  # L * den / odd
+    for a in range(1, k, 2):
+        v[a] += step * unit[a]
+    a_t = tiebreak_slot(k)[1]  # v[a_t] stays 0
+    for b in range(a_t + 1, k, 2):
+        v[b + 1] = ((k - b + 1) * v[b - 1] - c[b]) // (b + 1)
+    for b in range(a_t - 1, 0, -2):
+        v[b - 1] = ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
+    L = step * odd
+    g = gcd(*v, L, den)
+    return ScaledPoly(k, [x // g for x in v], den // g), Fraction(L, den)
+
+
+@cache
+def _chain_constants(k: int) -> tuple[int, int, tuple[int, ...] | None, int | None]:
+    """Per-degree constants of ``_solve_ints``, computed on first use:
+    (scale, odd, unit, close).  ``odd`` is the product of the odd-slot chain
+    divisors 3, 5, ..., and ``scale`` a multiple of every chain's divisor
+    product.  At even k, ``unit`` is odd times the odd-slot solution for L = 1
+    and R = 0, and ``close`` = odd + unit[k-1] is odd times the closing factor
+    1 + unit[k-1] / odd; at odd k both are None."""
+    odd = prod(range(3, k + 1, 2))
+    if k % 2 == 1:
+        return odd, odd, None, None  # the even-slot chain has the same divisors
+    cp = circle_power(k // 2).coeffs
+    unit = [0] * k
+    for b in range(0, k, 2):
+        prev = unit[b - 1] if b else 0
+        unit[b + 1] = ((k - b + 1) * prev + odd * cp[b]) // (b + 1)
+    close = odd + unit[k - 1]
+    if close == 0:
+        raise SolverInternalError(f"closing denominator vanished at degree {k}")
+    a_t = tiebreak_slot(k)[1]
+    even = prod(range(a_t + 2, k + 1, 2)) * prod(range(k - a_t + 2, k + 1, 2))
+    return odd * close * even, odd, tuple(unit), close
 
 
 def dense_rotational_solve(k: int, R: HomogPoly) -> tuple[HomogPoly, Scalar | None]:
@@ -354,8 +448,9 @@ def _extend(
     """The per-degree loop behind every series.  At a degree k in ``pins``
     the solved V_k is replaced by the pinned block ``pins[k]``; the constant
     keeps the value solved from the full source term, which never involves
-    V_k."""
+    V_k.  Every V_k is stored in integer form (``_scaled``)."""
     domain = series.domain
+    exact = domain.exact
     with domain.context():
         zero = domain.coerce(0)
         for k in range(series.max_degree + 1, 2 * J + 3):
@@ -365,12 +460,10 @@ def _extend(
                 # fields, and the degrees below an unknown's own in its run
                 Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
             else:
-                # the solve is linear in R_k = num/den
-                Vk, L = rotational_solve(k, num, domain)
-                if den != 1:
-                    Vk = Vk.map_coeffs(lambda c: c / den)
-                    L = None if L is None else L / den
-            series.V[k] = pins.get(k, Vk)
+                # R_k = num/den; float mode has den = 1
+                R = ScaledPoly(k, num.coeffs, den) if exact else num
+                Vk, L = rotational_solve(k, R, domain)
+            series.V[k] = _scaled(pins.get(k, Vk), exact)
             if L is not None:
                 series.L[k // 2 - 1] = L
         return series
@@ -379,7 +472,12 @@ def _extend(
 def _start(vf: VectorField) -> LyapunovSeries:
     """A plain series holding only V_2 = (x^2+y^2)/2."""
     half = vf.domain.coerce(Fraction(1, 2))
-    return LyapunovSeries(vf, "plain", V={2: HomogPoly(2, [half, 0, half])})
+    return _seeded(vf, HomogPoly(2, [half, 0, half]))
+
+
+def _seeded(vf: VectorField, V2: HomogPoly) -> LyapunovSeries:
+    """A plain series holding only the given V_2, in stored form."""
+    return LyapunovSeries(vf, "plain", V={2: _scaled(V2, vf.domain.exact)})
 
 
 def compute_series_unknown(
@@ -419,21 +517,30 @@ def compute_series_unknown(
         runs: dict[UnknownId, LyapunovSeries] = {}
         for slot in series.unknowns:
             pins = {**zero_blocks, sum(slot): HomogPoly.monomial(*slot, domain.coerce(1))}
-            run = LyapunovSeries(vf, "plain", V={2: HomogPoly.zero(2)})
-            runs[slot] = _extend(run, J, pins)
+            runs[slot] = _extend(_seeded(vf, HomogPoly.zero(2)), J, pins)
 
-        series.V = {
-            k: HomogPoly(k, [
-                LinearForm(c, {s: run.V[k].coeffs[a] for s, run in runs.items()})
-                for a, c in enumerate(Vk.coeffs)
-            ])
-            for k, Vk in offset.V.items()
-        }
+        series.V = {k: _affine_block(k, offset, runs) for k in offset.V}
         series.L = {
             j: LinearForm(c, {s: run.L[j] for s, run in runs.items()})
             for j, c in offset.L.items()
         }
         return series
+
+
+def _affine_block(
+    k: int, offset: LyapunovSeries, runs: Mapping[UnknownId, LyapunovSeries]
+) -> LazyPoly:
+    """V_k as linear forms: the offset run's coefficient plus each run's as
+    the coefficient of its unknown, built when first read."""
+
+    def build():
+        columns = [(s, run.V[k].coeffs) for s, run in runs.items()]
+        return [
+            LinearForm(c, {s: col[a] for s, col in columns})
+            for a, c in enumerate(offset.V[k].coeffs)
+        ]
+
+    return LazyPoly(k, build)
 
 
 def residual(series: LyapunovSeries, k: int) -> HomogPoly:

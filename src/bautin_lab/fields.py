@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import FieldParseError, UsageError
 from .hpoly import HomogPoly
-from .scalars import RATIONAL, Domain, Scalar
+from .scalars import RATIONAL, Domain, Scalar, exact_str
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def serialize_vector_field(vf: VectorField) -> str:
         for k in sorted(parts):
             for i, j, c in parts[k].terms():
                 if isinstance(c, (int, Fraction)):
-                    lines.append(f"{side} {i} {j} {c}")
+                    lines.append(f"{side} {i} {j} {exact_str(c)}")
                 else:
                     lines.append(f"{side} {i} {j} {vf.domain.to_str(c)}")
     return "\n".join(lines) + "\n"

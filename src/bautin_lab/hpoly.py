@@ -10,14 +10,26 @@ sparse one.
 Coefficients may be any scalar the package knows (Fraction, mpf, or plain
 int for structural zeros); operations never assume a particular carrier.
 Products skip zero coefficients of either carrier.  The engine's per-degree
-loop does not use them: it forms its source terms on integer numerators (see
+loop does not use them: it works on integer numerators (see
 ``engine.accumulate_rhs``).
+
+Two read-only variants build their coefficients on the first read of
+``coeffs`` and keep them, so reading them again returns the same objects:
+
+  * ``ScaledPoly`` stores integer numerators over one positive denominator,
+    ``nums[a] / den``.  Every V_k of a series is held this way, and the
+    engine computes on ``nums``/``den`` alone; the coefficients (exact
+    Fractions, or the mpf values a float block's dyadic numerators stand
+    for) exist only once something reads ``coeffs``.
+  * ``LazyPoly`` calls a builder, e.g. the affine forms of an
+    unknown-carrying series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -132,6 +144,45 @@ class HomogPoly:
             text = exact_str(c) if isinstance(c, (int, Fraction)) else str(c)
             parts.append(f"({text})*{mono}")
         return " + ".join(parts) if parts else "0"
+
+
+class LazyPoly(HomogPoly):
+    """A HomogPoly whose coefficients ``build()`` makes on the first read of
+    ``coeffs``; they are kept, so later reads return the same objects."""
+
+    def __init__(self, degree: int, build: Callable[[], Iterable[Scalar]]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_build", build)
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(self._build())
+
+
+class ScaledPoly(LazyPoly):
+    """Coefficient a is ``nums[a] / den``: integer numerators over one
+    positive denominator.  The coefficients read are ``value(nums[a], den)``,
+    exact Fractions by default; a float block passes the function that
+    rebuilds the mpf a dyadic numerator stands for."""
+
+    def __init__(
+        self,
+        degree: int,
+        nums: Sequence[int],
+        den: int,
+        value: Callable[[int, int], Scalar] = Fraction,
+    ):
+        nums = tuple(nums)
+        if len(nums) != degree + 1 or den <= 0:
+            raise UsageError(
+                f"degree-{degree} polynomial needs {degree + 1} numerators over a positive den"
+            )
+        super().__init__(degree, lambda: [value(n, den) for n in nums])
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
 
 
 def rot_apply(p: HomogPoly) -> HomogPoly:

@@ -7,10 +7,11 @@ meaningful zero test.  Two carriers satisfy it:
   * ``fractions.Fraction``     -- exact rational mode (the default),
   * ``mpmath.mpf``             -- extended-precision real mode.
 
-The engine's source-term kernel bypasses that protocol: it reads exact
-values as integer numerators over a common denominator and each mpf as the
-dyadic rational man * 2^exp it stores, sums on plain ints, and rounds a float
-source-term coefficient once (see ``engine.accumulate_rhs``).
+The engine's per-degree loop bypasses that protocol: it stores each V_k as
+integer numerators over one denominator (an exact solve runs on ints, and
+each mpf is read as the dyadic rational man * 2^exp it stores), sums source
+terms on plain ints, and rounds a float source-term coefficient once (see
+``engine.accumulate_rhs``).
 
 ``LinearForm`` is not a carrier but a read-only record of an affine
 expression  c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i
@@ -29,6 +30,7 @@ must run in separate processes (mpmath's precision is process-global).
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
@@ -47,15 +49,31 @@ UnknownId = tuple[int, int]
 Scalar = Union[int, Fraction, mp.mpf]
 
 
+_DIGITS = r"\d+(?:_\d+)*"
+#: The text ``fractions.Fraction`` accepts: ``p/q``, or an integer or decimal
+#: with an optional exponent, signed.
+_RATIONAL = re.compile(
+    rf"[-+]?(?:{_DIGITS}/{_DIGITS}"
+    rf"|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?)"
+)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, integer, or decimal text into an exact Fraction.
 
     Decimals are scaled by the exact power of ten ("0.25" -> 1/4); binary
-    floating point is never involved.
+    floating point is never involved.  The digits are read through
+    ``Decimal``, which has no limit on their number (``int(text)`` stops at
+    4300 by default) and changes no global state.
     """
+    if _RATIONAL.fullmatch(text.strip()) is None:
+        raise UsageError(f"not a rational number: {text!r}")
+    num, _, den = text.strip().partition("/")
+    if not den:
+        return Fraction(Decimal(num))
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
+    except ZeroDivisionError as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 

@@ -93,6 +93,27 @@ def test_exact_output_above_int_str_limit(tmp_path, capsys):
     assert json.loads(out)["L"] == {row[2]: row.partition(" = ")[2] for row in rows}
 
 
+def test_exact_input_above_int_str_limit(tmp_path, capsys):
+    # a 5001-digit coefficient: more digits than Python reads from text into
+    # an int by default (4300); it must parse exactly, run and round-trip
+    digits = "1" + "0" * 4999 + "7"
+    N = 10**5000 + 7
+    text = f"n 3\nF 2 0 {digits}/3\nF 3 0 -{digits}\nG 1 1 1\nG 0 3 0.{digits}\n"
+    vf = parse_vector_field(text)
+    assert vf.f_part(2).coeff(2, 0) == Fraction(N, 3)
+    assert vf.f_part(3).coeff(3, 0) == -N
+    assert vf.g_part(3).coeff(0, 3) == Fraction(N, 10**5001)
+    L1 = compute_series(vf, 1).L[1]
+    code, out, err = run(capsys, "lyapunov", write_field(tmp_path, "big.vf", text), "-J", "1")
+    assert code == 0 and err == ""
+    num, _, den = out.strip().removeprefix("L_1 = ").partition("/")
+    assert Decimal(num) == L1.numerator and Decimal(den or 1) == L1.denominator
+    back = parse_vector_field(serialize_vector_field(vf))
+    for k in (2, 3):
+        assert back.f_part(k).coeffs == vf.f_part(k).coeffs
+        assert back.g_part(k).coeffs == vf.g_part(k).coeffs
+
+
 def test_internal_failure_is_not_bad_input(monkeypatch, capsys):
     # a ValueError from inside the program is a defect, not bad input
     def broken(args):

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from bautin_lab import engine
 from bautin_lab.engine import (
     LyapunovSeries,
     accumulate_rhs,
@@ -25,8 +27,8 @@ from bautin_lab.fields import (
     random_reversible_field,
     rotational_family_field,
 )
-from bautin_lab.hpoly import HomogPoly
-from bautin_lab.scalars import BigRealDomain, LinearForm
+from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
+from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm
 from bautin_lab.structure import gap_profile
 
 
@@ -290,3 +292,129 @@ def test_budget_and_validation():
     assert series.max_index == 4
     assert series.max_degree == 10
     assert series.V[2].coeffs == (F(1, 2), 0, F(1, 2))
+
+
+FAMILIES = (
+    random_homogeneous_field,
+    random_divergence_free_field,
+    random_reversible_field,
+    rotational_family_field,
+)
+
+
+def _fraction_chains(k, c):
+    """The parity chains of rotational_solve run value by value on
+    Fractions: the reference for the integer solve."""
+    v = [F(0)] * (k + 1)
+    for b in range(0, k, 2):
+        v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
+    if k % 2 == 1:
+        for b in range(k, 0, -2):
+            v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
+        return v, None
+    cp = circle_power(k // 2).coeffs
+    unit = [F(0)] * (k + 1)
+    for b in range(0, k, 2):
+        unit[b + 1] = ((k - b + 1) * (unit[b - 1] if b else 0) + cp[b]) / F(b + 1)
+    L = (c[k] - v[k - 1]) / (1 + unit[k - 1])
+    for a in range(1, k, 2):
+        v[a] += L * unit[a]
+    a_t = tiebreak_slot(k)[1]
+    for b in range(a_t + 1, k, 2):
+        v[b + 1] = ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
+    for b in range(a_t - 1, 0, -2):
+        v[b - 1] = ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
+    return v, L
+
+
+def _fraction_chain_series(vf, J):
+    """V_3..V_(2J+2) and L_1..L_J from HomogPoly products and Fraction chains."""
+    series = LyapunovSeries(vf, "plain", V={2: HomogPoly(2, [F(1, 2), 0, F(1, 2)])})
+    for k in range(3, 2 * J + 3):
+        v, L = _fraction_chains(k, _reference_rhs(series, k).coeffs)
+        series.V[k] = HomogPoly(k, v)
+        if L is not None:
+            series.L[k // 2 - 1] = L
+    return series
+
+
+def _dense_checked(monkeypatch):
+    """Check every solve of the per-degree loop against the dense oracle;
+    returns the list of solved degrees."""
+    solves = []
+    solve = engine.rotational_solve
+
+    def checked(k, R, domain=RATIONAL):
+        V, L = solve(k, R, domain)
+        dense_V, dense_L = dense_rotational_solve(k, R)
+        assert V.coeffs == dense_V.coeffs and L == dense_L, k
+        solves.append(k)
+        return V, L
+
+    monkeypatch.setattr(engine, "rotational_solve", checked)
+    return solves
+
+
+def test_integer_solve_on_every_degree_of_plain_runs(monkeypatch):
+    solves = _dense_checked(monkeypatch)
+    fields = [random_field(n, seed=60 + n) for n in (2, 3, 4, 5)]
+    fields += [make(n, seed=n + 1) for n in (2, 3, 4, 5) for make in FAMILIES]
+    for vf in fields:
+        J = vf.degree + 3
+        series = compute_series(vf, J)
+        ref = _fraction_chain_series(vf, J)
+        assert series.L == ref.L and all(type(L) is Fraction for L in series.L.values())
+        for k, want in ref.V.items():
+            got = series.V[k]
+            # stored as numerators over one denominator, reduced together
+            assert isinstance(got, ScaledPoly) and got.den > 0
+            assert math.gcd(*got.nums, got.den) == 1
+            assert [F(n, got.den) for n in got.nums] == list(want.coeffs), (vf, k)
+            assert got.coeffs == want.coeffs, (vf, k)
+    assert len(solves) > 100
+
+
+def test_integer_solve_on_pinned_runs(monkeypatch):
+    solves = _dense_checked(monkeypatch)
+    for n in (2, 3, 4):
+        for vf, levels in (
+            (random_field(n, seed=70 + n), range(2, n + 1)),
+            (random_homogeneous_field(n, seed=70 + n), [n]),
+        ):
+            before = len(solves)
+            series = compute_series_unknown(vf, levels, n + 3)
+            # the offset run plus one run per unknown, each solving degrees
+            assert len(solves) - before > len(series.unknowns), (n, levels)
+
+
+def test_series_values_are_built_once_on_read():
+    vf = random_field(3, seed=12)
+    series = compute_series(vf, 6)
+    # every block is nonzero here, and nothing has read a coefficient yet
+    assert not any(series.V[k].is_zero() for k in range(3, 15))
+    assert not any("coeffs" in vars(series.V[k]) for k in range(3, 15))
+    first = {k: p.coeffs for k, p in series.V.items()}
+    assert all(series.V[k].coeffs is first[k] for k in series.V)
+    unknown = compute_series_unknown(vf, [2, 3], 6)
+    assert not any("coeffs" in vars(p) for p in unknown.V.values())
+    forms = {k: p.coeffs for k, p in unknown.V.items()}
+    assert all(isinstance(c, LinearForm) for p in forms.values() for c in p)
+    assert all(unknown.V[k].coeffs is forms[k] for k in unknown.V)
+
+
+def test_float_blocks_read_back_bit_for_bit(monkeypatch):
+    # a float V_k is stored as dyadic numerators; read back at any working
+    # precision, it gives the very mpf values the solve returned
+    solved = {}
+    solve = engine.rotational_solve
+
+    def capture(k, R, domain=RATIONAL):
+        V, L = solve(k, R, domain)
+        solved[k] = V.coeffs
+        return V, L
+
+    monkeypatch.setattr(engine, "rotational_solve", capture)
+    series = compute_series(coerce_field(random_field(4, seed=3), BigRealDomain(dps=60)), 6)
+    assert len(solved) == 12 and not any("coeffs" in vars(series.V[k]) for k in solved)
+    for k, want in solved.items():  # outside the 60-digit context
+        assert [c._mpf_ for c in series.V[k].coeffs] == [c._mpf_ for c in want], k

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bautin_lab.errors import UsageError
-from bautin_lab.hpoly import HomogPoly, circle_power, rot_apply
+from bautin_lab.hpoly import HomogPoly, LazyPoly, ScaledPoly, circle_power, rot_apply
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=12
@@ -100,3 +100,31 @@ def test_coeff_accessor_bounds():
     assert p.coeff(2, 1) == 7
     with pytest.raises(UsageError):
         p.coeff(3, 1)
+
+
+def test_scaled_poly_builds_fractions_once():
+    p = ScaledPoly(2, [2, 0, -3], 4)
+    assert not p.is_zero() and "coeffs" not in vars(p)
+    assert p.coeffs == (Fraction(1, 2), 0, Fraction(-3, 4))
+    assert p.coeffs is p.coeffs and p.coeff(2, 0) is p.coeffs[0]
+    assert ScaledPoly(2, [0, 0, 0], 5).is_zero()
+    # the carrier of the values read is the caller's
+    q = ScaledPoly(1, [1, 2], 4, value=lambda n, d: n / d)
+    assert q.coeffs == (0.25, 0.5) and (q.nums, q.den) == ((1, 2), 4)
+    with pytest.raises(UsageError):
+        ScaledPoly(2, [1, 2], 3)
+    with pytest.raises(UsageError):
+        ScaledPoly(1, [1, 2], 0)
+
+
+def test_lazy_poly_builds_once():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return [Fraction(1), 0]
+
+    p = LazyPoly(1, build)
+    assert not calls
+    assert str(p) == "(1)*x^1" and (p * p).coeffs == (1, 0, 0)
+    assert len(calls) == 1
