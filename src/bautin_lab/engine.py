@@ -19,11 +19,9 @@ R_K = num/den: each field part is put over one common denominator once per
 series, the products run on plain ints, and the running sum is rescaled only
 when its denominator grows, so no per-coefficient gcd is taken.  In exact
 mode the denominators are those of the stored blocks and lcms of the field's.
-In float mode every mpf is read as the dyadic rational man * 2^exp it stores
-(each solved V_m once, when it is stored; its mpf values are rebuilt exactly
-when read), so the denominators are powers of two and the integer sum is the
-exact source term of the stored values; each coefficient is then rounded once
-to the working precision and den is 1.
+In float mode every mpf is read as the dyadic rational man * 2^exp it stores,
+so the denominators are powers of two and R_K is the exact source term of
+the stored values; it is not rounded.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:
@@ -36,15 +34,18 @@ a+1, the K+1 equations decouple by slot parity into two chains:
     leave the even-slot coefficients with a one-dimensional kernel spanned by
     (x^2+y^2)^(K/2), resolved by pinning one designated slot to zero.
 
-In exact mode both chains run on ints.  The source numerators are first
+Both modes run both chains on ints.  The source numerators are first
 multiplied by a per-degree product of the chain divisors -- 3*5*...*K at odd
 K; at even K the odd-chain product, the closing factor 1 + unit[K-1] (as an
 integer over the odd-chain product) and the even-chain product -- so every
-step is an exact floor division.  V_K is stored as those numerators over the
-product times den, reduced once by a single gcd over all of them and L's
-numerator; L is the Fraction of that numerator over the same denominator.
-The per-coefficient Fractions of V_K are built only when something reads
-``series.V[K].coeffs``.  Float mode runs the same chains on mpf values.
+step is an exact floor division, and the exact V_K and L are those
+numerators over the product times den.  Exact mode stores V_K so, reduced
+once by a single gcd over all of them and L's numerator; L is the Fraction
+of that numerator over the same denominator.  Float mode rounds each V_K
+coefficient and L once, to nearest at the working precision, and stores the
+rounded V_K as dyadic ints over one power of two.  The per-coefficient
+values of V_K (Fractions, or mpfs rebuilt exactly from the dyadic ints) are
+built only when something reads ``series.V[K].coeffs``.
 
 The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.
@@ -71,7 +72,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
@@ -145,12 +146,10 @@ class LyapunovSeries:
 
 def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     """The degree-k source term R_k built from already-solved V terms, as
-    ``(num, den)`` with R_k = num/den.
-
-    In exact mode ``num`` has integer coefficients and ``den`` is a positive
-    int (not necessarily the least one).  In float mode the sum is formed
-    exactly on the stored values, each coefficient of ``num`` is that exact
-    value rounded once to the working precision, and ``den`` is 1.
+    ``(num, den)`` with R_k = num/den exactly: ``num`` has integer
+    coefficients and ``den`` is a positive int (not necessarily the least
+    one).  In float mode it is the exact source term of the stored values,
+    and ``den`` is a power of two.
     """
     exact = series.domain.exact
     terms = series._field_terms
@@ -170,11 +169,7 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
         if g:
             dy = [(a + 1) * v[a + 1] for a in range(m)]
             total, den = _add_scaled(total, den, _product(dy, g, k), v_den * g_den)
-    if exact:
-        return HomogPoly(k, total), den
-    shift = den.bit_length() - 1  # den is a power of two in float mode
-    with series.domain.context():
-        return HomogPoly(k, [mp.mpf((t, -shift)) for t in total]), 1
+    return HomogPoly(k, total), den
 
 
 def _scaled(p: HomogPoly, exact: bool) -> ScaledPoly:
@@ -198,7 +193,12 @@ def _over_lcm(coeffs, exact: bool) -> tuple[list[int], int]:
     the largest 2^-exp among them (at least 1), which loses nothing."""
     if exact:
         return over_lcm(coeffs)
-    pairs = [_dyadic(c) for c in coeffs]
+    return _aligned([_dyadic(c) for c in coeffs])
+
+
+def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Dyadic values m * 2^e as integer numerators over the largest 2^-e
+    among them (at least 1)."""
     low = min([0] + [e for m, e in pairs if m])
     return [m << (e - low) for m, e in pairs], 1 << -low
 
@@ -248,65 +248,54 @@ def rotational_solve(
 ) -> tuple[HomogPoly, Scalar | None]:
     """Solve rot(V) + R = [k even] * L * (x^2+y^2)^(k/2) for V (and L).
 
-    Returns (V, L); L is None at odd degrees.  In exact mode V is a
-    ``ScaledPoly`` solved on ints (``_solve_ints``), and a ``ScaledPoly`` R
-    is read as its numerators over its denominator.  The two parity chains
-    are always solvable in exact arithmetic; a vanishing closing denominator
-    would mean a solver bug, not bad input.
+    Returns (V, L); L is None at odd degrees.  Both modes solve the parity
+    chains on ints (``_solve_ints``) on R read exactly -- a ``ScaledPoly`` R
+    as its numerators over its denominator, an mpf as the dyadic rational
+    it stores -- so V is a ``ScaledPoly``.  In exact mode V is reduced by
+    one gcd and L is a Fraction.  In float mode each V coefficient and L is
+    the exact solution rounded once, to nearest at the working precision of
+    ``domain``, and V keeps the rounded values as dyadic ints.  The two
+    parity chains are always solvable in exact arithmetic; a vanishing
+    closing denominator would mean a solver bug, not bad input.
     """
     if k < 3:
         raise UsageError("rotational solve needs degree >= 3")
     if R.degree != k:
         raise UsageError(f"source term has degree {R.degree}, expected {k}")
+    R = _scaled(R, domain.exact)
+    v, L, den = _solve_ints(k, R.nums, R.den)
     if domain.exact:
-        R = _scaled(R, True)
-        return _solve_ints(k, R.nums, R.den)
-    c = [domain.coerce(x) if isinstance(x, int) else x for x in R.coeffs]
-    v: list[Scalar | None] = [None] * (k + 1)
-
-    if k % 2 == 1:
-        # Equation at slot b: (b+1) v[b+1] - (k-b+1) v[b-1] + c[b] = 0.
-        for b in range(0, k, 2):  # determines odd slots, left to right
-            v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
-        for b in range(k, 0, -2):  # determines even slots, right to left
-            v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
-        return HomogPoly(k, v), None
-
-    cp = circle_power(k // 2).coeffs
-    # Odd slots plus L: carry v[odd] = base + L * unit, with `unit` concrete,
-    # then close with the slot-k equation  -v[k-1] + c[k] = L.
-    base: dict[int, Scalar] = {}
-    unit: dict[int, Scalar] = {}
-    for b in range(0, k, 2):
-        if b == 0:
-            base[1] = -c[0]
-            unit[1] = domain.coerce(cp[0])
-        else:
-            base[b + 1] = ((k - b + 1) * base[b - 1] - c[b]) / (b + 1)
-            unit[b + 1] = ((k - b + 1) * unit[b - 1] + cp[b]) / (b + 1)
-    den = 1 + unit[k - 1]
-    if den == 0:
-        raise SolverInternalError(f"closing denominator vanished at degree {k}")
-    L = (c[k] - base[k - 1]) / den
-    for a in range(1, k, 2):
-        v[a] = base[a] + L * unit[a]
-
-    # Even slots: bidiagonal chain with nullity one, pinned at the designated slot.
-    a_t = tiebreak_slot(k)[1]
-    v[a_t] = domain.coerce(0)
-    for b in range(a_t + 1, k, 2):
-        v[b + 1] = ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
-    for b in range(a_t - 1, 0, -2):
-        v[b - 1] = ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
-    return HomogPoly(k, v), L
+        g = gcd(*v, L or 0, den)
+        V = ScaledPoly(k, [x // g for x in v], den // g)
+        return V, (None if L is None else Fraction(L // g, den // g))
+    prec = dps_to_prec(domain.dps)
+    V = ScaledPoly(k, *_aligned([_round_ratio(x, den, prec) for x in v]), _dyadic_mpf)
+    return V, (None if L is None else mp.make_mpf(from_man_exp(*_round_ratio(L, den, prec))))
 
 
-def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[ScaledPoly, Fraction | None]:
-    """The parity chains of ``rotational_solve`` for R = nums/den on ints.
+def _round_ratio(n: int, d: int, prec: int) -> tuple[int, int]:
+    """(m, e) with m * 2^e the prec-bit binary float nearest to n/d (d > 0),
+    ties to even; (0, 0) for n = 0.  The quotient is taken with one or two
+    bits to spare, and the remainder breaks the ties."""
+    if n == 0:
+        return 0, 0
+    a = abs(n)
+    shift = prec + 1 - a.bit_length() + d.bit_length()
+    q, r = divmod(a << shift, d) if shift >= 0 else divmod(a, d << -shift)
+    extra = q.bit_length() - prec
+    low, half = q & ((1 << extra) - 1), 1 << (extra - 1)
+    q >>= extra
+    if low > half or (low == half and (r or q & 1)):
+        q += 1
+    return (-q if n < 0 else q), extra - shift
+
+
+def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[list[int], int | None, int]:
+    """The parity chains of ``rotational_solve`` for R = nums/den on ints:
+    (v, l, d) with V's coefficients v[a]/d and L = l/d (l None at odd k).
 
     The numerators are scaled by the ``scale`` of ``_chain_constants(k)``,
-    which makes every step an exact floor division, and the solution is
-    reduced by one gcd."""
+    which makes every step an exact floor division."""
     scale, odd, unit, close = _chain_constants(k)
     c = [scale * x for x in nums]
     v = [0] * (k + 1)
@@ -317,8 +306,7 @@ def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[ScaledPoly, Frac
     if k % 2 == 1:
         for b in range(k, 0, -2):  # even slots, right to left
             v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
-        g = gcd(*v, den)
-        return ScaledPoly(k, [x // g for x in v], den // g), None
+        return v, None, den
 
     # Close with the slot-k equation -v[k-1] + c[k] = L, where the odd slots
     # are v + L * unit / odd and 1 + unit[k-1] / odd = close / odd.
@@ -330,9 +318,7 @@ def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[ScaledPoly, Frac
         v[b + 1] = ((k - b + 1) * v[b - 1] - c[b]) // (b + 1)
     for b in range(a_t - 1, 0, -2):
         v[b - 1] = ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
-    L = step * odd
-    g = gcd(*v, L, den)
-    return ScaledPoly(k, [x // g for x in v], den // g), Fraction(L, den)
+    return v, step * odd, den
 
 
 @cache
@@ -460,9 +446,7 @@ def _extend(
                 # fields, and the degrees below an unknown's own in its run
                 Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
             else:
-                # R_k = num/den; float mode has den = 1
-                R = ScaledPoly(k, num.coeffs, den) if exact else num
-                Vk, L = rotational_solve(k, R, domain)
+                Vk, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), domain)
             series.V[k] = _scaled(pins.get(k, Vk), exact)
             if L is not None:
                 series.L[k // 2 - 1] = L
@@ -544,15 +528,18 @@ def _affine_block(
 
 
 def residual(series: LyapunovSeries, k: int) -> HomogPoly:
-    """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2); identically zero for
-    every plain-mode degree, and for every degree above the replaced levels
-    of an unknown-carrying series once its unknowns are given values
-    (``evaluate_at``)."""
+    """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2), in the series' domain.
+
+    In exact mode it is identically zero for every plain-mode degree, and for
+    every degree above the replaced levels of an unknown-carrying series once
+    its unknowns are given values (``evaluate_at``).  In float mode it is
+    the effect of rounding V_k and L once each, not zero."""
+    domain = series.domain
     num, den = accumulate_rhs(series, k)
-    R = num if den == 1 else num.map_coeffs(lambda c: Fraction(c, den))
-    out = rot_apply(series.V[k]) + R
-    if k % 2 == 0:
-        L = series.L.get(k // 2 - 1)
-        if L is not None:
-            out = out - circle_power(k // 2).scale(L)
-    return out
+    with domain.context():
+        out = rot_apply(series.V[k]) + num.map_coeffs(lambda c: domain.coerce(Fraction(c, den)))
+        if k % 2 == 0:
+            L = series.L.get(k // 2 - 1)
+            if L is not None:
+                out = out - circle_power(k // 2).scale(L)
+        return out

@@ -8,10 +8,10 @@ meaningful zero test.  Two carriers satisfy it:
   * ``mpmath.mpf``             -- extended-precision real mode.
 
 The engine's per-degree loop bypasses that protocol: it stores each V_k as
-integer numerators over one denominator (an exact solve runs on ints, and
-each mpf is read as the dyadic rational man * 2^exp it stores), sums source
-terms on plain ints, and rounds a float source-term coefficient once (see
-``engine.accumulate_rhs``).
+integer numerators over one denominator (each mpf is read as the dyadic
+rational man * 2^exp it stores), and sums source terms and solves on plain
+ints in both modes; float mode rounds each solved V_k coefficient and
+Lyapunov constant once (see ``engine.rotational_solve``).
 
 ``LinearForm`` is not a carrier but a read-only record of an affine
 expression  c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i
@@ -181,19 +181,17 @@ class BigRealDomain:
             raise UsageError("extended-precision domain needs at least 30 digits")
 
     def coerce(self, x) -> Scalar:
-        """Convert into an mpf at this precision; non-finite values and zero
-        denominators raise UsageError, as they do in exact mode."""
+        """Convert into an mpf at this precision, rounding the exact value
+        once: text is read exactly (``parse_rational``, so any number of
+        digits) and a Fraction is divided correctly rounded.  Non-finite
+        values and zero denominators raise UsageError, as they do in exact
+        mode."""
+        if isinstance(x, str):
+            x = parse_rational(x)
         with mp.workdps(self.dps):
-            try:
-                if isinstance(x, Fraction):
-                    value = mp.mpf(x.numerator) / x.denominator
-                elif isinstance(x, str) and "/" in x:
-                    num, _, den = x.partition("/")
-                    value = mp.mpf(num.strip()) / mp.mpf(den.strip())
-                else:
-                    value = mp.mpf(x.strip() if isinstance(x, str) else x)
-            except ZeroDivisionError as exc:
-                raise UsageError(f"zero denominator in {x!r}") from exc
+            if isinstance(x, Fraction):
+                return mp.fdiv(x.numerator, x.denominator)
+            value = mp.mpf(x)
             if not mp.isfinite(value):
                 raise UsageError(f"not a finite number: {x!r}")
             return value

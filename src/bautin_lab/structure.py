@@ -309,7 +309,10 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     coefficients rounded to it.  In extended-precision mode the verdict is
     recomputed on the coefficients rounded to the doubled working precision,
     with the zero threshold still anchored to ``domain``; any disagreement
-    yields "inconclusive".  The recomputation sees only the digits ``vf``
+    yields "inconclusive", and so does a "center-generic" whose two det P
+    values differ by more than 10^(-dps/2) of the doubled-precision one
+    (a det that is only rounding noise can pass the threshold twice with
+    unrelated values).  The recomputation sees only the digits ``vf``
     carries: a field stored at the working precision gives both runs the
     same rounded input, so a constant that is nonzero only through that
     rounding can pass both.  Pass the field exactly or at the doubled
@@ -322,17 +325,27 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
         return first
     second = _center_check_once(coerce_field(vf, domain.widened()), domain)
     if first.verdict != second.verdict or first.weak_focus_order != second.weak_focus_order:
-        return CenterCertificate(
-            "inconclusive",
-            first.center_bound,
-            det_p=first.det_p,
-            reason=(
-                f"verdict unstable under precision doubling "
-                f"({first.verdict} at {domain.dps} digits, {second.verdict} at "
-                f"{domain.dps * 2})"
-            ),
+        reason = (
+            f"verdict unstable under precision doubling "
+            f"({first.verdict} at {domain.dps} digits, {second.verdict} at "
+            f"{domain.dps * 2})"
         )
-    return first
+    elif first.verdict == "center-generic" and not _dets_agree(first.det_p, second.det_p, domain):
+        reason = (
+            f"det P unstable under precision doubling "
+            f"({domain.to_str(first.det_p)} at {domain.dps} digits, "
+            f"{domain.to_str(second.det_p)} at {domain.dps * 2})"
+        )
+    else:
+        return first
+    return CenterCertificate("inconclusive", first.center_bound, det_p=first.det_p, reason=reason)
+
+
+def _dets_agree(det: Scalar, wide: Scalar, domain: BigRealDomain) -> bool:
+    """|det - wide| <= 10^(-dps/2) * |wide|: the two passes' det P share
+    their leading half of the working digits."""
+    with domain.widened().context():
+        return abs(det - wide) <= mp.mpf(10) ** (-domain.dps / 2) * abs(wide)
 
 
 def _center_check_once(vf: VectorField, data_domain: Domain) -> CenterCertificate:

@@ -2,12 +2,14 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from bautin_lab import cli
 from bautin_lab.cli import main
 from bautin_lab.engine import compute_series
 from bautin_lab.fields import parse_vector_field, random_divergence_free_field, serialize_vector_field
+from bautin_lab.scalars import BigRealDomain
 from bautin_lab.structure import center_check
 
 
@@ -274,6 +276,40 @@ def test_center_check_float_reads_input_at_doubled_precision(tmp_path, capsys):
         path = write_field(tmp_path, f"div4-{seed}.vf", serialize_vector_field(vf))
         code, out, _ = run(capsys, "center-check", path, "--mode", "float")
         assert code == 6 and "verdict = inconclusive" in out, seed
+
+
+def test_center_check_float_needs_agreeing_dets(tmp_path, capsys):
+    # general divergence-free quartics whose exact det P is 0: the 60- and
+    # 120-digit dets both pass the zero threshold with unrelated values, so
+    # the float verdict is inconclusive like the exact one, not center-generic
+    for seed in (0, 11):
+        vf = random_divergence_free_field(4, seed)
+        assert center_check(vf).det_p == 0
+        path = write_field(tmp_path, f"div4-{seed}.vf", serialize_vector_field(vf))
+        code, out, _ = run(capsys, "center-check", path, "--mode", "float")
+        assert code == 6 and "verdict = inconclusive" in out, seed
+        assert "det P unstable under precision doubling" in out, seed
+
+
+def test_float_input_above_int_str_limit(tmp_path, capsys):
+    # a 5001-digit coefficient in float mode is read exactly and rounded once
+    digits = "1" + "0" * 4999 + "7"
+    text = f"n 3\nF 2 0 {digits}/3\nF 3 0 -{digits}\nG 1 1 1\nG 0 3 0.{digits}\n"
+    code, out, err = run(
+        capsys, "lyapunov", write_field(tmp_path, "big.vf", text), "--mode", "float", "-J", "2"
+    )
+    assert code == 0 and err == "" and out.startswith("L_1 = ")
+    exact = compute_series(parse_vector_field(text), 2).L
+    domain = BigRealDomain(dps=60)
+    vf = parse_vector_field(text, domain)
+    with domain.context():
+        assert vf.f_part(2).coeff(2, 0) == mp.fdiv(10**5000 + 7, 3)
+        assert vf.g_part(3).coeff(0, 3) == mp.fdiv(10**5000 + 7, 10**5001)
+        for j, line in enumerate(out.strip().splitlines(), start=1):
+            want = mp.fdiv(exact[j].numerator, exact[j].denominator)
+            got = mp.mpf(line.partition(" = ")[2])
+            assert abs(got - want) <= mp.mpf("1e-50") * abs(want), j
+    # nan, inf and 1/0 stay refused: test_parse_error_is_bad_input
 
 
 def test_gaps_default_budget_follows_degree(capsys):

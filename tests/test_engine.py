@@ -131,12 +131,12 @@ def test_accumulate_homogeneous_cubic():
             assert all(isinstance(c, int) for c in num.coeffs)
             ref = _reference_rhs(exact, k)
             assert [F(c, den) for c in num.coeffs] == list(ref.coeffs), (vf, k)
-            # float R_k: the exact source term of the stored values, rounded
-            # once (fdiv of two ints is correctly rounded)
-            with float_domain.context():
-                num, den = accumulate_rhs(inexact, k)
-                want = [mp.fdiv(c.numerator, c.denominator) for c in _reference_rhs(stored, k).coeffs]
-            assert den == 1 and list(num.coeffs) == want, (vf, k)
+            # float R_k: the exact source term of the stored values, over a
+            # power of two
+            num, den = accumulate_rhs(inexact, k)
+            assert den & (den - 1) == 0 and all(isinstance(c, int) for c in num.coeffs)
+            want = _reference_rhs(stored, k).coeffs
+            assert [F(c, den) for c in num.coeffs] == list(want), (vf, k)
 
 
 def _stored_value(x):
@@ -338,15 +338,22 @@ def _fraction_chain_series(vf, J):
     return series
 
 
-def _dense_checked(monkeypatch):
-    """Check every solve of the per-degree loop against the dense oracle;
-    returns the list of solved degrees."""
+def _dense_checked(monkeypatch, domain=RATIONAL):
+    """Check every solve of the per-degree loop against the dense oracle on
+    the same exact source term, its solution rounded once with ``mp.fdiv``
+    in float mode; returns the list of solved degrees."""
     solves = []
     solve = engine.rotational_solve
 
-    def checked(k, R, domain=RATIONAL):
-        V, L = solve(k, R, domain)
+    def checked(k, R, d=RATIONAL):
+        assert d == domain
+        V, L = solve(k, R, d)
         dense_V, dense_L = dense_rotational_solve(k, R)
+        if not domain.exact:
+            with domain.context():
+                dense_V = dense_V.map_coeffs(lambda c: mp.fdiv(c.numerator, c.denominator))
+                if dense_L is not None:
+                    dense_L = mp.fdiv(dense_L.numerator, dense_L.denominator)
         assert V.coeffs == dense_V.coeffs and L == dense_L, k
         solves.append(k)
         return V, L
@@ -404,17 +411,83 @@ def test_series_values_are_built_once_on_read():
 
 def test_float_blocks_read_back_bit_for_bit(monkeypatch):
     # a float V_k is stored as dyadic numerators; read back at any working
-    # precision, it gives the very mpf values the solve returned
+    # precision, it gives the very mpf values the 60-digit solve rounded to
     solved = {}
     solve = engine.rotational_solve
 
     def capture(k, R, domain=RATIONAL):
         V, L = solve(k, R, domain)
-        solved[k] = V.coeffs
+        # read a copy, so the stored block is left unread
+        solved[k] = ScaledPoly(k, V.nums, V.den, engine._dyadic_mpf).coeffs
         return V, L
 
     monkeypatch.setattr(engine, "rotational_solve", capture)
     series = compute_series(coerce_field(random_field(4, seed=3), BigRealDomain(dps=60)), 6)
     assert len(solved) == 12 and not any("coeffs" in vars(series.V[k]) for k in solved)
-    for k, want in solved.items():  # outside the 60-digit context
-        assert [c._mpf_ for c in series.V[k].coeffs] == [c._mpf_ for c in want], k
+    with mp.workdps(200):  # a fresh copy, read above the solve's precision
+        for k, want in solved.items():
+            fresh = ScaledPoly(k, series.V[k].nums, series.V[k].den, engine._dyadic_mpf)
+            assert [c._mpf_ for c in fresh.coeffs] == [c._mpf_ for c in want], k
+    with mp.workdps(15):  # the stored blocks themselves, first read below it
+        for k, want in solved.items():
+            assert [c._mpf_ for c in series.V[k].coeffs] == [c._mpf_ for c in want], k
+
+
+def test_float_solve_is_the_exact_solve_rounded_once(monkeypatch):
+    domain = BigRealDomain(dps=60)
+    solves = _dense_checked(monkeypatch, domain)
+    fields = [random_field(n, seed=80 + n) for n in (2, 3, 4, 5)]
+    fields += [make(n, seed=n + 2) for n in (2, 3, 4, 5) for make in FAMILIES]
+    for vf in fields:
+        compute_series(coerce_field(vf, domain), vf.degree + 3)
+    assert len(solves) > 100
+
+
+def test_float_solve_on_pinned_runs_is_rounded_once(monkeypatch):
+    domain = BigRealDomain(dps=60)
+    solves = _dense_checked(monkeypatch, domain)
+    for n in (2, 3, 4):
+        for vf, levels in (
+            (random_field(n, seed=90 + n), range(2, n + 1)),
+            (random_homogeneous_field(n, seed=90 + n), [n]),
+        ):
+            before = len(solves)
+            series = compute_series_unknown(coerce_field(vf, domain), levels, n + 3)
+            assert len(solves) - before > len(series.unknowns), (n, levels)
+
+
+def test_float_solve_of_a_float_homog_poly():
+    # the public call with mpf coefficients reads them as the dyadic
+    # rationals they store and rounds at the domain's precision
+    domain = BigRealDomain(dps=40)
+    with domain.context():
+        R = HomogPoly(6, [mp.mpf(1) / 3, 0, mp.mpf(-2), mp.mpf(5) / 7, 0, 1, mp.mpf(2) ** -90])
+        exact_R = HomogPoly(6, [_stored_value(c) for c in R.coeffs])
+    V, L = rotational_solve(6, R, domain)
+    exact_V, exact_L = dense_rotational_solve(6, exact_R)
+    with domain.context():
+        assert V.coeffs == tuple(mp.fdiv(c.numerator, c.denominator) for c in exact_V.coeffs)
+        assert L == mp.fdiv(exact_L.numerator, exact_L.denominator)
+
+
+def test_round_ratio_matches_mpf_division():
+    from mpmath.libmp import from_int, from_man_exp, mpf_div
+
+    rng = random.Random(7)
+    cases = []
+    for prec in (1, 2, 10, 53, 199, 203, 402):
+        for _ in range(400):
+            n = rng.getrandbits(rng.randint(1, 900)) * rng.choice((1, -1))
+            d = rng.getrandbits(rng.randint(1, 900)) or 1
+            cases.append((n, d, prec))
+            cases.append((n, 1 << rng.randint(0, 700), prec))  # power-of-two den
+        for _ in range(100):  # exact ties: an odd (prec+1)-bit value over 2^s
+            m = (rng.getrandbits(prec) | (1 << prec)) | 1
+            cases.append((m * rng.choice((1, -1)), 1 << rng.randint(0, 90), prec))
+            cases.append(((1 << prec) - 1, 1, prec))  # exactly representable
+            cases.append(((1 << (prec + 1)) - 1, 1, prec))  # rounds up to 2^(prec+1)
+    cases.append((0, 5, 53))
+    for n, d, prec in cases:
+        m, e = engine._round_ratio(n, d, prec)
+        assert type(m) is int and type(e) is int
+        assert from_man_exp(m, e) == mpf_div(from_int(n), from_int(d), prec, "n"), (n, d, prec)

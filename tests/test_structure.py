@@ -16,6 +16,7 @@ from bautin_lab.fields import (
 )
 from bautin_lab.scalars import RATIONAL, BigRealDomain
 from bautin_lab.structure import (
+    _dets_agree,
     build_p_matrix,
     center_check,
     center_number_bound,
@@ -157,6 +158,17 @@ def test_p_matrix_float_agrees_with_exact():
                     assert abs(x - dom.coerce(q)) <= scale * mp.mpf(10) ** -50
             det_q = exact.determinant()
             assert abs(approx.determinant() - dom.coerce(det_q)) <= abs(det_q) * mp.mpf(10) ** -45
+
+
+def test_real_nonzero_dets_agree_under_precision_doubling():
+    # the rule that turns a float center-generic with unstable dets into
+    # inconclusive must pass real nonzero dets: 60-digit det P of these
+    # fields is within 1e-44 relative of the exact one
+    dom = BigRealDomain(dps=60)
+    for vf in (random_field(4, seed=1), random_field(4, seed=2)):
+        exact = build_p_matrix(vf).determinant()
+        det, wide = (build_p_matrix(coerce_field(vf, d)).determinant() for d in (dom, dom.widened()))
+        assert exact != 0 and _dets_agree(det, wide, dom)
 
 
 def test_p_matrix_column_order_override():
