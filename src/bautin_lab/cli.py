@@ -96,7 +96,11 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
             for k in sorted(series.V)
         }
         payload["V"] = terms
-        pairs += [(f"V_{k}", str(series.V[k])) for k in sorted(series.V) if k > 2]
+        pairs += [
+            (f"V_{k}", series.V[k].to_str(lambda c: scalar_to_str(c, dom)))
+            for k in sorted(series.V)
+            if k > 2
+        ]
     _emit_pairs(args.output, pairs, payload)
     return EXIT_OK
 

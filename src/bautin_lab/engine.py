@@ -21,7 +21,9 @@ when its denominator grows, so no per-coefficient gcd is taken.  In exact
 mode the denominators are those of the stored blocks and lcms of the field's.
 In float mode every mpf is read as the dyadic rational man * 2^exp it stores,
 so the denominators are powers of two and R_K is the exact source term of
-the stored values; it is not rounded.
+the stored values; it is not rounded.  The domain does every conversion
+between its values and ints (``scalars``), so nothing here branches on the
+mode.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:
@@ -40,12 +42,12 @@ K; at even K the odd-chain product, the closing factor 1 + unit[K-1] (as an
 integer over the odd-chain product) and the even-chain product -- so every
 step is an exact floor division, and the exact V_K and L are those
 numerators over the product times den.  Exact mode stores V_K so, reduced
-once by a single gcd over all of them and L's numerator; L is the Fraction
-of that numerator over the same denominator.  Float mode rounds each V_K
-coefficient and L once, to nearest at the working precision, and stores the
-rounded V_K as dyadic ints over one power of two.  The per-coefficient
-values of V_K (Fractions, or mpfs rebuilt exactly from the dyadic ints) are
-built only when something reads ``series.V[K].coeffs``.
+once by a single gcd over all of them; L is the Fraction of its numerator
+over the same denominator.  Float mode rounds each V_K coefficient and L
+once, to nearest at the working precision, and stores the rounded V_K as
+dyadic ints over one power of two.  The per-coefficient values of V_K
+(Fractions, or the mpfs the dyadic ints stand for) are built only when
+something reads ``series.V[K].coeffs``.
 
 The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.
@@ -68,16 +70,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterable, Mapping
-
-import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
 from .hpoly import HomogPoly, LazyPoly, ScaledPoly, circle_power, rot_apply
-from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId, over_lcm
+from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId
 
 
 def tiebreak_slot(degree: int) -> tuple[int, int]:
@@ -125,11 +124,11 @@ class LyapunovSeries:
         """Per field degree d: the nonzero (slot, numerator) pairs of F_d and
         G_d, each part over its own denominator, as (f, f_den, g, g_den).
         Converted once per series; empty lists stand for zero parts."""
-        exact = self.domain.exact
+        read = self.domain.read_ints
         out = {}
         for d in range(2, self.field.degree + 1):
-            f, f_den = _over_lcm(self.field.f_part(d).coeffs, exact)
-            g, g_den = _over_lcm(self.field.g_part(d).coeffs, exact)
+            f, f_den = read(self.field.f_part(d).coeffs)
+            g, g_den = read(self.field.g_part(d).coeffs)
             out[d] = (_nonzero(f), f_den, _nonzero(g), g_den)
         return out
 
@@ -151,7 +150,6 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     one).  In float mode it is the exact source term of the stored values,
     and ``den`` is a power of two.
     """
-    exact = series.domain.exact
     terms = series._field_terms
     total: list = [0] * (k + 1)
     den = 1
@@ -160,7 +158,7 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
         if Vm is None or Vm.is_zero():
             continue
         f, f_den, g, g_den = terms[d]
-        Vm = _scaled(Vm, exact)
+        Vm = _scaled(Vm, series.domain)
         v, v_den = Vm.nums, Vm.den
         m = Vm.degree
         if f:
@@ -172,45 +170,12 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     return HomogPoly(k, total), den
 
 
-def _scaled(p: HomogPoly, exact: bool) -> ScaledPoly:
-    """``p`` in stored form (``_over_lcm``), or ``p`` if it already is.  The
-    stored form reads back the same values: Fractions, or for mpf values the
-    mpfs of the same dyadic rationals."""
+def _scaled(p: HomogPoly, domain: Domain) -> ScaledPoly:
+    """``p`` in stored form (``domain.read_ints``), or ``p`` if it already
+    is.  Values at the domain's precision read back unchanged (``ratio``)."""
     if isinstance(p, ScaledPoly):
         return p
-    return ScaledPoly(p.degree, *_over_lcm(p.coeffs, exact), Fraction if exact else _dyadic_mpf)
-
-
-def _dyadic_mpf(num: int, den: int) -> mp.mpf:
-    """The mpf storing num/den exactly (den a power of two), built without
-    rounding, so the working precision at the time of reading is irrelevant."""
-    return mp.make_mpf(from_man_exp(num, 1 - den.bit_length()))
-
-
-def _over_lcm(coeffs, exact: bool) -> tuple[list[int], int]:
-    """Coefficients as integer numerators over one common denominator: the
-    lcm of the denominators for exact values, and for mpf values (man, exp)
-    the largest 2^-exp among them (at least 1), which loses nothing."""
-    if exact:
-        return over_lcm(coeffs)
-    return _aligned([_dyadic(c) for c in coeffs])
-
-
-def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """Dyadic values m * 2^e as integer numerators over the largest 2^-e
-    among them (at least 1)."""
-    low = min([0] + [e for m, e in pairs if m])
-    return [m << (e - low) for m, e in pairs], 1 << -low
-
-
-def _dyadic(x) -> tuple[int, int]:
-    """(m, e) with x = m * 2^e exactly, for an mpf or a structural int zero.
-    ``mpf.man_exp`` drops the sign, so the raw (sign, man, exp, bc) tuple is
-    read; ``int`` keeps the result a Python int under either mpmath backend."""
-    if isinstance(x, int):
-        return x, 0
-    sign, man, exp, _ = x._mpf_
-    return (-int(man) if sign else int(man)), exp
+    return ScaledPoly(p.degree, *domain.read_ints(p.coeffs), domain.ratio)
 
 
 def _nonzero(coeffs: list[int]) -> list[tuple[int, int]]:
@@ -249,45 +214,23 @@ def rotational_solve(
     """Solve rot(V) + R = [k even] * L * (x^2+y^2)^(k/2) for V (and L).
 
     Returns (V, L); L is None at odd degrees.  Both modes solve the parity
-    chains on ints (``_solve_ints``) on R read exactly -- a ``ScaledPoly`` R
-    as its numerators over its denominator, an mpf as the dyadic rational
-    it stores -- so V is a ``ScaledPoly``.  In exact mode V is reduced by
-    one gcd and L is a Fraction.  In float mode each V coefficient and L is
-    the exact solution rounded once, to nearest at the working precision of
-    ``domain``, and V keeps the rounded values as dyadic ints.  The two
-    parity chains are always solvable in exact arithmetic; a vanishing
-    closing denominator would mean a solver bug, not bad input.
+    chains on ints (``_solve_ints``) on R read exactly (``_scaled``), so V
+    is a ``ScaledPoly``.  The domain turns the exact solution into stored
+    form (``store_ints``) and builds L (``ratio``): in exact mode V is
+    reduced by one gcd and L is a Fraction; in float mode each V
+    coefficient and L is the exact solution rounded once, to nearest at the
+    working precision of ``domain``.  The two parity chains are always
+    solvable in exact arithmetic; a vanishing closing denominator would mean
+    a solver bug, not bad input.
     """
     if k < 3:
         raise UsageError("rotational solve needs degree >= 3")
     if R.degree != k:
         raise UsageError(f"source term has degree {R.degree}, expected {k}")
-    R = _scaled(R, domain.exact)
+    R = _scaled(R, domain)
     v, L, den = _solve_ints(k, R.nums, R.den)
-    if domain.exact:
-        g = gcd(*v, L or 0, den)
-        V = ScaledPoly(k, [x // g for x in v], den // g)
-        return V, (None if L is None else Fraction(L // g, den // g))
-    prec = dps_to_prec(domain.dps)
-    V = ScaledPoly(k, *_aligned([_round_ratio(x, den, prec) for x in v]), _dyadic_mpf)
-    return V, (None if L is None else mp.make_mpf(from_man_exp(*_round_ratio(L, den, prec))))
-
-
-def _round_ratio(n: int, d: int, prec: int) -> tuple[int, int]:
-    """(m, e) with m * 2^e the prec-bit binary float nearest to n/d (d > 0),
-    ties to even; (0, 0) for n = 0.  The quotient is taken with one or two
-    bits to spare, and the remainder breaks the ties."""
-    if n == 0:
-        return 0, 0
-    a = abs(n)
-    shift = prec + 1 - a.bit_length() + d.bit_length()
-    q, r = divmod(a << shift, d) if shift >= 0 else divmod(a, d << -shift)
-    extra = q.bit_length() - prec
-    low, half = q & ((1 << extra) - 1), 1 << (extra - 1)
-    q >>= extra
-    if low > half or (low == half and (r or q & 1)):
-        q += 1
-    return (-q if n < 0 else q), extra - shift
+    V = ScaledPoly(k, *domain.store_ints(v, den), domain.ratio)
+    return V, (None if L is None else domain.ratio(L, den))
 
 
 def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[list[int], int | None, int]:
@@ -436,21 +379,19 @@ def _extend(
     keeps the value solved from the full source term, which never involves
     V_k.  Every V_k is stored in integer form (``_scaled``)."""
     domain = series.domain
-    exact = domain.exact
-    with domain.context():
-        zero = domain.coerce(0)
-        for k in range(series.max_degree + 1, 2 * J + 3):
-            num, den = accumulate_rhs(series, k)
-            if num.is_zero():
-                # the unique solution is zero: gap degrees of homogeneous
-                # fields, and the degrees below an unknown's own in its run
-                Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
-            else:
-                Vk, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), domain)
-            series.V[k] = _scaled(pins.get(k, Vk), exact)
-            if L is not None:
-                series.L[k // 2 - 1] = L
-        return series
+    zero = domain.coerce(0)
+    for k in range(series.max_degree + 1, 2 * J + 3):
+        num, den = accumulate_rhs(series, k)
+        if num.is_zero():
+            # the unique solution is zero: gap degrees of homogeneous
+            # fields, and the degrees below an unknown's own in its run
+            Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
+        else:
+            Vk, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), domain)
+        series.V[k] = _scaled(pins.get(k, Vk), domain)
+        if L is not None:
+            series.L[k // 2 - 1] = L
+    return series
 
 
 def _start(vf: VectorField) -> LyapunovSeries:
@@ -461,7 +402,7 @@ def _start(vf: VectorField) -> LyapunovSeries:
 
 def _seeded(vf: VectorField, V2: HomogPoly) -> LyapunovSeries:
     """A plain series holding only the given V_2, in stored form."""
-    return LyapunovSeries(vf, "plain", V={2: _scaled(V2, vf.domain.exact)})
+    return LyapunovSeries(vf, "plain", V={2: _scaled(V2, vf.domain)})
 
 
 def compute_series_unknown(
@@ -495,20 +436,19 @@ def compute_series_unknown(
         for a in range(k + 1)
         if k % 2 == 1 or (k - a, a) != tiebreak_slot(k)
     ]
-    with domain.context():
-        zero_blocks = {k: HomogPoly.zero(k) for k in degrees}
-        offset = _extend(_start(vf), J, zero_blocks)
-        runs: dict[UnknownId, LyapunovSeries] = {}
-        for slot in series.unknowns:
-            pins = {**zero_blocks, sum(slot): HomogPoly.monomial(*slot, domain.coerce(1))}
-            runs[slot] = _extend(_seeded(vf, HomogPoly.zero(2)), J, pins)
+    zero_blocks = {k: HomogPoly.zero(k) for k in degrees}
+    offset = _extend(_start(vf), J, zero_blocks)
+    runs: dict[UnknownId, LyapunovSeries] = {}
+    for slot in series.unknowns:
+        pins = {**zero_blocks, sum(slot): HomogPoly.monomial(*slot, domain.coerce(1))}
+        runs[slot] = _extend(_seeded(vf, HomogPoly.zero(2)), J, pins)
 
-        series.V = {k: _affine_block(k, offset, runs) for k in offset.V}
-        series.L = {
-            j: LinearForm(c, {s: run.L[j] for s, run in runs.items()})
-            for j, c in offset.L.items()
-        }
-        return series
+    series.V = {k: _affine_block(k, offset, runs) for k in offset.V}
+    series.L = {
+        j: LinearForm(c, {s: run.L[j] for s, run in runs.items()})
+        for j, c in offset.L.items()
+    }
+    return series
 
 
 def _affine_block(

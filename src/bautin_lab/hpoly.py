@@ -137,13 +137,16 @@ class HomogPoly:
             if c != 0:
                 yield (self.degree - a, a, c)
 
-    def __str__(self) -> str:
+    def to_str(self, render: Callable[[Scalar], str]) -> str:
+        """The nonzero terms as text, each coefficient written by ``render``."""
         parts = []
         for i, j, c in self.terms():
             mono = "*".join(filter(None, [f"x^{i}" if i else "", f"y^{j}" if j else ""])) or "1"
-            text = exact_str(c) if isinstance(c, (int, Fraction)) else str(c)
-            parts.append(f"({text})*{mono}")
+            parts.append(f"({render(c)})*{mono}")
         return " + ".join(parts) if parts else "0"
+
+    def __str__(self) -> str:
+        return self.to_str(lambda c: exact_str(c) if isinstance(c, (int, Fraction)) else str(c))
 
 
 class LazyPoly(HomogPoly):
@@ -162,8 +165,9 @@ class LazyPoly(HomogPoly):
 class ScaledPoly(LazyPoly):
     """Coefficient a is ``nums[a] / den``: integer numerators over one
     positive denominator.  The coefficients read are ``value(nums[a], den)``,
-    exact Fractions by default; a float block passes the function that
-    rebuilds the mpf a dyadic numerator stands for."""
+    exact Fractions by default; a series passes its domain's ``ratio``,
+    which for a float block gives back the mpf a dyadic numerator stands
+    for."""
 
     def __init__(
         self,

@@ -7,11 +7,16 @@ meaningful zero test.  Two carriers satisfy it:
   * ``fractions.Fraction``     -- exact rational mode (the default),
   * ``mpmath.mpf``             -- extended-precision real mode.
 
-The engine's per-degree loop bypasses that protocol: it stores each V_k as
-integer numerators over one denominator (each mpf is read as the dyadic
-rational man * 2^exp it stores), and sums source terms and solves on plain
-ints in both modes; float mode rounds each solved V_k coefficient and
-Lyapunov constant once (see ``engine.rotational_solve``).
+Every conversion between carrier values and exact integers belongs to the
+domain, so only this module knows how an mpf stores its value.  Each domain
+reads values as integer numerators over one denominator (``read_ints``: the
+lcm of the denominators for Fractions, the dyadic rational man * 2^exp each
+mpf stores for reals), turns an exactly solved num/den into stored form
+(``store_ints``: one gcd in exact mode, each coefficient rounded once in
+float mode) and builds one value from num/den (``ratio``: a Fraction, or the
+correctly rounded mpf).  The engine's per-degree loop and the certificate
+determinant compute on those ints in both modes, so float mode rounds each
+solved coefficient, each Lyapunov constant and det P once.
 
 ``LinearForm`` is not a carrier but a read-only record of an affine
 expression  c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i
@@ -19,13 +24,15 @@ in one carrier.  The engine never computes with forms: Lyapunov constants are
 exactly affine in the replaced block coefficients, so it fills the record in
 from one plain run per coefficient (see ``engine.compute_series_unknown``).
 
-A ``Domain`` object packages the carrier choice, the conversion of ints /
-Fractions / text into it, and (for the floating carrier) the working precision
-and the magnitude below which a value is treated as zero by the analysis
-layers.  Domain values are immutable and freely shareable between threads; the
-extended-precision domain installs its precision via a context manager around
-each top-level computation, so concurrent computations at different precisions
-must run in separate processes (mpmath's precision is process-global).
+A ``Domain`` object packages the carrier choice, the conversions above, and
+(for the floating carrier) the working precision and the magnitude below
+which a value is treated as zero by the analysis layers.  Domain values are
+immutable and freely shareable between threads.  The conversions round at
+the domain's own precision and read no global state.  Code that does
+arithmetic on mpf values (residuals, the cubic family's parameter
+resolution) runs it inside ``domain.context()``, which sets mpmath's
+process-global precision, so concurrent computations at different
+precisions must run in separate processes.
 """
 
 from __future__ import annotations
@@ -35,11 +42,12 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .errors import UsageError
 
@@ -86,11 +94,38 @@ def exact_str(x: Fraction | int) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-def over_lcm(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """Exact values as integer numerators over their least common
-    denominator (no gcd per value)."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+def _dyadic(x) -> tuple[int, int]:
+    """(m, e) with x = m * 2^e exactly, for an mpf or an int.  ``mpf.man_exp``
+    drops the sign, so the raw (sign, man, exp, bc) tuple is read; ``int``
+    keeps the result a Python int under either mpmath backend."""
+    if isinstance(x, int):
+        return x, 0
+    sign, man, exp, _ = x._mpf_
+    return (-int(man) if sign else int(man)), exp
+
+
+def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Dyadic values m * 2^e as integer numerators over the largest 2^-e
+    among them (at least 1), which loses nothing."""
+    low = min([0] + [e for m, e in pairs if m])
+    return [m << (e - low) for m, e in pairs], 1 << -low
+
+
+def _round_ratio(n: int, d: int, prec: int) -> tuple[int, int]:
+    """(m, e) with m * 2^e the prec-bit binary float nearest to n/d (d > 0),
+    ties to even; (0, 0) for n = 0.  The quotient is taken with one or two
+    bits to spare, and the remainder breaks the ties."""
+    if n == 0:
+        return 0, 0
+    a = abs(n)
+    shift = prec + 1 - a.bit_length() + d.bit_length()
+    q, r = divmod(a << shift, d) if shift >= 0 else divmod(a, d << -shift)
+    extra = q.bit_length() - prec
+    low, half = q & ((1 << extra) - 1), 1 << (extra - 1)
+    q >>= extra
+    if low > half or (low == half and (r or q & 1)):
+        q += 1
+    return (-q if n < 0 else q), extra - shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +183,21 @@ class RationalDomain:
             return parse_rational(x)
         raise UsageError(f"cannot coerce {type(x).__name__} into rational domain")
 
+    def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+        """Values as integer numerators over their least common denominator
+        (no gcd per value)."""
+        den = lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values], den
+
+    def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
+        """The exact values nums[i]/den in stored form: reduced by one gcd
+        over all of them."""
+        g = gcd(*nums, den)
+        return [x // g for x in nums], den // g
+
+    def ratio(self, num: int, den: int) -> Fraction:
+        return Fraction(num, den)
+
     def context(self):
         return nullcontext()
 
@@ -183,18 +233,33 @@ class BigRealDomain:
     def coerce(self, x) -> Scalar:
         """Convert into an mpf at this precision, rounding the exact value
         once: text is read exactly (``parse_rational``, so any number of
-        digits) and a Fraction is divided correctly rounded.  Non-finite
-        values and zero denominators raise UsageError, as they do in exact
-        mode."""
+        digits) and a Fraction goes through ``ratio``.  Non-finite values
+        and zero denominators raise UsageError, as they do in exact mode."""
         if isinstance(x, str):
             x = parse_rational(x)
+        if isinstance(x, Fraction):
+            return self.ratio(x.numerator, x.denominator)
         with mp.workdps(self.dps):
-            if isinstance(x, Fraction):
-                return mp.fdiv(x.numerator, x.denominator)
             value = mp.mpf(x)
-            if not mp.isfinite(value):
-                raise UsageError(f"not a finite number: {x!r}")
-            return value
+        if not mp.isfinite(value):
+            raise UsageError(f"not a finite number: {x!r}")
+        return value
+
+    def read_ints(self, values) -> tuple[list[int], int]:
+        """The dyadic rationals the values store (mpfs, or ints) as integer
+        numerators over one power of two, exactly."""
+        return _aligned([_dyadic(x) for x in values])
+
+    def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
+        """Each exact value nums[i]/den rounded once, as ``ratio`` rounds it,
+        and stored as dyadic numerators over one power of two."""
+        prec = dps_to_prec(self.dps)
+        return _aligned([_round_ratio(n, den, prec) for n in nums])
+
+    def ratio(self, num: int, den: int) -> mp.mpf:
+        """The mpf nearest to num/den (den > 0) at this precision, ties to
+        even: the exact value rounded once, whatever the global precision."""
+        return mp.make_mpf(from_man_exp(*_round_ratio(num, den, dps_to_prec(self.dps))))
 
     @contextmanager
     def context(self) -> Iterator[None]:

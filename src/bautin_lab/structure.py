@@ -20,7 +20,6 @@ the row count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
@@ -28,7 +27,7 @@ import mpmath as mp
 from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField, coerce_field
-from .scalars import BigRealDomain, Domain, Scalar, UnknownId, over_lcm, scalar_is_zero
+from .scalars import BigRealDomain, Domain, Scalar, UnknownId, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -192,50 +191,46 @@ def build_p_matrix(
     rows = _leading_indices(n, homogeneous)
     standalone_idx = rows.pop(0) if homogeneous and n % 2 == 1 else None
     levels = [n] if homogeneous else list(range(2, n + 1))
-    with vf.domain.context():
-        series = compute_series_unknown(vf, levels, J=max(rows))
-        slots = list(series.unknowns)
-        if column_order is not None:
-            missing = set(column_order) ^ set(slots)
-            if len(column_order) != len(slots) or missing:
-                raise UsageError(f"column order must permute {slots}")
-            slots = list(column_order)
-        if len(slots) != len(rows):
-            raise SolverInternalError(
-                f"certificate matrix is {len(rows)}x{len(slots)}, expected square"
-            )
+    series = compute_series_unknown(vf, levels, J=max(rows))
+    slots = list(series.unknowns)
+    if column_order is not None:
+        missing = set(column_order) ^ set(slots)
+        if len(column_order) != len(slots) or missing:
+            raise UsageError(f"column order must permute {slots}")
+        slots = list(column_order)
+    if len(slots) != len(rows):
+        raise SolverInternalError(
+            f"certificate matrix is {len(rows)}x{len(slots)}, expected square"
+        )
 
-        zero = vf.domain.coerce(0)
-        entries = [[series.L[j].coeffs.get(uid, zero) for uid in slots] for j in rows]
-        offsets = [series.L[j].const for j in rows]
-        standalone = series.L[standalone_idx].const if standalone_idx is not None else None
+    zero = vf.domain.coerce(0)
+    entries = [[series.L[j].coeffs.get(uid, zero) for uid in slots] for j in rows]
+    offsets = [series.L[j].const for j in rows]
+    standalone = series.L[standalone_idx].const if standalone_idx is not None else None
 
-        return PMatrix(entries, rows, slots, offsets, vf.domain, standalone)
+    return PMatrix(entries, rows, slots, offsets, vf.domain, standalone)
 
 
 def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
-    """Exact determinant in rational mode (fraction-free on an integer
-    scaling of the rows); pivoted elimination in extended-precision mode."""
+    """The exact determinant of the values the entries store, built once by
+    ``domain.ratio``: a Fraction in rational mode, rounded once in
+    extended-precision mode (exactly zero when the stored rows are exactly
+    dependent).
+
+    Each row is cleared to integers (``domain.read_ints``), then Bareiss
+    fraction-free elimination runs on them, so every intermediate entry is
+    an exact minor (controls coefficient blow-up compared to plain fraction
+    elimination)."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise UsageError("determinant needs a square matrix")
     if size == 0:
-        return domain.coerce(1)
-    if domain.exact:
-        return _det_bareiss(matrix)
-    return _det_pivoted(matrix, domain)
-
-
-def _det_bareiss(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Clear each row to integers, then run Bareiss fraction-free elimination
-    so every intermediate entry is an exact minor (controls coefficient
-    blow-up compared to plain fraction elimination)."""
-    size = len(matrix)
+        return domain.ratio(1, 1)
     rows: list[list[int]] = []
-    scale = Fraction(1)
+    scale = 1
     for row in matrix:
-        ints, den = over_lcm(row)
-        scale /= den
+        ints, den = domain.read_ints(row)
+        scale *= den
         rows.append(ints)
 
     sign = 1
@@ -243,7 +238,7 @@ def _det_bareiss(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     for col in range(size - 1):
         piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return domain.ratio(0, 1)
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             sign = -sign
@@ -252,29 +247,7 @@ def _det_bareiss(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
                 rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
             rows[r][col] = 0
         prev = rows[col][col]
-    return sign * rows[size - 1][size - 1] * scale
-
-
-def _det_pivoted(matrix: Sequence[Sequence[Scalar]], domain: BigRealDomain) -> Scalar:
-    """Partial-pivoted elimination; returns 0 on an exactly-zero pivot."""
-    with domain.context():
-        A = [[mp.mpf(x) for x in row] for row in matrix]
-        size = len(A)
-        det = mp.mpf(1)
-        for col in range(size):
-            piv = max(range(col, size), key=lambda r: abs(A[r][col]))
-            if A[piv][col] == 0:
-                return mp.mpf(0)
-            if piv != col:
-                A[col], A[piv] = A[piv], A[col]
-                det = -det
-            det *= A[col][col]
-            for r in range(col + 1, size):
-                f = A[r][col] / A[col][col]
-                if f == 0:
-                    continue
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-        return det
+    return domain.ratio(sign * rows[size - 1][size - 1], scale)
 
 
 @dataclass

@@ -56,6 +56,21 @@ def test_lyapunov_float_mode(tmp_path, capsys):
     assert code == 0 and out.startswith("L_1 = ")
 
 
+def test_float_show_terms_print_at_the_working_precision(tmp_path, capsys):
+    # V_3 of this field has the coefficient -2/3 at y^3: the table and csv
+    # terms print it to --precision digits, as the JSON output does
+    path = write_field(tmp_path, "q.vf", "n 2\nF 2 0 1\n")
+    args = ("lyapunov", path, "-J", "1", "--mode", "float", "--precision", "40", "--show-terms")
+    code, out, _ = run(capsys, *args, "--output", "json")
+    want = json.loads(out)["V"]["3"]["0,3"]
+    assert code == 0 and want == "-0." + "6" * 39 + "7"
+    for output, sep in (("table", " = "), ("csv", ",")):
+        code, out, err = run(capsys, *args, "--output", output)
+        assert code == 0 and err == ""
+        line = next(row for row in out.splitlines() if row.startswith(f"V_3{sep}"))
+        assert line.endswith(f"({want})*y^3"), output
+
+
 def test_missing_file_is_bad_input(capsys):
     code, out, err = run(capsys, "lyapunov", "missing.vf")
     assert code == 1 and out == "" and "missing.vf" in err

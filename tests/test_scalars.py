@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from bautin_lab.scalars import (
     RATIONAL,
     BigRealDomain,
     LinearForm,
+    _round_ratio,
     parse_rational,
     scalar_to_str,
 )
@@ -59,3 +61,34 @@ def test_scalar_to_str_lossless():
     s = scalar_to_str(dom.coerce("0.1"), dom)
     with dom.context():
         assert abs(mp.mpf(s) - dom.coerce("0.1")) < mp.mpf(10) ** -38
+
+
+def test_round_ratio_matches_mpf_division():
+    from mpmath.libmp import from_int, from_man_exp, mpf_div
+
+    rng = random.Random(7)
+    cases = []
+    for prec in (1, 2, 10, 53, 199, 203, 402):
+        for _ in range(400):
+            n = rng.getrandbits(rng.randint(1, 900)) * rng.choice((1, -1))
+            d = rng.getrandbits(rng.randint(1, 900)) or 1
+            cases.append((n, d, prec))
+            cases.append((n, 1 << rng.randint(0, 700), prec))  # power-of-two den
+        for _ in range(100):  # exact ties: an odd (prec+1)-bit value over 2^s
+            m = (rng.getrandbits(prec) | (1 << prec)) | 1
+            cases.append((m * rng.choice((1, -1)), 1 << rng.randint(0, 90), prec))
+            cases.append(((1 << prec) - 1, 1, prec))  # exactly representable
+            cases.append(((1 << (prec + 1)) - 1, 1, prec))  # rounds up to 2^(prec+1)
+    cases.append((0, 5, 53))
+    dps_of_prec = {199: 59, 203: 60, 402: 120}  # prec = dps_to_prec(dps)
+    for n, d, prec in cases:
+        m, e = _round_ratio(n, d, prec)
+        assert type(m) is int and type(e) is int
+        assert from_man_exp(m, e) == mpf_div(from_int(n), from_int(d), prec, "n"), (n, d, prec)
+        if prec in dps_of_prec:
+            # coerce(Fraction) rounds through the same routine: bit-identical
+            # to mp.fdiv at the working precision, whatever the global one
+            dom = BigRealDomain(dps=dps_of_prec[prec])
+            with dom.context():
+                want = mp.fdiv(n, d)
+            assert dom.coerce(Fraction(n, d))._mpf_ == want._mpf_, (n, d, prec)

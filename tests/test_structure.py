@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -226,6 +227,48 @@ def test_det_bigreal_mode():
     with dom.context():
         m = [[mp.mpf(1), mp.mpf(2)], [mp.mpf(3), mp.mpf(4)]]
         assert abs(det_exact(m, dom) + 2) < mp.mpf(10) ** -35
+
+
+def _stored(x):
+    """The dyadic rational an mpf stores, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-1 if sign else 1) * F(int(man)) * F(2) ** exp
+
+
+def test_float_det_is_the_exact_det_of_the_stored_entries_rounded_once():
+    rng = random.Random(5)
+    for dps in (30, 60, 120):
+        dom = BigRealDomain(dps=dps)
+        matrices = [build_p_matrix(coerce_field(random_field(3, seed=dps), dom)).entries]
+        with dom.context():
+            for size in (1, 2, 5, 8):
+                matrices.append([
+                    [mp.mpf(rng.randint(-10**9, 10**9)) / rng.randint(1, 10**9)
+                     * mp.mpf(2) ** rng.randint(-90, 90) for _ in range(size)]
+                    for _ in range(size)
+                ])
+        for m in matrices:
+            want = det_exact([[_stored(x) for x in row] for row in m], RATIONAL)
+            with dom.context():
+                want = mp.fdiv(want.numerator, want.denominator)
+            assert want != 0 and det_exact(m, dom)._mpf_ == want._mpf_, (dps, len(m))
+
+
+def test_float_det_of_exactly_dependent_rows_is_zero():
+    # row 3 = 3 * row 1 - 5 * row 2 holds exactly on the stored values, but
+    # the entries are not small integers, so rounded elimination leaves noise
+    rng = random.Random(6)
+    dom = BigRealDomain(dps=60)
+    with dom.context():
+        rows = [
+            [mp.mpf(rng.getrandbits(150)) / 2 ** rng.randint(0, 10) for _ in range(4)]
+            for _ in range(3)
+        ]
+        rows.insert(2, [3 * a - 5 * b for a, b in zip(rows[0], rows[1])])
+    stored = [[_stored(x) for x in row] for row in rows]
+    assert stored[2] == [3 * a - 5 * b for a, b in zip(stored[0], stored[1])]
+    det = det_exact(rows, dom)
+    assert det == 0 and det._mpf_ == mp.mpf(0)._mpf_
 
 
 # -- certificates ------------------------------------------------------------
