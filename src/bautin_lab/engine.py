@@ -15,10 +15,13 @@ terms with K+1-d < 2 omitted (V_2 contributes x F_(K-1) + y G_(K-1)).
 
 Every V_m of a series is stored as integer numerators over one positive
 denominator (``hpoly.ScaledPoly``), and R_K is built in the same form,
-R_K = num/den: each field part is put over one common denominator once per
-series, the products run on plain ints, and the running sum is rescaled only
-when its denominator grows, so no per-coefficient gcd is taken.  In exact
-mode the denominators are those of the stored blocks and lcms of the field's.
+R_K = num/den, in one pass per field degree d.  With m = K+1-d, the two
+products of degree d are one stencil over the slots of V_m whose weights are
+affine in the slot (``accumulate_rhs``); F_d and G_d are put over one common
+denominator e_d once per series.  den is the lcm of V_m.den * e_d over the
+terms present, each V_m's numerators are scaled to it once, and the sums run
+on plain ints, so no per-coefficient gcd is taken.  In exact mode the
+denominators are those of the stored blocks and lcms of the field's.
 In float mode every mpf is read as the dyadic rational man * 2^exp it stores,
 so the denominators are powers of two and R_K is the exact source term of
 the stored values; it is not rounded.  The domain does every conversion
@@ -70,7 +73,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import count
 from math import lcm, prod
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import SolverInternalError, UsageError
@@ -120,16 +125,24 @@ class LyapunovSeries:
         return max(self.V, default=2)
 
     @cached_property
-    def _field_terms(self) -> dict[int, tuple[list, int, list, int]]:
-        """Per field degree d: the nonzero (slot, numerator) pairs of F_d and
-        G_d, each part over its own denominator, as (f, f_den, g, g_den).
-        Converted once per series; empty lists stand for zero parts."""
+    def _field_terms(self) -> dict[int, tuple[list[tuple[int, int, int]], int]]:
+        """Per field degree d with F_d or G_d nonzero: the stencil of the
+        source term over one denominator e_d, as (stencil, e_d).  With
+        f[j], g[j] the numerators of F_d and G_d over e_d = lcm of the two
+        parts' denominators (zero outside 0..d), each nonzero weight of
+        ``accumulate_rhs`` is a triple (j, f[j], g[j+1] - f[j]) for
+        j = -1..d.  Converted once per series."""
         read = self.domain.read_ints
         out = {}
         for d in range(2, self.field.degree + 1):
             f, f_den = read(self.field.f_part(d).coeffs)
             g, g_den = read(self.field.g_part(d).coeffs)
-            out[d] = (_nonzero(f), f_den, _nonzero(g), g_den)
+            e = lcm(f_den, g_den)
+            f = [0] + [c * (e // f_den) for c in f]  # f[j] at index j + 1
+            g = [c * (e // g_den) for c in g] + [0]  # g[j + 1] at index j + 1
+            stencil = [(j, fj, gj - fj) for j, fj, gj in zip(range(-1, d + 1), f, g) if fj or gj]
+            if stencil:
+                out[d] = (stencil, e)
         return out
 
     def l_values(self) -> list[tuple[int, Scalar]]:
@@ -146,28 +159,36 @@ class LyapunovSeries:
 def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     """The degree-k source term R_k built from already-solved V terms, as
     ``(num, den)`` with R_k = num/den exactly: ``num`` has integer
-    coefficients and ``den`` is a positive int (not necessarily the least
-    one).  In float mode it is the exact source term of the stored values,
-    and ``den`` is a power of two.
+    coefficients and ``den`` is a positive int, the lcm of V_m.den * e_d
+    over the terms present (not necessarily the least denominator).  In
+    float mode it is the exact source term of the stored values, and ``den``
+    is a power of two.
+
+    With m = k+1-d and v the numerators of V_m, the two products of field
+    degree d, (V_m)'_x F_d + (V_m)'_y G_d, are one stencil over slots:
+
+        R[a+j] += v[a] * ((m-a) f[j] + a g[j+1])
+                = v[a] * (m f[j] + a (g[j+1] - f[j])),   j = -1..d,
+
+    so each term costs one pass over v, scaled to ``den`` once.
     """
-    terms = series._field_terms
-    total: list = [0] * (k + 1)
-    den = 1
-    for d in range(2, min(series.field.degree, k - 1) + 1):
+    live = []
+    for d, (stencil, e) in series._field_terms.items():
         Vm = series.V.get(k + 1 - d)
-        if Vm is None or Vm.is_zero():
-            continue
-        f, f_den, g, g_den = terms[d]
-        Vm = _scaled(Vm, series.domain)
-        v, v_den = Vm.nums, Vm.den
-        m = Vm.degree
-        if f:
-            dx = [(m - a) * v[a] for a in range(m)]
-            total, den = _add_scaled(total, den, _product(dx, f, k), v_den * f_den)
-        if g:
-            dy = [(a + 1) * v[a + 1] for a in range(m)]
-            total, den = _add_scaled(total, den, _product(dy, g, k), v_den * g_den)
-    return HomogPoly(k, total), den
+        if Vm is not None and not Vm.is_zero():
+            Vm = _scaled(Vm, series.domain)
+            live.append((stencil, Vm.nums, Vm.den * e))
+    den = lcm(*(t[2] for t in live))
+    out = [0] * (k + 3)  # slots -1..k+1; the two ends only ever get zeros
+    for stencil, v, term_den in live:
+        if term_den != den:
+            scale = den // term_den
+            v = [scale * c for c in v]
+        m = len(v) - 1
+        for j, fj, step in stencil:
+            lo, hi = j + 1, j + m + 2
+            out[lo:hi] = map(add, out[lo:hi], map(mul, v, count(m * fj, step)))
+    return HomogPoly(k, out[1:-1]), den
 
 
 def _scaled(p: HomogPoly, domain: Domain) -> ScaledPoly:
@@ -176,36 +197,6 @@ def _scaled(p: HomogPoly, domain: Domain) -> ScaledPoly:
     if isinstance(p, ScaledPoly):
         return p
     return ScaledPoly(p.degree, *domain.read_ints(p.coeffs), domain.ratio)
-
-
-def _nonzero(coeffs: list[int]) -> list[tuple[int, int]]:
-    return [(b, c) for b, c in enumerate(coeffs) if c != 0]
-
-
-def _product(left: list[int], right: list[tuple[int, int]], degree: int) -> list[int]:
-    """Coefficients of the degree-``degree`` product of a dense integer
-    coefficient list and the nonzero (slot, numerator) pairs of the other
-    factor."""
-    out = [0] * (degree + 1)
-    for a, ca in enumerate(left):
-        if ca == 0:
-            continue
-        for b, cb in right:
-            out[a + b] = out[a + b] + ca * cb
-    return out
-
-
-def _add_scaled(
-    total: list[int], den: int, part: list[int], part_den: int
-) -> tuple[list[int], int]:
-    """total/den + part/part_den over the lcm of the two denominators; a
-    side is rescaled only when its denominator is smaller than the lcm."""
-    new = lcm(den, part_den)
-    if new != den:
-        total = [t * (new // den) for t in total]
-    if new != part_den:
-        part = [p * (new // part_den) for p in part]
-    return [t + p for t, p in zip(total, part)], new
 
 
 def rotational_solve(

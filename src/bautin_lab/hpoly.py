@@ -10,8 +10,8 @@ sparse one.
 Coefficients may be any scalar the package knows (Fraction, mpf, or plain
 int for structural zeros); operations never assume a particular carrier.
 Products skip zero coefficients of either carrier.  The engine's per-degree
-loop does not use them: it works on integer numerators (see
-``engine.accumulate_rhs``).
+loop uses neither products nor derivatives: it builds each source term in one
+fused pass over integer numerators (see ``engine.accumulate_rhs``).
 
 Two read-only variants build their coefficients on the first read of
 ``coeffs`` and keep them, so reading them again returns the same objects:

@@ -84,6 +84,52 @@ def _reference_rhs(series, k):
     return total
 
 
+def _stored_series(series):
+    """A plain series holding, as exact rationals, the field and V values a
+    float series stores."""
+    vf = series.field
+    return LyapunovSeries(
+        VectorField(
+            vf.degree,
+            {d: p.map_coeffs(_stored_value) for d, p in vf.F.items()},
+            {d: p.map_coeffs(_stored_value) for d, p in vf.G.items()},
+        ),
+        "plain",
+        V={m: p.map_coeffs(_stored_value) for m, p in series.V.items()},
+    )
+
+
+def _assert_rhs(series, k, num, den, reference=None):
+    """``(num, den)`` is R_k of ``series`` as ``accumulate_rhs`` promises:
+    integer numerators over a positive int, equal to the HomogPoly-product
+    formula on ``reference`` (by default the series, or in float mode the
+    values it stores, with ``den`` a power of two)."""
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(c, int) for c in num.coeffs)
+    if not series.domain.exact:
+        assert den & (den - 1) == 0
+    if reference is None:
+        reference = series if series.domain.exact else _stored_series(series)
+    want = _reference_rhs(reference, k).coeffs
+    assert [F(c, den) for c in num.coeffs] == list(want), (series.field, k)
+
+
+def _checked_rhs(monkeypatch):
+    """Check every ``accumulate_rhs`` call of the per-degree loop with
+    ``_assert_rhs``; returns the list of checked degrees."""
+    checked = []
+    accumulate = engine.accumulate_rhs
+
+    def check(series, k):
+        num, den = accumulate(series, k)
+        _assert_rhs(series, k, num, den)
+        checked.append(k)
+        return num, den
+
+    monkeypatch.setattr(engine, "accumulate_rhs", check)
+    return checked
+
+
 def test_accumulate_homogeneous_cubic():
     vf = parse_vector_field("n 3\nF 3 0 1\nF 0 3 -2\nG 2 1 5\n")
     series = compute_series(vf, 3)
@@ -115,28 +161,57 @@ def test_accumulate_homogeneous_cubic():
         J = vf.degree + 3
         exact = compute_series(vf, J)
         inexact = compute_series(coerce_field(vf, float_domain), J)
-        # the values the float series stores, as exact rationals
-        stored = LyapunovSeries(
-            VectorField(
-                vf.degree,
-                {d: p.map_coeffs(_stored_value) for d, p in inexact.field.F.items()},
-                {d: p.map_coeffs(_stored_value) for d, p in inexact.field.G.items()},
-            ),
-            "plain",
-            V={m: p.map_coeffs(_stored_value) for m, p in inexact.V.items()},
-        )
+        stored = _stored_series(inexact)
         for k in range(3, 2 * J + 4):
-            num, den = accumulate_rhs(exact, k)
-            assert isinstance(den, int) and den > 0
-            assert all(isinstance(c, int) for c in num.coeffs)
-            ref = _reference_rhs(exact, k)
-            assert [F(c, den) for c in num.coeffs] == list(ref.coeffs), (vf, k)
+            _assert_rhs(exact, k, *accumulate_rhs(exact, k))
             # float R_k: the exact source term of the stored values, over a
             # power of two
-            num, den = accumulate_rhs(inexact, k)
-            assert den & (den - 1) == 0 and all(isinstance(c, int) for c in num.coeffs)
-            want = _reference_rhs(stored, k).coeffs
-            assert [F(c, den) for c in num.coeffs] == list(want), (vf, k)
+            _assert_rhs(inexact, k, *accumulate_rhs(inexact, k), reference=stored)
+
+
+#: Fields with one part of a degree zero: F_2 = 0 != G_2 with G_3 = 0 != F_3,
+#: then G_2 = 0 != F_2, and a quartic with F_3 = G_3 = 0 between nonzero
+#: degree-2 and degree-4 parts.  G's x^d and F's y^d terms fill the stencil's
+#: edge slots j = -1 and j = d; F and G have different denominators.
+EDGE_FIELDS = (
+    "n 3\nG 2 0 1/3\nG 1 1 -2/5\nG 0 2 7\nF 3 0 1/7\nF 0 3 -3/2\nF 1 2 2\n",
+    "n 3\nF 2 0 -1/6\nF 0 2 5/4\nG 3 0 2/9\nG 0 3 1\nF 0 3 -1/5\nG 1 2 3\n",
+    "n 4\nF 2 0 1\nF 1 1 -1/2\nG 2 0 -1\nG 0 2 3/4\n"
+    "F 4 0 -1/3\nF 0 4 2\nG 4 0 1/5\nG 3 1 1\nG 0 4 -7/11\n",
+)
+
+
+def test_accumulate_edge_stencils(monkeypatch):
+    checked = _checked_rhs(monkeypatch)
+    domain = BigRealDomain(dps=60)
+    for text in EDGE_FIELDS:
+        vf = parse_vector_field(text)
+        terms = LyapunovSeries(vf, "plain")._field_terms
+        slots = [(d, j) for d, (stencil, _) in terms.items() for j, _, _ in stencil]
+        assert any(j == -1 for d, j in slots) and any(j == d for d, j in slots), text
+        for field in (vf, coerce_field(vf, domain)):
+            before = len(checked)
+            compute_series(field, vf.degree + 4)
+            assert len(checked) - before == 2 * vf.degree + 8
+    # the quartic's empty middle degree has no stencil
+    assert sorted(LyapunovSeries(parse_vector_field(EDGE_FIELDS[2]), "plain")._field_terms) == [2, 4]
+
+
+def test_accumulate_on_pinned_runs(monkeypatch):
+    # the runs of compute_series_unknown start from V_2 = 0 and pin zero and
+    # unit-monomial blocks, so whole terms and edge slots drop out
+    checked = _checked_rhs(monkeypatch)
+    domain = BigRealDomain(dps=60)
+    fields = [(random_field(n, seed=50 + n), range(2, n + 1)) for n in (2, 3, 4)]
+    fields += [(random_homogeneous_field(n, seed=50 + n), [n]) for n in (2, 3, 4)]
+    fields += [(parse_vector_field(text), [2, 3]) for text in EDGE_FIELDS]
+    for vf, levels in fields:
+        for field in (vf, coerce_field(vf, domain)):
+            before = len(checked)
+            series = compute_series_unknown(field, levels, vf.degree + 2)
+            # the offset run plus one run per unknown, each from degree 3
+            runs = 1 + len(series.unknowns)
+            assert len(checked) - before == runs * (2 * vf.degree + 4), (vf, levels)
 
 
 def _stored_value(x):

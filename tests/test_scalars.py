@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -92,3 +93,25 @@ def test_round_ratio_matches_mpf_division():
             with dom.context():
                 want = mp.fdiv(n, d)
             assert dom.coerce(Fraction(n, d))._mpf_ == want._mpf_, (n, d, prec)
+
+
+def test_huge_decimal_exponents_parse_fast_and_round_once():
+    # a million-digit power of ten is read exactly and rounded once, without
+    # an mpf division on the million-digit int (which took about 18 s)
+    from mpmath.libmp import dps_to_prec
+
+    dom = BigRealDomain(dps=60)
+    prec = dps_to_prec(dom.dps)
+    N = 10**6
+    start = time.process_time()
+    big, small = dom.coerce("1e1000000"), dom.coerce("1e-1000000")
+    assert time.process_time() - start < 5
+    ten_n = 10**N
+    # x = man * 2^exp within half an ulp 2^(exp + bc - prec - 1), in ints
+    sign, man, exp, bc = big._mpf_
+    assert sign == 0 and 0 < bc <= prec and exp > 0
+    assert 2 * abs((int(man) << exp) - ten_n) <= 1 << (exp + bc - prec)
+    # the same inequality for 10^-N, multiplied by 10^N * 2^-exp
+    sign, man, exp, bc = small._mpf_
+    assert sign == 0 and 0 < bc <= prec and exp < 0
+    assert abs(int(man) * ten_n - (1 << -exp)) << (prec - bc + 1) <= ten_n
