@@ -146,9 +146,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 
 def cmd_center_check(args: argparse.Namespace) -> int:
     dom = _domain(args)
-    # read the input at the doubled precision, so that the float cross-check
-    # at that precision sees the input to as many digits as it works with
-    vf = _load_field(args, dom.widened())
+    vf = _load_field(args, RATIONAL)
     cert = center_check(vf, dom)
     pairs = [
         ("verdict", cert.verdict),

@@ -58,14 +58,14 @@ The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 The center-certificate matrix needs the constants as functions of the
 independent coefficients of the V_(k+1) blocks at selected levels k.  Each
 degree's solve is linear in R_K, and R_K is linear in the lower V terms, so
-once those blocks are pinned every later V and L is exactly affine in their
+once those blocks are pinned every later L is exactly affine in their
 coefficients (the linear parts of the Lyapunov constants).
-``compute_series_unknown`` therefore reads the affine forms off plain runs of
-the one per-degree loop: an offset run with every pinned block at zero, and
-one run per coefficient that starts from V_2 = 0 with that coefficient at one
-and the other pinned blocks at zero.  A column then stands for one full V_k
-coefficient, the attribution of the published tables.  The forms of a V_k
-are built from the runs when something first reads them.
+``compute_series_unknown`` therefore reads the affine forms of the constants
+off plain runs of the one per-degree loop: an offset run with every pinned
+block at zero, and one run per coefficient that starts from V_2 = 0 with that
+coefficient at one and the other pinned blocks at zero.  A column then stands
+for one full V_k coefficient, the attribution of the published tables.  Only
+the constants of each run are kept.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from typing import Iterable, Mapping
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
-from .hpoly import HomogPoly, LazyPoly, ScaledPoly, circle_power, rot_apply
+from .hpoly import HomogPoly, ScaledPoly, circle_power, rot_apply
 from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId
 
 
@@ -100,14 +100,13 @@ class LyapunovSeries:
     ``V`` maps degree k -> HomogPoly (V_2 included), ``L`` maps index j -> the
     constant solved at degree 2j+2.  A series built by this module stores
     each V_k as a ``ScaledPoly``: integer numerators over one denominator,
-    with the coefficients in the carrier built on first read.  In
-    unknown-carrying mode the V and L entries hold linear forms over the
-    registered unknowns (the V forms built on first read) and ``unknowns``
-    lists their slots (x-exp, y-exp) in registration order (ascending degree,
-    then descending x-power)."""
+    with the coefficients in the carrier built on first read.  The
+    certificate series of ``compute_series_unknown`` holds no V terms; its
+    L entries are linear forms over the registered unknowns, and
+    ``unknowns`` lists their slots (x-exp, y-exp) in registration order
+    (ascending degree, then descending x-power)."""
 
     field: VectorField
-    mode: str  # "plain" | "unknown"
     V: dict[int, HomogPoly] = dataclass_field(default_factory=dict)
     L: dict[int, Scalar] = dataclass_field(default_factory=dict)
     unknowns: list[UnknownId] = dataclass_field(default_factory=list)
@@ -147,13 +146,6 @@ class LyapunovSeries:
 
     def l_values(self) -> list[tuple[int, Scalar]]:
         return sorted(self.L.items())
-
-    def evaluate_at(self, assignment: Mapping[UnknownId, Scalar]) -> "LyapunovSeries":
-        """Substitute concrete values for the unknowns in every V and L."""
-        out = LyapunovSeries(self.field, "plain")
-        out.V = {k: p.map_coeffs(lambda x: x.evaluate(assignment)) for k, p in self.V.items()}
-        out.L = {j: form.evaluate(assignment) for j, form in self.L.items()}
-        return out
 
 
 def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
@@ -345,19 +337,20 @@ def _gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 def compute_series(vf: VectorField, J: int) -> LyapunovSeries:
-    """Plain-mode series: V_3..V_(2J+2) and L_1..L_J in the field's domain."""
+    """Plain series: V_3..V_(2J+2) and L_1..L_J in the field's domain."""
     if J < 1:
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
     return extend_series(_start(vf), J)
 
 
 def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
-    """Continue a plain-mode series in place until L_J is solved.
+    """Continue a plain series in place until L_J is solved.
 
     Lets callers that only need the first nonzero constant grow the budget
     one pattern index at a time instead of paying for the full run up front.
+    The certificate series holds no V_2 and is refused.
     """
-    if series.mode != "plain":
+    if 2 not in series.V:
         raise UsageError("only plain-mode series can be extended")
     return _extend(series, J, {})
 
@@ -393,23 +386,26 @@ def _start(vf: VectorField) -> LyapunovSeries:
 
 def _seeded(vf: VectorField, V2: HomogPoly) -> LyapunovSeries:
     """A plain series holding only the given V_2, in stored form."""
-    return LyapunovSeries(vf, "plain", V={2: _scaled(V2, vf.domain)})
+    return LyapunovSeries(vf, V={2: _scaled(V2, vf.domain)})
 
 
 def compute_series_unknown(
     vf: VectorField, levels: Iterable[int], J: int
 ) -> LyapunovSeries:
-    """Unknown-carrying series: like compute_series, but at each degree k+1
-    with k in ``levels`` every independent coefficient of the full block
-    V_(k+1) stands for a formal unknown (the tie-break slot carries none).
-    Every later V and L is then a linear form in the registered unknowns.
+    """The certificate series: at each degree k+1 with k in ``levels`` every
+    independent coefficient of the full block V_(k+1) stands for a formal
+    unknown (the tie-break slot carries none), and each L_j of the result is
+    the affine form ``LinearForm(c, {slot: a})`` in them, with one
+    coefficient per unknown in registration order, zeros included.  ``V`` is
+    empty.
 
     Each replaced block is pinned exactly: at zero in the offset run, which
-    starts from V_2 = (x^2+y^2)/2, and in the run of one unknown, which
-    starts from V_2 = 0, at that unknown's unit monomial with the other
-    replaced blocks at zero.  A constant solved at a replaced even degree
-    never involves that block, so with no lower levels selected (the
-    homogeneous case) it carries no unknowns at all.
+    starts from V_2 = (x^2+y^2)/2 and gives c, and in the run of one unknown,
+    which starts from V_2 = 0 and gives its coefficient, at that unknown's
+    unit monomial with the other replaced blocks at zero.  Only the
+    constants of each run are kept.  A constant solved at a replaced even
+    degree never involves that block, so with no lower levels selected (the
+    homogeneous case) its coefficients are all zero.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -420,51 +416,29 @@ def compute_series_unknown(
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
     domain = vf.domain
     degrees = [k + 1 for k in levels if k + 1 <= 2 * J + 2]
-    series = LyapunovSeries(vf, "unknown")
-    series.unknowns = [
+    unknowns = [
         (k - a, a)
         for k in degrees
         for a in range(k + 1)
         if k % 2 == 1 or (k - a, a) != tiebreak_slot(k)
     ]
     zero_blocks = {k: HomogPoly.zero(k) for k in degrees}
-    offset = _extend(_start(vf), J, zero_blocks)
-    runs: dict[UnknownId, LyapunovSeries] = {}
-    for slot in series.unknowns:
+    offset = _extend(_start(vf), J, zero_blocks).L
+    columns: dict[UnknownId, dict[int, Scalar]] = {}
+    for slot in unknowns:
         pins = {**zero_blocks, sum(slot): HomogPoly.monomial(*slot, domain.coerce(1))}
-        runs[slot] = _extend(_seeded(vf, HomogPoly.zero(2)), J, pins)
+        columns[slot] = _extend(_seeded(vf, HomogPoly.zero(2)), J, pins).L
 
-    series.V = {k: _affine_block(k, offset, runs) for k in offset.V}
-    series.L = {
-        j: LinearForm(c, {s: run.L[j] for s, run in runs.items()})
-        for j, c in offset.L.items()
-    }
-    return series
-
-
-def _affine_block(
-    k: int, offset: LyapunovSeries, runs: Mapping[UnknownId, LyapunovSeries]
-) -> LazyPoly:
-    """V_k as linear forms: the offset run's coefficient plus each run's as
-    the coefficient of its unknown, built when first read."""
-
-    def build():
-        columns = [(s, run.V[k].coeffs) for s, run in runs.items()]
-        return [
-            LinearForm(c, {s: col[a] for s, col in columns})
-            for a, c in enumerate(offset.V[k].coeffs)
-        ]
-
-    return LazyPoly(k, build)
+    forms = {j: LinearForm(c, {s: L[j] for s, L in columns.items()}) for j, c in offset.items()}
+    return LyapunovSeries(vf, L=forms, unknowns=unknowns)
 
 
 def residual(series: LyapunovSeries, k: int) -> HomogPoly:
     """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2), in the series' domain.
 
-    In exact mode it is identically zero for every plain-mode degree, and for
-    every degree above the replaced levels of an unknown-carrying series once
-    its unknowns are given values (``evaluate_at``).  In float mode it is
-    the effect of rounding V_k and L once each, not zero."""
+    In exact mode it is identically zero for every degree of a plain series
+    (``compute_series``).  In float mode it is the effect of rounding V_k
+    and L once each, not zero."""
     domain = series.domain
     num, den = accumulate_rhs(series, k)
     with domain.context():

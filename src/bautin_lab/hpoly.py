@@ -13,16 +13,12 @@ Products skip zero coefficients of either carrier.  The engine's per-degree
 loop uses neither products nor derivatives: it builds each source term in one
 fused pass over integer numerators (see ``engine.accumulate_rhs``).
 
-Two read-only variants build their coefficients on the first read of
-``coeffs`` and keep them, so reading them again returns the same objects:
-
-  * ``ScaledPoly`` stores integer numerators over one positive denominator,
-    ``nums[a] / den``.  Every V_k of a series is held this way, and the
-    engine computes on ``nums``/``den`` alone; the coefficients (exact
-    Fractions, or the mpf values a float block's dyadic numerators stand
-    for) exist only once something reads ``coeffs``.
-  * ``LazyPoly`` calls a builder, e.g. the affine forms of an
-    unknown-carrying series.
+``ScaledPoly`` stores integer numerators over one positive denominator,
+``nums[a] / den``.  Every V_k of a series is held this way, and the engine
+computes on ``nums``/``den`` alone; the coefficients (exact Fractions, or the
+mpf values a float block's dyadic numerators stand for) are built on the
+first read of ``coeffs`` and kept, so reading them again returns the same
+objects.
 """
 
 from __future__ import annotations
@@ -149,25 +145,12 @@ class HomogPoly:
         return self.to_str(lambda c: exact_str(c) if isinstance(c, (int, Fraction)) else str(c))
 
 
-class LazyPoly(HomogPoly):
-    """A HomogPoly whose coefficients ``build()`` makes on the first read of
-    ``coeffs``; they are kept, so later reads return the same objects."""
-
-    def __init__(self, degree: int, build: Callable[[], Iterable[Scalar]]):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_build", build)
-
-    @cached_property
-    def coeffs(self) -> tuple:
-        return tuple(self._build())
-
-
-class ScaledPoly(LazyPoly):
+class ScaledPoly(HomogPoly):
     """Coefficient a is ``nums[a] / den``: integer numerators over one
     positive denominator.  The coefficients read are ``value(nums[a], den)``,
     exact Fractions by default; a series passes its domain's ``ratio``,
     which for a float block gives back the mpf a dyadic numerator stands
-    for."""
+    for.  They are built on the first read of ``coeffs`` and kept."""
 
     def __init__(
         self,
@@ -181,9 +164,14 @@ class ScaledPoly(LazyPoly):
             raise UsageError(
                 f"degree-{degree} polynomial needs {degree + 1} numerators over a positive den"
             )
-        super().__init__(degree, lambda: [value(n, den) for n in nums])
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_value", value)
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(self._value(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
         return not any(self.nums)

@@ -18,11 +18,12 @@ correctly rounded mpf).  The engine's per-degree loop and the certificate
 determinant compute on those ints in both modes, so float mode rounds each
 solved coefficient, each Lyapunov constant and det P once.
 
-``LinearForm`` is not a carrier but a read-only record of an affine
-expression  c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i
-in one carrier.  The engine never computes with forms: Lyapunov constants are
-exactly affine in the replaced block coefficients, so it fills the record in
-from one plain run per coefficient (see ``engine.compute_series_unknown``).
+``LinearForm`` is not a carrier but a record of an affine expression
+c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i in one
+carrier.  Nothing computes with forms: Lyapunov constants are exactly affine
+in the replaced block coefficients, so the engine fills the record in from
+one plain run per coefficient (see ``engine.compute_series_unknown``), and
+the certificate matrix reads its entries off it.
 
 A ``Domain`` object packages the carrier choice, the conversions above, and
 (for the floating carrier) the working precision and the magnitude below
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
-from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp
@@ -128,44 +128,14 @@ def _round_ratio(n: int, d: int, prec: int) -> tuple[int, int]:
     return (-q if n < 0 else q), extra - shift
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinearForm:
-    """Affine expression ``const + sum coeffs[u] * u`` over formal unknowns.
+    """Affine expression ``const + sum coeffs[u] * u`` over formal unknowns,
+    with the constant and the coefficients in one carrier (Fraction or
+    mpf).  ``coeffs`` holds every unknown of its series, zeros included."""
 
-    The constant and the coefficients live in a concrete carrier (Fraction or
-    mpf).  Zero coefficients are pruned on construction, so the exact zero
-    test is just "constant is zero and no coefficients survive".  A form
-    compares equal to a plain scalar when it carries no unknowns and its
-    constant equals that scalar.
-    """
-
-    const: Scalar = 0
-    coeffs: Mapping[UnknownId, Scalar] = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        pruned = {uid: c for uid, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", MappingProxyType(pruned))
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.coeffs
-
-    def carries_unknowns(self) -> bool:
-        return bool(self.coeffs)
-
-    def evaluate(self, assignment: Mapping[UnknownId, Scalar]) -> Scalar:
-        """Substitute concrete values for every unknown this form mentions."""
-        total = self.const
-        for uid, c in self.coeffs.items():
-            total = total + c * assignment[uid]
-        return total
-
-    def coefficient(self, uid: UnknownId) -> Scalar:
-        return self.coeffs.get(uid, 0)
-
-    def __eq__(self, other):
-        if isinstance(other, LinearForm):
-            return self.const == other.const and self.coeffs == other.coeffs
-        return not self.coeffs and self.const == other
+    const: Scalar
+    coeffs: dict[UnknownId, Scalar]
 
 
 @dataclass(frozen=True)
@@ -206,10 +176,6 @@ class RationalDomain:
 
     def to_str(self, x) -> str:
         return exact_str(x)
-
-    def widened(self) -> "RationalDomain":
-        """Exact values need no more precision: the domain itself."""
-        return self
 
 
 @dataclass(frozen=True)

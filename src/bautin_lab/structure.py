@@ -92,9 +92,10 @@ class GapReport:
 
 
 def verify_gaps(series: LyapunovSeries) -> GapReport:
-    """Check that every off-pattern V_k and L_j of a homogeneous plain-mode
-    rational series is exactly zero.  A violation signals an engine bug."""
-    if series.mode != "plain":
+    """Check that every off-pattern V_k and L_j of a homogeneous plain
+    rational series is exactly zero.  A violation signals an engine bug.
+    The certificate series holds no V_2 and is refused."""
+    if 2 not in series.V:
         raise UsageError("gap verification runs on plain-mode series")
     if not series.domain.exact:
         raise UsageError("gap verification requires exact rational arithmetic")
@@ -203,8 +204,7 @@ def build_p_matrix(
             f"certificate matrix is {len(rows)}x{len(slots)}, expected square"
         )
 
-    zero = vf.domain.coerce(0)
-    entries = [[series.L[j].coeffs.get(uid, zero) for uid in slots] for j in rows]
+    entries = [[series.L[j].coeffs[uid] for uid in slots] for j in rows]
     offsets = [series.L[j].const for j in rows]
     standalone = series.L[standalone_idx].const if standalone_idx is not None else None
 
@@ -288,8 +288,8 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     unrelated values).  The recomputation sees only the digits ``vf``
     carries: a field stored at the working precision gives both runs the
     same rounded input, so a constant that is nonzero only through that
-    rounding can pass both.  Pass the field exactly or at the doubled
-    precision (the CLI reads its input at the doubled precision) to expose it.
+    rounding can pass both.  Pass the field exactly to expose it: the CLI
+    reads its input exactly, so each pass rounds it once.
     """
     if domain is None:
         domain = vf.domain

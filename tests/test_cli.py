@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from bautin_lab import cli
+from bautin_lab import cli, structure
 from bautin_lab.cli import main
 from bautin_lab.engine import compute_series
 from bautin_lab.fields import parse_vector_field, random_divergence_free_field, serialize_vector_field
@@ -291,6 +291,32 @@ def test_center_check_float_reads_input_at_doubled_precision(tmp_path, capsys):
         path = write_field(tmp_path, f"div4-{seed}.vf", serialize_vector_field(vf))
         code, out, _ = run(capsys, "center-check", path, "--mode", "float")
         assert code == 6 and "verdict = inconclusive" in out, seed
+
+
+def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch):
+    # 1 + 2^-203 + 2^-450 lies just above a tie of the 203-bit (60-digit)
+    # grid: rounded once it goes up, but rounded to 402 bits (120 digits)
+    # first it lands on the tie and goes to even, one ulp lower
+    c = f"{2**450 + 2**247 + 1}/{2**450}"
+    text = f"n 3\nF 2 0 {c}\nF 3 0 1\nG 1 1 -{c}\n"
+    seen = []
+    once = structure._center_check_once
+
+    def record(vf, data_domain):
+        seen.append(vf)
+        return once(vf, data_domain)
+
+    monkeypatch.setattr(structure, "_center_check_once", record)
+    path = write_field(tmp_path, "tie.vf", text)
+    code, _, _ = run(capsys, "center-check", path, "--mode", "float")
+    assert code == 5 and len(seen) == 2
+    want = parse_vector_field(text, BigRealDomain(dps=60))
+    with mp.workprec(402):  # mp.mpf copies the 203-bit values exactly
+        for part in ("f_part", "g_part"):
+            for d in (2, 3):
+                got, ref = (getattr(vf, part)(d).coeffs for vf in (seen[0], want))
+                assert [mp.mpf(x)._mpf_ for x in got] == [mp.mpf(x)._mpf_ for x in ref]
+        assert seen[0].f_part(2).coeff(2, 0) == 1 + mp.mpf(2) ** -202
 
 
 def test_center_check_float_needs_agreeing_dets(tmp_path, capsys):

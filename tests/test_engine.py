@@ -12,6 +12,7 @@ from bautin_lab.engine import (
     compute_series,
     compute_series_unknown,
     dense_rotational_solve,
+    extend_series,
     residual,
     rotational_solve,
     tiebreak_slot,
@@ -94,7 +95,6 @@ def _stored_series(series):
             {d: p.map_coeffs(_stored_value) for d, p in vf.F.items()},
             {d: p.map_coeffs(_stored_value) for d, p in vf.G.items()},
         ),
-        "plain",
         V={m: p.map_coeffs(_stored_value) for m, p in series.V.items()},
     )
 
@@ -186,7 +186,7 @@ def test_accumulate_edge_stencils(monkeypatch):
     domain = BigRealDomain(dps=60)
     for text in EDGE_FIELDS:
         vf = parse_vector_field(text)
-        terms = LyapunovSeries(vf, "plain")._field_terms
+        terms = LyapunovSeries(vf)._field_terms
         slots = [(d, j) for d, (stencil, _) in terms.items() for j, _, _ in stencil]
         assert any(j == -1 for d, j in slots) and any(j == d for d, j in slots), text
         for field in (vf, coerce_field(vf, domain)):
@@ -194,7 +194,7 @@ def test_accumulate_edge_stencils(monkeypatch):
             compute_series(field, vf.degree + 4)
             assert len(checked) - before == 2 * vf.degree + 8
     # the quartic's empty middle degree has no stencil
-    assert sorted(LyapunovSeries(parse_vector_field(EDGE_FIELDS[2]), "plain")._field_terms) == [2, 4]
+    assert sorted(LyapunovSeries(parse_vector_field(EDGE_FIELDS[2]))._field_terms) == [2, 4]
 
 
 def test_accumulate_on_pinned_runs(monkeypatch):
@@ -321,10 +321,26 @@ def test_unknown_mode_cubic_leading_constant_decoupled():
     vf = random_homogeneous_field(3, seed=6)
     series = compute_series_unknown(vf, [3], J=5)
     lead = series.L[1]
-    assert isinstance(lead, LinearForm) and not lead.carries_unknowns()
+    assert isinstance(lead, LinearForm) and not any(lead.coeffs.values())
     assert lead.const == compute_series(vf, 1).L[1]
     # later constants do involve them
-    assert series.L[2].carries_unknowns()
+    assert any(series.L[2].coeffs.values())
+
+
+def _evaluate(form, values):
+    return form.const + sum(c * values[s] for s, c in form.coeffs.items())
+
+
+def test_unknown_mode_forms_list_every_unknown_in_order():
+    # zero coefficients are kept, so every column of P is a plain lookup
+    cases = [(random_field(n, seed=n), range(2, n + 1)) for n in (2, 3, 4)]
+    cases += [(random_homogeneous_field(n, seed=n), [n]) for n in (2, 3, 4)]
+    for vf, levels in cases:
+        for field in (vf, coerce_field(vf, BigRealDomain(dps=60))):
+            series = compute_series_unknown(field, levels, vf.degree + 3)
+            assert series.V == {} and len(series.L) == vf.degree + 3
+            for form in series.L.values():
+                assert list(form.coeffs) == series.unknowns, (vf, levels)
 
 
 def test_unknown_mode_matches_plain_on_substitution():
@@ -336,23 +352,28 @@ def test_unknown_mode_matches_plain_on_substitution():
         plain = compute_series(vf, J)
         # each unknown stands for the full V_k coefficient of the plain series
         values = {uid: plain.V[sum(uid)].coeff(*uid) for uid in unknown.unknowns}
-        evaluated = unknown.evaluate_at(values)
+        assert sorted(unknown.L) == list(range(1, J + 1))
         for j, L in plain.l_values():
-            assert evaluated.L[j] == L, (n, seed, j)
-        for k in plain.V:
-            assert evaluated.V[k].coeffs == plain.V[k].coeffs, (n, seed, k)
+            assert _evaluate(unknown.L[j], values) == L, (n, seed, j)
 
 
-def test_unknown_mode_residuals_identically_zero_off_levels():
-    # the series is affine in the unknowns, so any assignment of them gives a
-    # plain series that solves every degree above the replaced levels
-    vf = random_field(3, seed=8)
-    series = compute_series_unknown(vf, [2, 3], J=5)
+def test_unknown_mode_matches_pinned_runs_at_any_assignment():
+    # the constants are affine in the unknowns: any assignment of them gives
+    # the constants of a plain run with the replaced blocks pinned there
     rng = random.Random(8)
-    assignment = {uid: F(rng.randint(-9, 9), rng.randint(1, 9)) for uid in series.unknowns}
-    evaluated = series.evaluate_at(assignment)
-    for k in range(5, 13):  # degrees above every replaced level
-        assert residual(evaluated, k).is_zero(), k
+    for vf, levels in (
+        (random_field(3, seed=8), [2, 3]),
+        (random_field(4, seed=8), [2, 3, 4]),
+        (random_homogeneous_field(3, seed=8), [3]),
+    ):
+        J = vf.degree + 3
+        series = compute_series_unknown(vf, levels, J)
+        values = {uid: F(rng.randint(-9, 9), rng.randint(1, 9)) for uid in series.unknowns}
+        pins = {k + 1: HomogPoly.zero(k + 1) for k in levels}
+        for (i, a), c in values.items():
+            pins[i + a] = pins[i + a] + HomogPoly.monomial(i, a, c)
+        pinned = engine._extend(engine._start(vf), J, pins)
+        assert {j: _evaluate(form, values) for j, form in series.L.items()} == pinned.L, vf
 
 
 def test_budget_and_validation():
@@ -367,6 +388,9 @@ def test_budget_and_validation():
     assert series.max_index == 4
     assert series.max_degree == 10
     assert series.V[2].coeffs == (F(1, 2), 0, F(1, 2))
+    # the certificate series holds no V_2 to continue from
+    with pytest.raises(UsageError):
+        extend_series(compute_series_unknown(vf, [2], 3), 4)
 
 
 FAMILIES = (
@@ -404,7 +428,7 @@ def _fraction_chains(k, c):
 
 def _fraction_chain_series(vf, J):
     """V_3..V_(2J+2) and L_1..L_J from HomogPoly products and Fraction chains."""
-    series = LyapunovSeries(vf, "plain", V={2: HomogPoly(2, [F(1, 2), 0, F(1, 2)])})
+    series = LyapunovSeries(vf, V={2: HomogPoly(2, [F(1, 2), 0, F(1, 2)])})
     for k in range(3, 2 * J + 3):
         v, L = _fraction_chains(k, _reference_rhs(series, k).coeffs)
         series.V[k] = HomogPoly(k, v)
@@ -477,11 +501,6 @@ def test_series_values_are_built_once_on_read():
     assert not any("coeffs" in vars(series.V[k]) for k in range(3, 15))
     first = {k: p.coeffs for k, p in series.V.items()}
     assert all(series.V[k].coeffs is first[k] for k in series.V)
-    unknown = compute_series_unknown(vf, [2, 3], 6)
-    assert not any("coeffs" in vars(p) for p in unknown.V.values())
-    forms = {k: p.coeffs for k, p in unknown.V.items()}
-    assert all(isinstance(c, LinearForm) for p in forms.values() for c in p)
-    assert all(unknown.V[k].coeffs is forms[k] for k in unknown.V)
 
 
 def test_float_blocks_read_back_bit_for_bit(monkeypatch):

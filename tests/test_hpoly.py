@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bautin_lab.errors import UsageError
-from bautin_lab.hpoly import HomogPoly, LazyPoly, ScaledPoly, circle_power, rot_apply
+from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power, rot_apply
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=12
@@ -115,16 +115,3 @@ def test_scaled_poly_builds_fractions_once():
         ScaledPoly(2, [1, 2], 3)
     with pytest.raises(UsageError):
         ScaledPoly(1, [1, 2], 0)
-
-
-def test_lazy_poly_builds_once():
-    calls = []
-
-    def build():
-        calls.append(1)
-        return [Fraction(1), 0]
-
-    p = LazyPoly(1, build)
-    assert not calls
-    assert str(p) == "(1)*x^1" and (p * p).coeffs == (1, 0, 0)
-    assert len(calls) == 1

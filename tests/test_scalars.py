@@ -9,7 +9,6 @@ from bautin_lab.errors import UsageError
 from bautin_lab.scalars import (
     RATIONAL,
     BigRealDomain,
-    LinearForm,
     _round_ratio,
     parse_rational,
     scalar_to_str,
@@ -44,16 +43,6 @@ def test_bigreal_domain():
     assert dom.widened().dps == 80
     with pytest.raises(UsageError):
         BigRealDomain(dps=10)
-
-
-def test_linear_form_zero_pruning():
-    f = LinearForm(Fraction(0), {(1, 1): Fraction(0), (2, 0): Fraction(1)})
-    assert (1, 1) not in f.coeffs
-    assert not f.is_zero()
-    assert f == LinearForm(0, {(2, 0): Fraction(1)})
-    zero = LinearForm(Fraction(0), {(2, 0): Fraction(0)})
-    assert zero.is_zero() and not zero.carries_unknowns()
-    assert zero == 0 and f != 0
 
 
 def test_scalar_to_str_lossless():
