@@ -106,7 +106,7 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
-    vf = _load_field(args, _domain(args))
+    vf = _load_field(args, RATIONAL)  # gap verification needs exact arithmetic
     if not vf.is_homogeneous():
         raise UsageError("gap analysis requires a homogeneous field")
     J = args.max_index or 2 * (vf.degree + 2)  # default budget: the gap-law audit range
@@ -223,10 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def common(p: argparse.ArgumentParser, modes: bool = True):
         p.add_argument("source", help="field file, '-' for stdin, or random:<n> / random-homogeneous:<n>")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
-        p.add_argument("--precision", type=int, default=60, help="decimal digits in float mode")
+        if modes:
+            p.add_argument("--mode", choices=("exact", "float"), default="exact")
+            p.add_argument("--precision", type=int, default=60, help="decimal digits in float mode")
         p.add_argument("--output", choices=("table", "json", "csv"), default="table")
         p.add_argument("--seed", type=int, default=0, help="seed for random:<n> inputs")
 
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-terms", action="store_true", help="also print the V_k terms")
 
     p = sub.add_parser("gaps", help="verify the homogeneous sparsity pattern")
-    common(p)
+    common(p, modes=False)
     # 0 = choose the audit budget from the degree
     p.add_argument("-J", "--max-index", type=int, default=0, help="highest Lyapunov index")
 

@@ -14,7 +14,8 @@ and the offsets the rows keep with every replaced block at zero.  A nonzero
 determinant means the leading constants pin those coefficients one-to-one,
 which certifies that a field whose leading constants all vanish is a center
 (the generic case) and bounds the number of small-amplitude limit cycles by
-the row count.
+the row count.  That is an exact statement: in extended-precision mode
+``center_check`` reads the constants alone and never certifies a center.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import mpmath as mp
-
 from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField, coerce_field
-from .scalars import BigRealDomain, Domain, Scalar, UnknownId, scalar_is_zero
+from .scalars import Domain, Scalar, UnknownId, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -254,10 +253,11 @@ def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
 class CenterCertificate:
     """Outcome of the center test.
 
-    verdict is one of "center-generic", "weak-focus", "inconclusive".  The
-    chain  cyclicity <= weak-focus order <= center bound  holds whenever both
-    sides are reported; equality of all three is attainable but not asserted
-    in general.
+    verdict is one of "center-generic", "weak-focus", "inconclusive"; only
+    exact mode answers "center-generic" or sets ``det_p``.  The chain
+    cyclicity <= weak-focus order <= center bound  holds whenever both sides
+    are reported; equality of all three is attainable but not asserted in
+    general.  A float weak-focus order bounds the exact one from above.
     """
 
     verdict: str
@@ -274,58 +274,56 @@ class CenterCertificate:
 
 def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertificate:
     """Compute the leading nontrivial constants in pattern order up to the
-    center bound; the first nonzero one gives a weak focus of that order.  If
-    all vanish, a nonzero certificate-matrix determinant certifies a center;
-    a (numerically) zero one refuses to certify.
+    center bound, on the field's coefficients rounded to ``domain`` (default:
+    the field's own); the first nonzero one gives a weak focus of that order.
+    In exact mode, if all vanish, a nonzero certificate-matrix determinant
+    certifies a center and a zero one refuses to certify.
 
-    The check runs in ``domain`` (default: the field's own) on the field's
-    coefficients rounded to it.  In extended-precision mode the verdict is
-    recomputed on the coefficients rounded to the doubled working precision,
-    with the zero threshold still anchored to ``domain``; any disagreement
-    yields "inconclusive", and so does a "center-generic" whose two det P
-    values differ by more than 10^(-dps/2) of the doubled-precision one
-    (a det that is only rounding noise can pass the threshold twice with
-    unrelated values).  The recomputation sees only the digits ``vf``
-    carries: a field stored at the working precision gives both runs the
-    same rounded input, so a constant that is nonzero only through that
-    rounding can pass both.  Pass the field exactly to expose it: the CLI
-    reads its input exactly, so each pass rounds it once.
+    A rounded field is in general not a center, so extended-precision mode
+    stops after the constants.  It reruns them on the coefficients rounded
+    to the doubled working precision, with the zero threshold of ``domain``,
+    and answers "weak-focus" when both passes find the same first nonzero
+    constant, else "inconclusive".  The rerun sees only the digits ``vf``
+    carries, so a field stored at the working precision gives both passes
+    the same rounding; the CLI reads its input exactly, so each pass rounds
+    it once.
     """
     if domain is None:
         domain = vf.domain
-    first = _center_check_once(coerce_field(vf, domain), domain)
+    rounded = coerce_field(vf, domain)
+    found = _weak_focus(rounded, domain)
+    C = center_number_bound(vf.degree, vf.is_homogeneous())
     if domain.exact:
-        return first
-    second = _center_check_once(coerce_field(vf, domain.widened()), domain)
-    if first.verdict != second.verdict or first.weak_focus_order != second.weak_focus_order:
+        if found:
+            return found
+        det = build_p_matrix(rounded).determinant()
+        if det != 0:
+            return CenterCertificate("center-generic", C, det_p=det)
+        reason = "degenerate: det P = 0, the generic certificate does not apply"
+        return CenterCertificate("inconclusive", C, det_p=det, reason=reason)
+
+    wide = _weak_focus(coerce_field(vf, domain.widened()), domain)
+    if (found and found.weak_focus_order) != (wide and wide.weak_focus_order):
+        first, second = (c.verdict if c else "inconclusive" for c in (found, wide))
         reason = (
             f"verdict unstable under precision doubling "
-            f"({first.verdict} at {domain.dps} digits, {second.verdict} at "
-            f"{domain.dps * 2})"
+            f"({first} at {domain.dps} digits, {second} at {domain.dps * 2})"
         )
-    elif first.verdict == "center-generic" and not _dets_agree(first.det_p, second.det_p, domain):
-        reason = (
-            f"det P unstable under precision doubling "
-            f"({domain.to_str(first.det_p)} at {domain.dps} digits, "
-            f"{domain.to_str(second.det_p)} at {domain.dps * 2})"
-        )
+    elif found:
+        return found
     else:
-        return first
-    return CenterCertificate("inconclusive", first.center_bound, det_p=first.det_p, reason=reason)
+        reason = (
+            f"every leading constant is negligible at {domain.dps} and {domain.dps * 2} "
+            f"digits; float mode cannot certify a center (run --mode exact)"
+        )
+    return CenterCertificate("inconclusive", C, reason=reason)
 
 
-def _dets_agree(det: Scalar, wide: Scalar, domain: BigRealDomain) -> bool:
-    """|det - wide| <= 10^(-dps/2) * |wide|: the two passes' det P share
-    their leading half of the working digits."""
-    with domain.widened().context():
-        return abs(det - wide) <= mp.mpf(10) ** (-domain.dps / 2) * abs(wide)
-
-
-def _center_check_once(vf: VectorField, data_domain: Domain) -> CenterCertificate:
-    """One pass of the check at ``vf``'s working precision, with zero tests at
-    ``data_domain``'s threshold."""
+def _weak_focus(vf: VectorField, data_domain: Domain) -> CenterCertificate | None:
+    """One pass over the leading constants at ``vf``'s working precision,
+    with zero tests at ``data_domain``'s threshold: the weak-focus
+    certificate of the first nonzero one, or None if all vanish."""
     pattern = _leading_indices(vf.degree, vf.is_homogeneous())
-    C = len(pattern)
 
     # grow the series one pattern index at a time: the common outcome is an
     # early nonzero constant, long before the full center-bound budget
@@ -336,18 +334,8 @@ def _center_check_once(vf: VectorField, data_domain: Domain) -> CenterCertificat
         if not scalar_is_zero(L, data_domain):
             return CenterCertificate(
                 "weak-focus",
-                C,
+                len(pattern),
                 weak_focus_order=position,
                 first_nonzero=(j, L),
             )
-
-    P = build_p_matrix(vf)
-    det = P.determinant()
-    if scalar_is_zero(det, data_domain):
-        return CenterCertificate(
-            "inconclusive",
-            C,
-            det_p=det,
-            reason="degenerate: det P = 0, the generic certificate does not apply",
-        )
-    return CenterCertificate("center-generic", C, det_p=det)
+    return None

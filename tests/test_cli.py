@@ -1,6 +1,7 @@
 import json
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -179,9 +180,13 @@ def test_random_sources_follow_float_mode(capsys):
         assert "/" not in text and "." in text  # a decimal, not p/q
         assert len(text.lstrip("-").replace(".", "").lstrip("0")) == 40  # --precision digits
         assert abs(Fraction(text) - Fraction(exact[j])) < Fraction(1, 10**30)
-    # gap verification needs exact arithmetic, also for a generated field
-    code, _, err = run(capsys, "gaps", "random-homogeneous:4", "--seed", "3", "--mode", "float")
-    assert code == 1 and "exact" in err
+    # gap verification needs exact arithmetic, also for a generated field:
+    # gaps has no --mode flag, so argparse refuses it before any work
+    with pytest.raises(SystemExit) as exc:
+        main(["gaps", "random-homogeneous:4", "--seed", "3", "--mode", "float"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--mode" in captured.err
 
 
 def test_gaps_rejects_non_homogeneous(capsys):
@@ -300,13 +305,13 @@ def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch)
     c = f"{2**450 + 2**247 + 1}/{2**450}"
     text = f"n 3\nF 2 0 {c}\nF 3 0 1\nG 1 1 -{c}\n"
     seen = []
-    once = structure._center_check_once
+    once = structure._weak_focus
 
     def record(vf, data_domain):
         seen.append(vf)
         return once(vf, data_domain)
 
-    monkeypatch.setattr(structure, "_center_check_once", record)
+    monkeypatch.setattr(structure, "_weak_focus", record)
     path = write_field(tmp_path, "tie.vf", text)
     code, _, _ = run(capsys, "center-check", path, "--mode", "float")
     assert code == 5 and len(seen) == 2
@@ -320,16 +325,28 @@ def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch)
 
 
 def test_center_check_float_needs_agreeing_dets(tmp_path, capsys):
-    # general divergence-free quartics whose exact det P is 0: the 60- and
-    # 120-digit dets both pass the zero threshold with unrelated values, so
-    # the float verdict is inconclusive like the exact one, not center-generic
+    # general divergence-free quartics whose exact det P is 0, while their
+    # 60- and 120-digit det P pass the zero threshold with unrelated values.
+    # Float mode takes no det P: every constant is negligible in both passes,
+    # so the verdict is inconclusive like the exact one, with no det_P line
     for seed in (0, 11):
         vf = random_divergence_free_field(4, seed)
         assert center_check(vf).det_p == 0
         path = write_field(tmp_path, f"div4-{seed}.vf", serialize_vector_field(vf))
         code, out, _ = run(capsys, "center-check", path, "--mode", "float")
         assert code == 6 and "verdict = inconclusive" in out, seed
-        assert "det P unstable under precision doubling" in out, seed
+        assert "det_P" not in out and "--mode exact" in out, seed
+
+
+def test_center_check_float_never_certifies_a_center(capsys):
+    # the sample Hamiltonian quadratic is a center; rounded, it is in general
+    # not one, so float mode takes no det P and points to exact mode
+    path = str(Path(__file__).resolve().parents[1] / "sample_fields" / "hamiltonian.vf")
+    code, out, _ = run(capsys, "center-check", path, "--mode", "float", "--output", "json")
+    assert code == 6
+    payload = json.loads(out)
+    assert payload["verdict"] == "inconclusive" and payload["det_P"] is None
+    assert "exact" in payload["reason"]
 
 
 def test_float_input_above_int_str_limit(tmp_path, capsys):

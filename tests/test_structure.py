@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,9 +16,9 @@ from bautin_lab.fields import (
     random_reversible_field,
     rotational_family_field,
 )
+from bautin_lab.hpoly import HomogPoly
 from bautin_lab.scalars import RATIONAL, BigRealDomain
 from bautin_lab.structure import (
-    _dets_agree,
     build_p_matrix,
     center_check,
     center_number_bound,
@@ -161,17 +162,6 @@ def test_p_matrix_float_agrees_with_exact():
             assert abs(approx.determinant() - dom.coerce(det_q)) <= abs(det_q) * mp.mpf(10) ** -45
 
 
-def test_real_nonzero_dets_agree_under_precision_doubling():
-    # the rule that turns a float center-generic with unstable dets into
-    # inconclusive must pass real nonzero dets: 60-digit det P of these
-    # fields is within 1e-44 relative of the exact one
-    dom = BigRealDomain(dps=60)
-    for vf in (random_field(4, seed=1), random_field(4, seed=2)):
-        exact = build_p_matrix(vf).determinant()
-        det, wide = (build_p_matrix(coerce_field(vf, d)).determinant() for d in (dom, dom.widened()))
-        assert exact != 0 and _dets_agree(det, wide, dom)
-
-
 def test_p_matrix_column_order_override():
     vf = random_homogeneous_field(2, seed=1)
     order = [(0, 3), (1, 2), (2, 1), (3, 0)]
@@ -304,7 +294,7 @@ def test_center_check_reports_bound_and_order_consistently():
 def test_center_check_precision_doubling_disagreement():
     # a general divergence-free quartic whose exact det P is 0: at 60 digits
     # L_12 passes the zero threshold (weak focus), at 120 digits every
-    # constant vanishes and the float det does not, so the two runs disagree
+    # constant vanishes, so the two runs disagree
     vf = random_divergence_free_field(4, 1)
     exact = center_check(vf)
     assert exact.verdict == "inconclusive" and exact.det_p == 0
@@ -329,3 +319,42 @@ def test_center_check_cross_check_sees_the_digits_given():
         for given in (vf, coerce_field(vf, d120)):
             cert = center_check(given, d60)
             assert cert.verdict == "inconclusive" and "precision doubling" in cert.reason, seed
+
+
+def test_float_center_check_is_exact_or_inconclusive():
+    # float mode never certifies a center and takes no det P; on constructed
+    # centers it answers like exact mode or inconclusive, and on random
+    # fields it finds the exact weak-focus order
+    dom = BigRealDomain(dps=60)
+    centers = []
+    for n in range(2, 6):
+        for seed in (0, 1):
+            for homogeneous in (False, True):
+                centers.append(random_divergence_free_field(n, seed, homogeneous=homogeneous))
+                centers.append(random_reversible_field(n, seed, homogeneous=homogeneous))
+            centers.append(rotational_family_field(n, seed))
+    for vf in centers:
+        cert = center_check(vf, dom)
+        assert cert.verdict in (center_check(vf).verdict, "inconclusive")
+        assert cert.verdict != "center-generic" and cert.det_p is None
+    for n in (2, 3, 4):
+        for seed in (0, 1):
+            vf = random_field(n, seed)
+            exact, cert = center_check(vf), center_check(vf, dom)
+            assert cert.verdict == exact.verdict == "weak-focus"
+            assert cert.weak_focus_order == exact.weak_focus_order
+
+
+def test_float_weak_focus_order_bounds_the_exact_order():
+    # a divergence-free field moved off the center by 1e-45: exact L_1 is
+    # about -1.7e-45, below the 60-digit zero threshold, so float mode reports
+    # a later constant; its order is an upper bound on the exact one
+    dom = BigRealDomain(dps=60)
+    for n in (3, 4):
+        vf = random_divergence_free_field(n, 1)
+        bump = HomogPoly.monomial(2, 0, F(1, 10**45))
+        vf = dataclasses.replace(vf, F={**vf.F, 2: vf.f_part(2) + bump})
+        exact, cert = center_check(vf), center_check(vf, dom)
+        assert exact.verdict == "weak-focus" and exact.weak_focus_order == 1
+        assert cert.verdict == "weak-focus" and cert.det_p is None
+        assert cert.weak_focus_order >= exact.weak_focus_order
