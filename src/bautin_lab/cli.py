@@ -44,13 +44,18 @@ EXIT_GAP_MISMATCH = 4
 
 
 def _domain(args: argparse.Namespace) -> Domain:
-    """The coefficient domain --mode and --precision select."""
-    return RATIONAL if args.mode == "exact" else BigRealDomain(dps=args.precision)
+    """The coefficient domain --mode and --precision select; --precision
+    (default 60 digits) belongs to float mode only."""
+    if args.mode == "float":
+        return BigRealDomain(dps=60 if args.precision is None else args.precision)
+    if args.precision is not None:
+        raise UsageError("--precision applies only to --mode float")
+    return RATIONAL
 
 
 def _load_field(args: argparse.Namespace, domain: Domain) -> VectorField:
     """Read a field from a file, '-' for stdin, or 'random:<n>' /
-    'random-homogeneous:<n>' seeded by --seed, in ``domain``."""
+    'random-homogeneous:<n>' seeded by --seed (default 0), in ``domain``."""
     src = args.source
     if src.startswith(("random:", "random-homogeneous:")):
         kind, _, degree = src.partition(":")
@@ -59,7 +64,9 @@ def _load_field(args: argparse.Namespace, domain: Domain) -> VectorField:
         except ValueError:
             raise UsageError(f"not a field degree: {src!r}") from None
         make = random_field if kind == "random" else random_homogeneous_field
-        return coerce_field(make(n, args.seed), domain)
+        return coerce_field(make(n, args.seed or 0), domain)
+    if args.seed is not None:
+        raise UsageError("--seed applies only to random:<n> sources")
     try:
         text = sys.stdin.read() if src == "-" else Path(src).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -227,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("source", help="field file, '-' for stdin, or random:<n> / random-homogeneous:<n>")
         if modes:
             p.add_argument("--mode", choices=("exact", "float"), default="exact")
-            p.add_argument("--precision", type=int, default=60, help="decimal digits in float mode")
+            p.add_argument("--precision", type=int, help="decimal digits in float mode (default 60)")
         p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--seed", type=int, default=0, help="seed for random:<n> inputs")
+        p.add_argument("--seed", type=int, help="seed for random:<n> inputs (default 0)")
 
     p = sub.add_parser("lyapunov", help="compute Lyapunov constants")
     common(p)

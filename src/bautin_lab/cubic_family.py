@@ -17,19 +17,21 @@ vanish while the eighth stays nonzero.  The stages, in order:
     a9 = sigma b4 with sigma a root of the integer polynomial Q       kills L_7
 
 Q has four real roots but only two leave b6^2 positive; those two admissible
-roots sit in known rational brackets and are refined here by safeguarded
-Newton iteration at the requested precision.  a1 and b1 take the positive
-square root.  Both b6 branches give valid family members with the same seven
-vanishing constants; the default branch is the one whose L_8 is negative for
-b4 < 0 (the opposite branch flips the signs of L_8 and of the odd-degree
-certificate-matrix columns), and the other remains selectable so both can be
-recorded.
+roots sit in known rational brackets, and each is correctly rounded to the
+requested precision by exact bisection of its bracket, once per precision.
+a1 and b1 take the positive square root.  Both b6 branches give valid
+family members with the same seven vanishing constants; the default branch
+is the one whose L_8 is negative for b4 < 0 (the opposite branch flips the
+signs of L_8 and of the odd-degree certificate-matrix columns), and the
+other remains selectable so both can be recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 import mpmath as mp
 
@@ -74,8 +76,7 @@ REPORT_COLUMN_ORDER: tuple[tuple[int, int], ...] = (
 
 @dataclass(frozen=True)
 class CubicFamilyParams:
-    """One member of the family.  ``b2 = sqrt(-b4)`` is kept purely for
-    display scaling of the certificate matrix; computation uses b4 itself."""
+    """One member of the family."""
 
     a1: Scalar = 0
     b1: Scalar = 0
@@ -89,7 +90,6 @@ class CubicFamilyParams:
     b6: Scalar = 0
     b8: Scalar = 0
     sigma: Scalar | None = None
-    b2: Scalar | None = None
 
     def as_dict(self) -> dict[str, Scalar]:
         return {
@@ -106,18 +106,12 @@ def q_eval(x: Scalar) -> Scalar:
     return acc
 
 
-def q_derivative_eval(x: Scalar) -> Scalar:
-    acc: Scalar = 0
-    for power in range(len(Q_COEFFS) - 1, 0, -1):
-        acc = acc * x + power * Q_COEFFS[power]
-    return acc
-
-
 def count_real_roots() -> int:
     """Number of distinct real roots of Q, by exact Sturm-chain sign counting
-    over the whole line."""
-    chain = _sturm_chain([Fraction(c) for c in Q_COEFFS])
-    return _sign_changes_at_minus_inf(chain) - _sign_changes_at_plus_inf(chain)
+    between -B and B, with B = 1 + max|c_i| / |c_10| the Cauchy bound on the
+    roots."""
+    bound = 1 + Fraction(max(map(abs, Q_COEFFS[:-1])), abs(Q_COEFFS[-1]))
+    return count_sign_changes_between(-bound, bound)
 
 
 def _sturm_chain(poly: list[Fraction]) -> list[list[Fraction]]:
@@ -151,20 +145,6 @@ def _sturm_chain(poly: list[Fraction]) -> list[list[Fraction]]:
 def _sign_changes(signs: list[int]) -> int:
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _sign_changes_at_minus_inf(chain: list[list[Fraction]]) -> int:
-    signs = []
-    for p in chain:
-        lead = p[-1]
-        deg = len(p) - 1
-        s = 1 if lead > 0 else -1
-        signs.append(s if deg % 2 == 0 else -s)
-    return _sign_changes(signs)
-
-
-def _sign_changes_at_plus_inf(chain: list[list[Fraction]]) -> int:
-    return _sign_changes([1 if p[-1] > 0 else -1 for p in chain])
 
 
 def count_sign_changes_between(a: Fraction, b: Fraction) -> int:
@@ -211,66 +191,48 @@ def sigma_is_admissible(sigma: Scalar) -> bool:
     return b6_squared_value(sigma, 1 if isinstance(sigma, Fraction) else mp.mpf(1)) >= 0
 
 
-def _newton_refine(bracket: tuple[Fraction, Fraction], dps: int) -> tuple[mp.mpf, list[mp.mpf]]:
-    """Safeguarded Newton iteration inside an exact sign-change bracket.
+def _q_sign(p: int, d: int) -> int:
+    """Sign of Q(p/d) for d > 0, from the integer Q(p/d) d^10 by Horner."""
+    acc, dk = 0, 1
+    for c in reversed(Q_COEFFS):
+        acc = acc * p + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
-    Returns the root and the |Q| residual history of the Newton steps."""
+
+def _round_root(bracket: tuple[Fraction, Fraction], domain: BigRealDomain) -> mp.mpf:
+    """The root of Q inside an exact sign-change bracket, correctly rounded
+    by ``domain.ratio``.
+
+    The bracket is halved on integer numerators over one denominator until
+    both ends round to the same value; rounding is monotone, so that value
+    is the rounded root.  Q is irreducible over the rationals, so the root
+    is never a rounding boundary and the loop ends."""
     lo, hi = bracket
-    sa, sb = q_eval(lo), q_eval(hi)
-    if sa == 0 or sb == 0 or (sa > 0) == (sb > 0):
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    sa, sb = _q_sign(a, d), _q_sign(b, d)
+    if sa == 0 or sb == 0 or sa == sb:
         raise SolverInternalError(
             "no sign change in the root bracket; coefficient table is corrupt"
         )
-    with mp.workdps(dps):
-        a = mp.mpf(lo.numerator) / lo.denominator
-        b = mp.mpf(hi.numerator) / hi.denominator
-        fa = q_eval(a)
-        x = (a + b) / 2
-        history: list[mp.mpf] = []
-        tol = mp.mpf(10) ** (-(dps - 2))
-        for _ in range(dps + 60):
-            fx = q_eval(x)
-            history.append(abs(fx))
-            if fx == 0:
-                break
-            if (fx > 0) == (fa > 0):
-                a = x
-            else:
-                b = x
-            dfx = q_derivative_eval(x)
-            step_ok = dfx != 0
-            if step_ok:
-                nxt = x - fx / dfx
-                step_ok = a < nxt < b
-            if not step_ok:
-                nxt = (a + b) / 2  # bisection fallback keeps the bracket
-            if abs(nxt - x) <= tol * abs(x):
-                x = nxt
-                history.append(abs(q_eval(x)))
-                break
-            x = nxt
-        return x, history
+    while domain.ratio(a, d) != domain.ratio(b, d):
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        if _q_sign(m, d) == sa:
+            a = m
+        else:
+            b = m
+    return domain.ratio(a, d)
 
 
+@cache
 def find_sigma_roots(precision: int = 60) -> tuple[mp.mpf, mp.mpf]:
-    """The two admissible roots of Q at the requested decimal precision.
-
-    Each returned value x satisfies |Q(x)| < 10^(20-precision) |Q'(x) x|.
-    """
+    """The two admissible roots of Q, each correctly rounded to the requested
+    decimal precision; computed once per precision."""
     if precision < 40:
         raise UsageError("root refinement needs precision >= 40")
-    roots = []
-    with mp.workdps(precision):
-        for bracket in (SIGMA1_BRACKET, SIGMA2_BRACKET):
-            x, _ = _newton_refine(bracket, precision)
-            bound = mp.mpf(10) ** (20 - precision) * abs(q_derivative_eval(x) * x)
-            if not abs(q_eval(x)) < bound:
-                raise SolverInternalError(
-                    f"root refinement stalled: |Q| residual {abs(q_eval(x))} "
-                    f"exceeds {bound}"
-                )
-            roots.append(x)
-    return roots[0], roots[1]
+    domain = BigRealDomain(dps=precision)
+    return _round_root(SIGMA1_BRACKET, domain), _round_root(SIGMA2_BRACKET, domain)
 
 
 def substitution_chain(
@@ -285,8 +247,9 @@ def substitution_chain(
     """
     if b6_sign not in (1, -1):
         raise UsageError("b6_sign must be +1 or -1")
-    with mp.workdps(precision):
-        b4 = mp.mpf(b4.numerator) / b4.denominator if isinstance(b4, Fraction) else mp.mpf(b4)
+    domain = BigRealDomain(dps=precision)
+    with domain.context():
+        b4 = domain.ratio(b4.numerator, b4.denominator) if isinstance(b4, Fraction) else mp.mpf(b4)
         if not b4 < 0:
             raise StageDomainError("b4", "b4 must be negative")
         sigma = mp.mpf(sigma)
@@ -318,10 +281,9 @@ def substitution_chain(
 
         a7 = -b4
         a5 = a7 - a9 + b6 / 2
-        b2 = mp.sqrt(-b4)
         return CubicFamilyParams(
             a1=a1, b1=b1, a3=mp.mpf(0), a5=a5, a7=a7, a8=a8, a9=a9,
-            b4=b4, b5=mp.mpf(0), b6=b6, b8=b8, sigma=sigma, b2=b2,
+            b4=b4, b5=mp.mpf(0), b6=b6, b8=b8, sigma=sigma,
         )
 
 
@@ -375,11 +337,9 @@ def reproduce_example(
     main = _resolved_run(sigma, b4, precision)
     other = _resolved_run(sigma, second_b4, precision)
 
-    with mp.workdps(precision):
-        ratio = mp.mpf(second_b4.numerator) / second_b4.denominator
-        ratio /= mp.mpf(b4.numerator) / b4.denominator
-        l8_dev = abs(other["L8"] / main["L8"] / ratio**8 - 1)
-        det_dev = abs(other["detP"] / main["detP"] / ratio**30 - 1)
+    with mp.workdps(precision):  # second_b4 / b4 = 1/2
+        l8_dev = abs(other["L8"] / main["L8"] * 2**8 - 1)
+        det_dev = abs(other["detP"] / main["detP"] * 2**30 - 1)
 
     domain = BigRealDomain(dps=precision)
     report = {
@@ -418,7 +378,7 @@ def _resolved_run(sigma: mp.mpf, b4: Fraction, precision: int) -> dict:
     P = build_p_matrix(vf, column_order=REPORT_COLUMN_ORDER)
     with mp.workdps(precision):
         det = P.determinant()
-        b4f = mp.mpf(b4.numerator) / b4.denominator
+        b4f = vf.domain.ratio(b4.numerator, b4.denominator)
         return {
             "params": params,
             "series": series,

@@ -1,3 +1,4 @@
+import io
 import json
 from decimal import Decimal
 from fractions import Fraction
@@ -192,6 +193,24 @@ def test_random_sources_follow_float_mode(capsys):
 def test_gaps_rejects_non_homogeneous(capsys):
     code, _, err = run(capsys, "gaps", "random:3", "--seed", "1")
     assert code == 1 and "homogeneous" in err
+
+
+def test_precision_is_refused_in_exact_mode(capsys):
+    # --precision sets float digits only; exact mode used to ignore it, even
+    # an invalid value
+    path = str(Path(__file__).resolve().parents[1] / "sample_fields" / "cubic_f30.vf")
+    for command in ("lyapunov", "center-check"):
+        code, out, err = run(capsys, command, path, "--precision", "5")
+        assert code == 1 and out == "" and "--precision" in err, command
+
+
+def test_seed_is_refused_for_a_file_or_stdin(tmp_path, monkeypatch, capsys):
+    # --seed draws random:<n> fields only; a file or stdin used to ignore it
+    path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("n 3\nF 3 0 1\n"))
+    for command, source in (("lyapunov", path), ("gaps", path), ("center-check", "-")):
+        code, out, err = run(capsys, command, source, "--seed", "1")
+        assert code == 1 and out == "" and "--seed" in err, command
 
 
 def test_center_check_weak_focus_exit_code(tmp_path, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import dps_to_prec
 
 from bautin_lab.cubic_family import (
     DEFAULT_B6_SIGN,
@@ -9,7 +10,7 @@ from bautin_lab.cubic_family import (
     SIGMA1_BRACKET,
     SIGMA2_BRACKET,
     CubicFamilyParams,
-    _newton_refine,
+    _round_root,
     b6_squared_value,
     count_real_roots,
     count_sign_changes_between,
@@ -21,9 +22,10 @@ from bautin_lab.cubic_family import (
     substitution_chain,
 )
 from bautin_lab.engine import compute_series
-from bautin_lab.errors import StageDomainError, UsageError
+from bautin_lab.errors import SolverInternalError, StageDomainError, UsageError
 from bautin_lab.fields import VectorField
 from bautin_lab.hpoly import HomogPoly
+from bautin_lab.scalars import BigRealDomain
 
 SIGMA1_PRINTED = "-6.866628200554238820434952526434021955"
 SIGMA2_PRINTED = "-2.267138125538741369528826715285454145"
@@ -92,18 +94,20 @@ def _q_prime(x):
     return acc
 
 
-def test_newton_residuals_decrease_quadratically():
-    with mp.workdps(60):
-        _, history = _newton_refine(SIGMA1_BRACKET, 60)
-        scale = abs(_q_prime(mp.mpf(SIGMA1_PRINTED)) * mp.mpf(SIGMA1_PRINTED))
-        rhos = [h / scale for h in history if h > 0]
-        floor = mp.mpf(10) ** -55
-        active = [r for r in rhos if r > floor]
-        assert len(active) >= 3
-        quadratic_steps = sum(
-            1 for a, b in zip(active, active[1:]) if b <= a**2 * mp.mpf(10) ** 3
-        )
-        assert quadratic_steps >= len(active) - 2
+def test_sigma_roots_are_correctly_rounded():
+    # the Sturm oracle finds exactly one root of Q within half an ulp of
+    # each returned value, read exactly as the dyadic rational it stores
+    for precision in (40, 60, 120):
+        for s in find_sigma_roots(precision):
+            sign, man, exp, bc = s._mpf_
+            x = (-1) ** sign * int(man) * Fraction(2) ** exp
+            half_ulp = Fraction(2) ** (exp + bc - dps_to_prec(precision)) / 2
+            assert count_sign_changes_between(x - half_ulp, x + half_ulp) == 1, (precision, s)
+
+
+def test_bracket_without_sign_change_is_refused():
+    with pytest.raises(SolverInternalError):
+        _round_root((Fraction(1), Fraction(2)), BigRealDomain(dps=60))
 
 
 # -- the substitution stages --------------------------------------------------
@@ -250,7 +254,6 @@ def test_chain_output_satisfies_parameter_relations():
         assert abs(p.b6**2 - b6_squared_value(p.a9, p.b4)) < mp.mpf(10) ** -45
         assert abs(p.a5 - (p.a7 - p.a9 + p.b6 / 2)) < tol
         assert abs(p.a9 - p.sigma * p.b4) < tol
-        assert abs(p.b2**2 + p.b4) < tol
         assert p.b4 < 0
 
 
