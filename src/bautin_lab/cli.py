@@ -32,6 +32,7 @@ from .fields import (
     random_field,
     random_homogeneous_field,
 )
+from .hpoly import terms_str
 from .scalars import RATIONAL, BigRealDomain, Domain, parse_rational, scalar_to_str
 from .structure import center_check, gap_profile, verify_gaps
 
@@ -90,24 +91,16 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
     vf = _load_field(args, _domain(args))
     series = compute_series(vf, args.max_index)
     dom = vf.domain
-    pairs = [(f"L_{j}", scalar_to_str(L, dom)) for j, L in series.l_values()]
-    payload: dict = {
-        "command": "lyapunov",
-        "degree": vf.degree,
-        "mode": args.mode,
-        "L": {str(j): scalar_to_str(L, dom) for j, L in series.l_values()},
-    }
+    L = {str(j): scalar_to_str(value, dom) for j, value in series.l_values()}
+    pairs = [(f"L_{j}", text) for j, text in L.items()]
+    payload: dict = {"command": "lyapunov", "degree": vf.degree, "mode": args.mode, "L": L}
     if args.show_terms:
-        terms = {
-            str(k): {f"{i},{j}": scalar_to_str(c, dom) for i, j, c in series.V[k].terms()}
+        V = {
+            k: [(i, j, scalar_to_str(c, dom)) for i, j, c in series.V[k].terms()]
             for k in sorted(series.V)
         }
-        payload["V"] = terms
-        pairs += [
-            (f"V_{k}", series.V[k].to_str(lambda c: scalar_to_str(c, dom)))
-            for k in sorted(series.V)
-            if k > 2
-        ]
+        payload["V"] = {str(k): {f"{i},{j}": text for i, j, text in t} for k, t in V.items()}
+        pairs += [(f"V_{k}", terms_str(t)) for k, t in V.items() if k > 2]
     _emit_pairs(args.output, pairs, payload)
     return EXIT_OK
 
@@ -159,12 +152,14 @@ def cmd_center_check(args: argparse.Namespace) -> int:
         ("verdict", cert.verdict),
         ("center_bound", str(cert.center_bound)),
     ]
-    if cert.weak_focus_order is not None:
-        pairs.append(("weak_focus_order", str(cert.weak_focus_order)))
+    first = det = None
+    if cert.first_nonzero:
         j, val = cert.first_nonzero
-        pairs.append((f"L_{j}", scalar_to_str(val, dom)))
+        first = {"index": j, "value": scalar_to_str(val, dom)}
+        pairs += [("weak_focus_order", str(cert.weak_focus_order)), (f"L_{j}", first["value"])]
     if cert.det_p is not None:
-        pairs.append(("det_P", scalar_to_str(cert.det_p, dom)))
+        det = scalar_to_str(cert.det_p, dom)
+        pairs.append(("det_P", det))
     if cert.reason:
         pairs.append(("reason", cert.reason))
     payload = {
@@ -172,12 +167,8 @@ def cmd_center_check(args: argparse.Namespace) -> int:
         "verdict": cert.verdict,
         "center_bound": cert.center_bound,
         "weak_focus_order": cert.weak_focus_order,
-        "first_nonzero": (
-            {"index": cert.first_nonzero[0], "value": scalar_to_str(cert.first_nonzero[1], dom)}
-            if cert.first_nonzero
-            else None
-        ),
-        "det_P": scalar_to_str(cert.det_p, dom) if cert.det_p is not None else None,
+        "first_nonzero": first,
+        "det_P": det,
         "ordering": "cyclicity <= weak-focus order <= center bound",
         "reason": cert.reason,
     }

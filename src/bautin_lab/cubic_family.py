@@ -228,9 +228,7 @@ def _round_root(bracket: tuple[Fraction, Fraction], domain: BigRealDomain) -> mp
 @cache
 def find_sigma_roots(precision: int = 60) -> tuple[mp.mpf, mp.mpf]:
     """The two admissible roots of Q, each correctly rounded to the requested
-    decimal precision; computed once per precision."""
-    if precision < 40:
-        raise UsageError("root refinement needs precision >= 40")
+    decimal precision (at least 30 digits); computed once per precision."""
     domain = BigRealDomain(dps=precision)
     return _round_root(SIGMA1_BRACKET, domain), _round_root(SIGMA2_BRACKET, domain)
 

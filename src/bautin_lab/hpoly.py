@@ -133,16 +133,11 @@ class HomogPoly:
             if c != 0:
                 yield (self.degree - a, a, c)
 
-    def to_str(self, render: Callable[[Scalar], str]) -> str:
-        """The nonzero terms as text, each coefficient written by ``render``."""
-        parts = []
-        for i, j, c in self.terms():
-            mono = "*".join(filter(None, [f"x^{i}" if i else "", f"y^{j}" if j else ""])) or "1"
-            parts.append(f"({render(c)})*{mono}")
-        return " + ".join(parts) if parts else "0"
-
     def __str__(self) -> str:
-        return self.to_str(lambda c: exact_str(c) if isinstance(c, (int, Fraction)) else str(c))
+        return terms_str(
+            (i, j, exact_str(c) if isinstance(c, (int, Fraction)) else str(c))
+            for i, j, c in self.terms()
+        )
 
 
 class ScaledPoly(HomogPoly):
@@ -175,6 +170,15 @@ class ScaledPoly(HomogPoly):
 
     def is_zero(self) -> bool:
         return not any(self.nums)
+
+
+def terms_str(terms: Iterable[tuple[int, int, str]]) -> str:
+    """(x-exponent, y-exponent, coefficient text) triples as one sum."""
+    parts = []
+    for i, j, text in terms:
+        mono = "*".join(filter(None, [f"x^{i}" if i else "", f"y^{j}" if j else ""])) or "1"
+        parts.append(f"({text})*{mono}")
+    return " + ".join(parts) if parts else "0"
 
 
 def rot_apply(p: HomogPoly) -> HomogPoly:

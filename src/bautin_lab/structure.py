@@ -280,13 +280,13 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     certifies a center and a zero one refuses to certify.
 
     A rounded field is in general not a center, so extended-precision mode
-    stops after the constants.  It reruns them on the coefficients rounded
-    to the doubled working precision, with the zero threshold of ``domain``,
-    and answers "weak-focus" when both passes find the same first nonzero
-    constant, else "inconclusive".  The rerun sees only the digits ``vf``
-    carries, so a field stored at the working precision gives both passes
-    the same rounding; the CLI reads its input exactly, so each pass rounds
-    it once.
+    stops after the constants: every one negligible gives "inconclusive" at
+    once.  A nonzero one is confirmed by a rerun on the coefficients rounded
+    to the doubled working precision, with the zero threshold of ``domain``:
+    "weak-focus" when the rerun finds the same first nonzero constant, else
+    "inconclusive".  The rerun sees only the digits ``vf`` carries, so a
+    field stored at the working precision gives both passes the same
+    rounding; the CLI reads its input exactly, so each pass rounds it once.
     """
     if domain is None:
         domain = vf.domain
@@ -301,21 +301,19 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
             return CenterCertificate("center-generic", C, det_p=det)
         reason = "degenerate: det P = 0, the generic certificate does not apply"
         return CenterCertificate("inconclusive", C, det_p=det, reason=reason)
-
+    if not found:
+        reason = (
+            f"every leading constant is negligible at {domain.dps} digits; "
+            f"float mode cannot certify a center (run --mode exact)"
+        )
+        return CenterCertificate("inconclusive", C, reason=reason)
     wide = _weak_focus(coerce_field(vf, domain.widened()), domain)
-    if (found and found.weak_focus_order) != (wide and wide.weak_focus_order):
-        first, second = (c.verdict if c else "inconclusive" for c in (found, wide))
-        reason = (
-            f"verdict unstable under precision doubling "
-            f"({first} at {domain.dps} digits, {second} at {domain.dps * 2})"
-        )
-    elif found:
+    if wide and wide.weak_focus_order == found.weak_focus_order:
         return found
-    else:
-        reason = (
-            f"every leading constant is negligible at {domain.dps} and {domain.dps * 2} "
-            f"digits; float mode cannot certify a center (run --mode exact)"
-        )
+    reason = (
+        f"verdict unstable under precision doubling (weak-focus at {domain.dps} "
+        f"digits, {wide.verdict if wide else 'inconclusive'} at {domain.dps * 2})"
+    )
     return CenterCertificate("inconclusive", C, reason=reason)
 
 

@@ -267,6 +267,21 @@ def test_example_jl_single_root_json(capsys):
     assert isinstance(payload["L8_over_b4_8"], str)
 
 
+def test_example_jl_at_the_lowest_precision(capsys):
+    # 30 digits is the floor of every extended-precision domain; both roots
+    # still kill L_1..L_7 next to L_8 and confirm both scaling exponents to
+    # within 10^(20 - 30)
+    code, out, _ = run(capsys, "example-jl", "--precision", "30", "--output", "json")
+    assert code == 0
+    tol = mp.mpf(10) ** -10
+    for report in json.loads(out)["roots"]:
+        L = {int(j): mp.mpf(v) for j, v in report["L"].items()}
+        assert L[8] != 0 and all(abs(L[j]) <= tol * abs(L[8]) for j in range(1, 8))
+        check = report["scaling_check"]
+        for key in ("l8_relative_deviation", "det_relative_deviation"):
+            assert mp.mpf(check[key]) <= tol, key
+
+
 def test_example_jl_table_both_roots(capsys):
     code, out, _ = run(capsys, "example-jl", "--precision", "60")
     assert code == 0
@@ -343,11 +358,31 @@ def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch)
         assert seen[0].f_part(2).coeff(2, 0) == 1 + mp.mpf(2) ** -202
 
 
+def test_center_check_float_confirms_only_a_weak_focus(capsys, monkeypatch):
+    # the doubled-precision pass only confirms a nonzero constant: the
+    # Hamiltonian center has every constant negligible and stops after one
+    # pass, the cubic weak focus is rerun at twice the digits
+    passes = []
+    once = structure._weak_focus
+
+    def record(vf, data_domain):
+        passes.append(vf.domain.dps)
+        return once(vf, data_domain)
+
+    monkeypatch.setattr(structure, "_weak_focus", record)
+    samples = Path(__file__).resolve().parents[1] / "sample_fields"
+    for name, code, dps in (("hamiltonian.vf", 6, [60]), ("cubic_f30.vf", 5, [60, 120])):
+        passes.clear()
+        got, _, _ = run(capsys, "center-check", str(samples / name), "--mode", "float")
+        assert got == code and passes == dps, name
+
+
 def test_center_check_float_needs_agreeing_dets(tmp_path, capsys):
     # general divergence-free quartics whose exact det P is 0, while their
     # 60- and 120-digit det P pass the zero threshold with unrelated values.
-    # Float mode takes no det P: every constant is negligible in both passes,
-    # so the verdict is inconclusive like the exact one, with no det_P line
+    # Float mode takes no det P: every constant is negligible in the first
+    # pass, so the verdict is inconclusive like the exact one, with no det_P
+    # line
     for seed in (0, 11):
         vf = random_divergence_free_field(4, seed)
         assert center_check(vf).det_p == 0

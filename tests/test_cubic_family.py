@@ -84,7 +84,7 @@ def test_sigma_roots_residual_criterion():
                 bound = mp.mpf(10) ** (20 - precision) * abs(s) * abs(_q_prime(s))
                 assert abs(q_eval(s)) < bound
     with pytest.raises(UsageError):
-        find_sigma_roots(30)
+        find_sigma_roots(29)
 
 
 def _q_prime(x):

@@ -178,6 +178,32 @@ def test_rotational_family_kills_all_constants():
         assert all(L == 0 for _, L in series.l_values()), n
 
 
+def _rank(rows):
+    # Gaussian elimination on exact Fractions
+    rows = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            ratio = rows[r][col] / rows[rank][col]
+            rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_p_matrix_rank_at_centers():
+    # det P = 0 at every center tried so far; record how far P falls short
+    # of full rank on the seed-1 divergence-free and reversible centers
+    for n, size, div_rank, rev_rank in ((2, 4, 3, 2), (3, 8, 7, 4), (4, 14, 13, 7)):
+        P = build_p_matrix(random_divergence_free_field(n, 1))
+        assert P.size == size and _rank(P.entries) == div_rank, n
+        P = build_p_matrix(random_reversible_field(n, 1))
+        assert P.size == size and _rank(P.entries) == rev_rank, n
+
+
 # -- exact determinants ------------------------------------------------------
 
 
