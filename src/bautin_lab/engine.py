@@ -60,12 +60,16 @@ independent coefficients of the V_(k+1) blocks at selected levels k.  Each
 degree's solve is linear in R_K, and R_K is linear in the lower V terms, so
 once those blocks are pinned every later L is exactly affine in their
 coefficients (the linear parts of the Lyapunov constants).
-``compute_series_unknown`` therefore reads the affine forms of the constants
-off plain runs of the one per-degree loop: an offset run with every pinned
-block at zero, and one run per coefficient that starts from V_2 = 0 with that
-coefficient at one and the other pinned blocks at zero.  A column then stands
-for one full V_k coefficient, the attribution of the published tables.  Only
-the constants of each run are kept.
+``compute_series_unknown`` takes the constant parts from one plain run of
+the per-degree loop with every pinned block at zero, and the linear part of
+each L_j from one reverse sweep: the covector that reads L_j off R_(2j+2)
+is carried down the degrees through the transposes of the solve and of the
+stencil, and at each pinned block it is that block's coefficients.  A
+column then stands for one full V_k coefficient, the attribution of the
+published tables.  The sweep for L_j stops at the lowest pinned degree, so
+it pays only for the degrees up to 2j+2, and it computes on ints with one
+gcd per degree; each coefficient is then stored once by the domain, exact
+or rounded once in float mode.
 """
 
 from __future__ import annotations
@@ -74,9 +78,9 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
@@ -367,8 +371,7 @@ def _extend(
     for k in range(series.max_degree + 1, 2 * J + 3):
         num, den = accumulate_rhs(series, k)
         if num.is_zero():
-            # the unique solution is zero: gap degrees of homogeneous
-            # fields, and the degrees below an unknown's own in its run
+            # the unique solution is zero: gap degrees of homogeneous fields
             Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
         else:
             Vk, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), domain)
@@ -381,12 +384,7 @@ def _extend(
 def _start(vf: VectorField) -> LyapunovSeries:
     """A plain series holding only V_2 = (x^2+y^2)/2."""
     half = vf.domain.coerce(Fraction(1, 2))
-    return _seeded(vf, HomogPoly(2, [half, 0, half]))
-
-
-def _seeded(vf: VectorField, V2: HomogPoly) -> LyapunovSeries:
-    """A plain series holding only the given V_2, in stored form."""
-    return LyapunovSeries(vf, V={2: _scaled(V2, vf.domain)})
+    return LyapunovSeries(vf, V={2: _scaled(HomogPoly(2, [half, 0, half]), vf.domain)})
 
 
 def compute_series_unknown(
@@ -399,13 +397,13 @@ def compute_series_unknown(
     coefficient per unknown in registration order, zeros included.  ``V`` is
     empty.
 
-    Each replaced block is pinned exactly: at zero in the offset run, which
-    starts from V_2 = (x^2+y^2)/2 and gives c, and in the run of one unknown,
-    which starts from V_2 = 0 and gives its coefficient, at that unknown's
-    unit monomial with the other replaced blocks at zero.  Only the
-    constants of each run are kept.  A constant solved at a replaced even
-    degree never involves that block, so with no lower levels selected (the
-    homogeneous case) its coefficients are all zero.
+    The constant c is the L_j of the offset run, which starts from
+    V_2 = (x^2+y^2)/2 with every replaced block pinned at zero.  The
+    coefficients of L_j are the exact value of one reverse sweep
+    (``_covectors``), stored once per replaced block (``store_ints``).  A
+    constant solved at a replaced even degree never involves that block, so
+    with no lower levels selected (the homogeneous case) its coefficients
+    are all zero.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -422,15 +420,115 @@ def compute_series_unknown(
         for a in range(k + 1)
         if k % 2 == 1 or (k - a, a) != tiebreak_slot(k)
     ]
-    zero_blocks = {k: HomogPoly.zero(k) for k in degrees}
-    offset = _extend(_start(vf), J, zero_blocks).L
-    columns: dict[UnknownId, dict[int, Scalar]] = {}
-    for slot in unknowns:
-        pins = {**zero_blocks, sum(slot): HomogPoly.monomial(*slot, domain.coerce(1))}
-        columns[slot] = _extend(_seeded(vf, HomogPoly.zero(2)), J, pins).L
-
-    forms = {j: LinearForm(c, {s: L[j] for s, L in columns.items()}) for j, c in offset.items()}
+    series = _extend(_start(vf), J, {k: HomogPoly.zero(k) for k in degrees})
+    forms = {}
+    for j, c in series.L.items():
+        blocks = {
+            k: ScaledPoly(k, *domain.store_ints(*w), domain.ratio).coeffs
+            for k, w in _covectors(series, 2 * j + 2, degrees).items()
+        }
+        forms[j] = LinearForm(c, {(i, a): blocks[i + a][a] for i, a in unknowns})
     return LyapunovSeries(vf, L=forms, unknowns=unknowns)
+
+
+def _covectors(
+    series: LyapunovSeries, K: int, replaced: list[int]
+) -> dict[int, tuple[list[int], int]]:
+    """The linear part of the constant solved at degree K in the replaced
+    blocks: per degree k in ``replaced``, the covector (w, den) with
+    L = <w, V_k> / den + (terms in the other blocks and the offset).
+
+    One reverse sweep from the covector that reads L off R_K: at each degree
+    the transpose of the solve (``_solve_transpose``) gives the covector on
+    R_k, and the transpose of the stencil (``_stencil_transpose``) hands it
+    down to the V_m that R_k is built from.  A replaced block is pinned, so
+    its covector is read off and not handed further down; the sweep stops at
+    the lowest replaced degree."""
+    low = min(replaced)
+    terms = series._field_terms
+    pending: dict[int, list[tuple[list[int], int]]] = {}
+    out = {k: ([0] * (k + 1), 1) for k in replaced}
+    for k in range(K, low - 1, -1):
+        if k == K:
+            r, den = _solve_transpose(k, [0] * (k + 1), 1), _chain_constants(k)[0]
+        else:
+            parts = pending.pop(k, None)
+            if not parts:
+                continue
+            den = lcm(*(d for _, d in parts))
+            w = [0] * (k + 1)
+            for part, d in parts:
+                if d != den:
+                    part = [c * (den // d) for c in part]
+                w = list(map(add, w, part))
+            if k in replaced:
+                out[k] = (w, den)
+                continue
+            if not any(w):
+                continue
+            r, den = _solve_transpose(k, w), den * _chain_constants(k)[0]
+        red = gcd(*r, den)
+        if red > 1:
+            r, den = [x // red for x in r], den // red
+        for d, (stencil, e) in terms.items():
+            m = k + 1 - d
+            if m >= low:
+                pending.setdefault(m, []).append((_stencil_transpose(r, stencil, m), den * e))
+    return out
+
+
+def _stencil_transpose(r: list[int], stencil: list[tuple[int, int, int]], m: int) -> list[int]:
+    """The covector on V_m that ``accumulate_rhs``'s stencil of one field
+    degree d hands back from the covector r on the numerators of R_k
+    (k = m + d - 1): the correlation
+
+        w[a] = sum over j of r[a+j] * (m f[j] + a (g[j+1] - f[j])),
+
+    with r zero outside 0..k, so <r, stencil(v)> = <w, v> exactly."""
+    r = [0, *r, 0]  # slots -1..k+1
+    w = [0] * (m + 1)
+    for j, fj, step in stencil:
+        w = list(map(add, w, map(mul, r[j + 1 : j + m + 2], count(m * fj, step))))
+    return w
+
+
+def _solve_transpose(k: int, w: Sequence[int], t: int = 0) -> list[int]:
+    """The transpose of ``_solve_ints``: for V, L the rotational solve of R,
+    the covector g on R with <g, R> = scale * (<w, V> + t * L), where scale
+    is that of ``_chain_constants(k)``.  The forward steps of the parity
+    chains are undone in reverse order; w is scaled by ``scale`` first, so
+    every step is an exact floor division, as in the forward solve."""
+    scale, odd, unit, close = _chain_constants(k)
+    w = [scale * x for x in w]
+    g = [0] * (k + 1)
+
+    def up(slots):  # undo v[b+1] = ((k-b+1) v[b-1] - c[b]) / (b+1)
+        for b in slots:
+            q = w[b + 1] // (b + 1)
+            g[b] -= q
+            w[b - 1] += (k - b + 1) * q
+
+    def down(slots):  # undo v[b-1] = ((b+1) v[b+1] + c[b]) / (k-b+1)
+        for b in slots:
+            q = w[b - 1] // (k - b + 1)
+            g[b] += q
+            w[b + 1] += (b + 1) * q
+
+    if k % 2 == 1:
+        down(range(1, k - 1, 2))  # even slots, from v[k-1] = c[k]
+        g[k] += w[k - 1]
+    else:
+        a_t = tiebreak_slot(k)[1]  # v[a_t] is pinned: its covector is dropped
+        up(range(k - 1, a_t, -2))
+        down(range(1, a_t, 2))
+        # step = (c[k] - v[k-1]) / close gives L = odd * step and adds
+        # step * unit[a] to each odd slot a
+        step = (scale * t * odd + sum(w[a] * unit[a] for a in range(1, k, 2))) // close
+        g[k] += step
+        w[k - 1] -= step
+    up(range(k - 2 + k % 2, 0, -2))  # odd slots, from v[1] = -c[0]
+    g[0] -= w[1]
+    return g
 
 
 def residual(series: LyapunovSeries, k: int) -> HomogPoly:

@@ -22,8 +22,9 @@ solved coefficient, each Lyapunov constant and det P once.
 c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i in one
 carrier.  Nothing computes with forms: Lyapunov constants are exactly affine
 in the replaced block coefficients, so the engine fills the record in from
-one plain run per coefficient (see ``engine.compute_series_unknown``), and
-the certificate matrix reads its entries off it.
+one plain run (c0) and one reverse sweep per constant (the c_i; see
+``engine.compute_series_unknown``), and the certificate matrix reads its
+entries off it.
 
 A ``Domain`` object packages the carrier choice, the conversions above, and
 (for the floating carrier) the working precision and the magnitude below

@@ -10,7 +10,9 @@ independent coefficients of the replaced homogeneous blocks V_k.  The
 constants are exactly affine in those coefficients, so
 ``engine.compute_series_unknown`` gives the linear part: a square matrix P
 with one row per leading constant and one column per full V_k coefficient,
-and the offsets the rows keep with every replaced block at zero.  A nonzero
+and the offsets the rows keep with every replaced block at zero.  Row j is
+one reverse sweep over the degrees up to 2j+2, so the rows of the low
+constants are cheap.  A nonzero
 determinant means the leading constants pin those coefficients one-to-one,
 which certifies that a field whose leading constants all vanish is a center
 (the generic case) and bounds the number of small-amplitude limit cycles by
@@ -162,16 +164,6 @@ class PMatrix:
     def determinant(self) -> Scalar:
         """det P, computed afresh on each call."""
         return det_exact(self.entries, self.domain)
-
-    def apply_to(self, values: Sequence[Scalar]) -> list[Scalar]:
-        """Matrix-vector product P @ values (no offsets)."""
-        if len(values) != self.size:
-            raise UsageError("vector length does not match matrix size")
-        with self.domain.context():
-            return [
-                sum((e * v for e, v in zip(row, values)), start=0)
-                for row in self.entries
-            ]
 
 
 def build_p_matrix(

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from bautin_lab.fields import (
 )
 from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
 from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm
-from bautin_lab.structure import gap_profile
+from bautin_lab.structure import build_p_matrix, gap_profile
 
 
 def F(*args):
@@ -197,21 +198,25 @@ def test_accumulate_edge_stencils(monkeypatch):
     assert sorted(LyapunovSeries(parse_vector_field(EDGE_FIELDS[2]))._field_terms) == [2, 4]
 
 
-def test_accumulate_on_pinned_runs(monkeypatch):
-    # the runs of compute_series_unknown start from V_2 = 0 and pin zero and
-    # unit-monomial blocks, so whole terms and edge slots drop out
-    checked = _checked_rhs(monkeypatch)
-    domain = BigRealDomain(dps=60)
-    fields = [(random_field(n, seed=50 + n), range(2, n + 1)) for n in (2, 3, 4)]
-    fields += [(random_homogeneous_field(n, seed=50 + n), [n]) for n in (2, 3, 4)]
-    fields += [(parse_vector_field(text), [2, 3]) for text in EDGE_FIELDS]
-    for vf, levels in fields:
-        for field in (vf, coerce_field(vf, domain)):
-            before = len(checked)
-            series = compute_series_unknown(field, levels, vf.degree + 2)
-            # the offset run plus one run per unknown, each from degree 3
-            runs = 1 + len(series.unknowns)
-            assert len(checked) - before == runs * (2 * vf.degree + 4), (vf, levels)
+def test_stencil_transpose_against_accumulate():
+    # <r, R_k> = <stencil_transpose(r), V_m> / e_d exactly, for a series
+    # holding only V_m, whose R_k (k = m+d-1) is the one term of degree d
+    rng = random.Random(11)
+    fields = [parse_vector_field(text) for text in EDGE_FIELDS]
+    fields += [random_field(n, seed=50 + n) for n in (2, 3, 4, 5)]
+    fields += [random_homogeneous_field(n, seed=50 + n) for n in (2, 3, 4)]
+    fields += [coerce_field(vf, BigRealDomain(dps=60)) for vf in fields[:4]]
+    for vf in fields:
+        for m in (2, 3, 6, 9):
+            V = ScaledPoly(m, [rng.randint(-99, 99) for _ in range(m + 1)], rng.randint(1, 99))
+            series = LyapunovSeries(vf, V={m: V})
+            for d, (stencil, e) in series._field_terms.items():
+                k = m + d - 1
+                num, den = accumulate_rhs(series, k)
+                r = [rng.randint(-99, 99) for _ in range(k + 1)]
+                w = engine._stencil_transpose(r, stencil, m)
+                lhs = F(sum(map(operator.mul, r, num.coeffs)), den)
+                assert lhs == F(sum(map(operator.mul, w, V.nums)), V.den * e), (vf, m, d)
 
 
 def _stored_value(x):
@@ -480,17 +485,54 @@ def test_integer_solve_on_every_degree_of_plain_runs(monkeypatch):
     assert len(solves) > 100
 
 
-def test_integer_solve_on_pinned_runs(monkeypatch):
-    solves = _dense_checked(monkeypatch)
-    for n in (2, 3, 4):
-        for vf, levels in (
-            (random_field(n, seed=70 + n), range(2, n + 1)),
-            (random_homogeneous_field(n, seed=70 + n), [n]),
-        ):
-            before = len(solves)
-            series = compute_series_unknown(vf, levels, n + 3)
-            # the offset run plus one run per unknown, each solving degrees
-            assert len(solves) - before > len(series.unknowns), (n, levels)
+def test_solve_transpose_against_dense_solve():
+    # <g, R> = scale * (<w, V> + t L) for the dense solution V, L of R; the
+    # even degrees pin slots (h, h) and (h-1, h+1) alternately
+    rng = random.Random(12)
+    for k in range(3, 42):
+        R = HomogPoly(k, [rng.randint(-99, 99) for _ in range(k + 1)])
+        V, L = dense_rotational_solve(k, R)
+        scale = engine._chain_constants(k)[0]
+        draws = [([rng.randint(-99, 99) for _ in range(k + 1)], 0)]
+        if k % 2 == 0:
+            draws += [([0] * (k + 1), 1), ([rng.randint(-99, 99) for _ in range(k + 1)], -7)]
+        for w, t in draws:
+            g = engine._solve_transpose(k, w, t)
+            assert all(type(x) is int for x in g)
+            want = sum(map(operator.mul, w, V.coeffs)) + (t * L if t else 0)
+            assert sum(map(operator.mul, g, R.coeffs)) == scale * want, (k, t)
+
+
+def _pinned_columns(vf, levels, J):
+    """The coefficients of L_1..L_J in the unknowns of
+    ``compute_series_unknown(vf, levels, J)`` by the forward loop: one run
+    per unknown from V_2 = 0, with that coefficient at one and every other
+    replaced coefficient at zero."""
+    degrees = [k + 1 for k in levels if k + 1 <= 2 * J + 2]
+    zero_blocks = {k: HomogPoly.zero(k) for k in degrees}
+    columns = {}
+    for k in degrees:
+        for a in range(k + 1):
+            if k % 2 == 0 and (k - a, a) == tiebreak_slot(k):
+                continue
+            pins = {**zero_blocks, k: HomogPoly.monomial(k - a, a, vf.domain.coerce(1))}
+            zero_start = LyapunovSeries(vf, V={2: ScaledPoly(2, [0, 0, 0], 1)})
+            columns[k - a, a] = engine._extend(zero_start, J, pins).L
+    return columns
+
+
+def test_p_matrix_equals_pinned_forward_runs():
+    fields = [make(n, seed) for n in range(2, 7) for seed in range(3)
+              for make in (random_field, random_homogeneous_field)]
+    fields += [parse_vector_field("n 3\n"), parse_vector_field("n 3\nF 2 0 1\n")]
+    for vf in fields:
+        P = build_p_matrix(vf)
+        levels = [vf.degree] if vf.is_homogeneous() else range(2, vf.degree + 1)
+        columns = _pinned_columns(vf, levels, max(P.row_labels))
+        assert list(columns) == P.col_labels
+        for i, j in enumerate(P.row_labels):
+            assert P.entries[i] == [columns[s][j] for s in P.col_labels], (vf, j)
+            assert all(type(x) is Fraction for x in P.entries[i])
 
 
 def test_series_values_are_built_once_on_read():
@@ -537,17 +579,25 @@ def test_float_solve_is_the_exact_solve_rounded_once(monkeypatch):
     assert len(solves) > 100
 
 
-def test_float_solve_on_pinned_runs_is_rounded_once(monkeypatch):
+def test_float_unknown_coefficients_are_rounded_once():
+    # each coefficient is the exact value for the stored field (the pinned
+    # forward runs on exact rationals) rounded once at 60 digits
     domain = BigRealDomain(dps=60)
-    solves = _dense_checked(monkeypatch, domain)
     for n in (2, 3, 4):
         for vf, levels in (
             (random_field(n, seed=90 + n), range(2, n + 1)),
             (random_homogeneous_field(n, seed=90 + n), [n]),
         ):
-            before = len(solves)
-            series = compute_series_unknown(coerce_field(vf, domain), levels, n + 3)
-            assert len(solves) - before > len(series.unknowns), (n, levels)
+            inexact = coerce_field(vf, domain)
+            series = compute_series_unknown(inexact, levels, n + 3)
+            stored = _stored_series(LyapunovSeries(inexact)).field
+            columns = _pinned_columns(stored, levels, n + 3)
+            with domain.context():
+                for j, form in series.L.items():
+                    exact = [columns[s][j] for s in series.unknowns]
+                    want = [mp.fdiv(c.numerator, c.denominator)._mpf_ for c in exact]
+                    assert [c._mpf_ for c in form.coeffs.values()] == want, (n, j)
+            assert any(c != 0 for form in series.L.values() for c in form.coeffs.values())
 
 
 def test_float_solve_of_a_float_homog_poly():
