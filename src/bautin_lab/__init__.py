@@ -8,7 +8,6 @@ from .engine import (
     compute_series_unknown,
     dense_rotational_solve,
     extend_series,
-    residual,
     rotational_solve,
     tiebreak_slot,
 )
@@ -24,7 +23,7 @@ from .fields import (
     rotational_family_field,
     serialize_vector_field,
 )
-from .hpoly import HomogPoly, circle_power, rot_apply
+from .hpoly import HomogPoly, circle_power
 from .scalars import (
     RATIONAL,
     BigRealDomain,
@@ -94,8 +93,6 @@ __all__ = [
     "random_homogeneous_field",
     "random_reversible_field",
     "reproduce_example",
-    "residual",
-    "rot_apply",
     "rotational_family_field",
     "rotational_solve",
     "serialize_vector_field",

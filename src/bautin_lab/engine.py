@@ -55,6 +55,9 @@ something reads ``series.V[K].coeffs``.
 The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.
 
+``dense_rotational_solve``, dense elimination independent of the chains, is
+the solver's oracle; the tests check each slice's residual with their own rot.
+
 The center-certificate matrix needs the constants as functions of the
 independent coefficients of the V_(k+1) blocks at selected levels k.  Each
 degree's solve is linear in R_K, and R_K is linear in the lower V terms, so
@@ -84,7 +87,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
-from .hpoly import HomogPoly, ScaledPoly, circle_power, rot_apply
+from .hpoly import HomogPoly, ScaledPoly, circle_power
 from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId
 
 
@@ -118,10 +121,6 @@ class LyapunovSeries:
     @property
     def domain(self) -> Domain:
         return self.field.domain
-
-    @property
-    def max_index(self) -> int:
-        return max(self.L, default=0)
 
     @property
     def max_degree(self) -> int:
@@ -529,20 +528,3 @@ def _solve_transpose(k: int, w: Sequence[int], t: int = 0) -> list[int]:
     up(range(k - 2 + k % 2, 0, -2))  # odd slots, from v[1] = -c[0]
     g[0] -= w[1]
     return g
-
-
-def residual(series: LyapunovSeries, k: int) -> HomogPoly:
-    """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2), in the series' domain.
-
-    In exact mode it is identically zero for every degree of a plain series
-    (``compute_series``).  In float mode it is the effect of rounding V_k
-    and L once each, not zero."""
-    domain = series.domain
-    num, den = accumulate_rhs(series, k)
-    with domain.context():
-        out = rot_apply(series.V[k]) + num.map_coeffs(lambda c: domain.coerce(Fraction(c, den)))
-        if k % 2 == 0:
-            L = series.L.get(k // 2 - 1)
-            if L is not None:
-                out = out - circle_power(k // 2).scale(L)
-        return out

@@ -11,8 +11,8 @@ stores only its nonzero parts; missing parts are zero polynomials.
 Text format (UTF-8, line oriented): the first non-comment line is
 ``n <degree>``; every following line is ``F <i> <j> <coeff>`` or
 ``G <i> <j> <coeff>`` giving the coefficient of x^i y^j, with the coefficient
-written as an integer, a decimal, or ``p/q``.  ``#`` starts a comment and
-unlisted terms are zero.
+written as an integer, a decimal (exponent at most ``MAX_DECIMAL_EXPONENT`` in
+magnitude), or ``p/q``.  ``#`` starts a comment and unlisted terms are zero.
 """
 
 from __future__ import annotations
@@ -52,44 +52,11 @@ class VectorField:
     def g_part(self, k: int) -> HomogPoly:
         return self.G.get(k, HomogPoly.zero(k))
 
-    def active_levels(self) -> list[int]:
-        """Degrees k whose F_k or G_k is not the zero polynomial."""
-        out = []
-        for k in range(2, self.degree + 1):
-            if not self.f_part(k).is_zero() or not self.g_part(k).is_zero():
-                out.append(k)
-        return out
-
     def is_homogeneous(self) -> bool:
         """True when only the top-degree nonlinearity is present."""
-        return all(k == self.degree for k in self.active_levels())
-
-    def scale_params(self, s: Scalar) -> "VectorField":
-        """Multiply every coefficient of every part by s."""
-        return VectorField(
-            self.degree,
-            {k: p.scale(s) for k, p in self.F.items()},
-            {k: p.scale(s) for k, p in self.G.items()},
-            self.domain,
+        return all(
+            self.f_part(k).is_zero() and self.g_part(k).is_zero() for k in range(2, self.degree)
         )
-
-    def divergence_is_zero(self) -> bool:
-        """Exact coefficient-wise test of dF/dx + dG/dy == 0."""
-        for k in range(2, self.degree + 1):
-            if not (self.f_part(k).dx() + self.g_part(k).dy()).is_zero():
-                return False
-        return True
-
-    def is_reversible(self) -> bool:
-        """F even and G odd under x -> -x, coefficient-wise."""
-        for k in range(2, self.degree + 1):
-            for i, j, _ in self.f_part(k).terms():
-                if i % 2 == 1:
-                    return False
-            for i, j, _ in self.g_part(k).terms():
-                if i % 2 == 0:
-                    return False
-        return True
 
 
 def parse_vector_field(text: str, domain: Domain = RATIONAL) -> VectorField:

@@ -9,9 +9,11 @@ sparse one.
 
 Coefficients may be any scalar the package knows (Fraction, mpf, or plain
 int for structural zeros); operations never assume a particular carrier.
-Products skip zero coefficients of either carrier.  The engine's per-degree
-loop uses neither products nor derivatives: it builds each source term in one
-fused pass over integer numerators (see ``engine.accumulate_rhs``).
+The operations are the ones the field generators and ``coerce_field`` use:
+products, which skip zero coefficients of either carrier, negation, partial
+derivatives and coefficient maps.  The engine's per-degree loop uses neither
+products nor derivatives: it builds each source term in one fused pass over
+integer numerators (see ``engine.accumulate_rhs``).
 
 ``ScaledPoly`` stores integer numerators over one positive denominator,
 ``nums[a] / den``.  Every V_k of a series is held this way, and the engine
@@ -78,20 +80,6 @@ class HomogPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise UsageError(f"cannot add degree {self.degree} and degree {other.degree}")
-        return HomogPoly(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise UsageError(f"cannot subtract degree {other.degree} from degree {self.degree}")
-        return HomogPoly(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __neg__(self) -> "HomogPoly":
         return HomogPoly(self.degree, [-c for c in self.coeffs])
 
@@ -107,9 +95,6 @@ class HomogPoly:
             for b, cb in right:
                 out[a + b] = out[a + b] + ca * cb
         return HomogPoly(self.degree + other.degree, out)
-
-    def scale(self, s: Scalar) -> "HomogPoly":
-        return HomogPoly(self.degree, [c * s for c in self.coeffs])
 
     # -- calculus ----------------------------------------------------------
 
@@ -179,26 +164,6 @@ def terms_str(terms: Iterable[tuple[int, int, str]]) -> str:
         mono = "*".join(filter(None, [f"x^{i}" if i else "", f"y^{j}" if j else ""])) or "1"
         parts.append(f"({text})*{mono}")
     return " + ".join(parts) if parts else "0"
-
-
-def rot_apply(p: HomogPoly) -> HomogPoly:
-    """Apply the rotational operator x*d/dy - y*d/dx.
-
-    On monomials:  x^i y^j  ->  j x^(i+1) y^(j-1) - i x^(i-1) y^(j+1),
-    so entry b of the output couples entries b-1 and b+1 of the input.  The
-    kernel on even degree 2p is spanned by (x^2 + y^2)^p.
-    """
-    k = p.degree
-    c = p.coeffs
-    out: list[Scalar] = [0] * (k + 1)
-    for b in range(k + 1):
-        acc: Scalar = 0
-        if b + 1 <= k:
-            acc = acc + (b + 1) * c[b + 1]
-        if b - 1 >= 0:
-            acc = acc - (k - b + 1) * c[b - 1]
-        out[b] = acc
-    return HomogPoly(k, out)
 
 
 def circle_power(p: int) -> HomogPoly:

@@ -31,10 +31,10 @@ A ``Domain`` object packages the carrier choice, the conversions above, and
 which a value is treated as zero by the analysis layers.  Domain values are
 immutable and freely shareable between threads.  The conversions round at
 the domain's own precision and read no global state.  Code that does
-arithmetic on mpf values (residuals, the cubic family's parameter
-resolution) runs it inside ``domain.context()``, which sets mpmath's
-process-global precision, so concurrent computations at different
-precisions must run in separate processes.
+arithmetic on mpf values (the cubic family's parameter resolution) runs it
+inside ``domain.context()``, which sets mpmath's process-global precision,
+so concurrent computations at different precisions must run in separate
+processes.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ _RATIONAL = re.compile(
     rf"[-+]?(?:{_DIGITS}/{_DIGITS}"
     rf"|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?)"
 )
+_EXPONENT = re.compile(rf"[eE]([-+]?{_DIGITS})")
+
+#: Largest magnitude of a written decimal exponent: ``1eE`` is read as the
+#: exact 10^E, and exact mode then computes on numbers of that size.
+MAX_DECIMAL_EXPONENT = 10**5
 
 
 def parse_rational(text: str) -> Fraction:
@@ -73,10 +78,13 @@ def parse_rational(text: str) -> Fraction:
     Decimals are scaled by the exact power of ten ("0.25" -> 1/4); binary
     floating point is never involved.  The digits are read through
     ``Decimal``, which has no limit on their number (``int(text)`` stops at
-    4300 by default) and changes no global state.
+    4300 by default) and changes no global state.  A decimal exponent
+    above ``MAX_DECIMAL_EXPONENT`` in magnitude raises UsageError.
     """
     if _RATIONAL.fullmatch(text.strip()) is None:
         raise UsageError(f"not a rational number: {text!r}")
+    if any(abs(Decimal(e)) > MAX_DECIMAL_EXPONENT for e in _EXPONENT.findall(text)):
+        raise UsageError(f"decimal exponent of magnitude above {MAX_DECIMAL_EXPONENT}")
     num, _, den = text.strip().partition("/")
     if not den:
         return Fraction(Decimal(num))

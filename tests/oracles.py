@@ -1,0 +1,92 @@
+"""Checks and helpers the tests share, independent of the package's code paths.
+
+``rot_apply`` implements the rotational operator x*d/dy - y*d/dx from its
+monomial rule, not from the parity chains of ``engine.rotational_solve``;
+``residual`` uses it to check that a series solves every degree's equation.
+``divergence_is_zero`` and ``is_reversible`` check the structure the center
+generators build in.  Sums are taken over the coefficient tuples: the
+package's polynomials have no addition.
+"""
+
+from fractions import Fraction
+
+from bautin_lab.engine import LyapunovSeries, accumulate_rhs
+from bautin_lab.fields import VectorField
+from bautin_lab.hpoly import HomogPoly, circle_power
+
+
+def poly_sum(*polys: HomogPoly) -> HomogPoly:
+    """Coefficient-wise sum of polynomials of one degree."""
+    coeffs = zip(*(p.coeffs for p in polys), strict=True)
+    return HomogPoly(polys[0].degree, [sum(cs) for cs in coeffs])
+
+
+def rot_apply(p: HomogPoly) -> HomogPoly:
+    """Apply the rotational operator x*d/dy - y*d/dx.
+
+    On monomials:  x^i y^j  ->  j x^(i+1) y^(j-1) - i x^(i-1) y^(j+1),
+    so entry b of the output couples entries b-1 and b+1 of the input.  The
+    kernel on even degree 2p is spanned by (x^2 + y^2)^p.
+    """
+    k = p.degree
+    c = p.coeffs
+    out = [0] * (k + 1)
+    for b in range(k + 1):
+        acc = 0
+        if b + 1 <= k:
+            acc = acc + (b + 1) * c[b + 1]
+        if b - 1 >= 0:
+            acc = acc - (k - b + 1) * c[b - 1]
+        out[b] = acc
+    return HomogPoly(k, out)
+
+
+def residual(series: LyapunovSeries, k: int) -> HomogPoly:
+    """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2), in the series' domain.
+
+    In exact mode it is identically zero for every degree of a plain series
+    (``compute_series``).  In float mode it is the effect of rounding V_k
+    and L once each, not zero."""
+    domain = series.domain
+    num, den = accumulate_rhs(series, k)
+    with domain.context():
+        terms = [rot_apply(series.V[k]), num.map_coeffs(lambda c: domain.coerce(Fraction(c, den)))]
+        L = series.L.get(k // 2 - 1) if k % 2 == 0 else None
+        if L is not None:
+            terms.append(circle_power(k // 2).map_coeffs(lambda b: -L * b))
+        return poly_sum(*terms)
+
+
+def divergence_is_zero(vf: VectorField) -> bool:
+    """Exact coefficient-wise test of dF/dx + dG/dy == 0."""
+    levels = range(2, vf.degree + 1)
+    return all(poly_sum(vf.f_part(k).dx(), vf.g_part(k).dy()).is_zero() for k in levels)
+
+
+def is_reversible(vf: VectorField) -> bool:
+    """F even and G odd under x -> -x, coefficient-wise."""
+    levels = range(2, vf.degree + 1)
+    return all(i % 2 == 0 for k in levels for i, _, _ in vf.f_part(k).terms()) and all(
+        i % 2 == 1 for k in levels for i, _, _ in vf.g_part(k).terms()
+    )
+
+
+def scaled_field(vf: VectorField, s) -> VectorField:
+    """Every coefficient of every part multiplied by s."""
+    def scale(parts):
+        return {k: p.map_coeffs(lambda c: c * s) for k, p in parts.items()}
+
+    return VectorField(vf.degree, scale(vf.F), scale(vf.G), vf.domain)
+
+
+def apply_p(P, values) -> list:
+    """P @ values, without the offsets (the P v + offsets = L oracle)."""
+    return [sum(e * v for e, v in zip(row, values)) for row in P.entries]
+
+
+def stored_value(x) -> Fraction:
+    """The dyadic rational an mpf stores, exactly; an int as itself."""
+    if isinstance(x, int):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return (-1 if sign else 1) * Fraction(int(man)) * Fraction(2) ** exp

@@ -33,6 +33,7 @@ from bautin_lab.structure import (
     gap_profile,
     verify_gaps,
 )
+from oracles import apply_p, scaled_field
 
 SIGMA1_PRINTED = "-6.866628200554238820434952526434021955"
 SIGMA2_PRINTED = "-2.267138125538741369528826715285454145"
@@ -65,11 +66,6 @@ P_SIGMA2_PUBLISHED = [
     [3.12082e11, 1.97144e12, 5.89773e11, -1.17916e12, 1.02138e12, 1.85318e12, -1.4768e12, -2.09917e12],
 ]
 ODD_BLOCK_COLUMNS = (0, 2, 4, 5)  # v03, v12, v21, v30
-
-
-def _apply(P, values):
-    """P @ values, without the offsets (the P v + offsets = L oracle)."""
-    return [sum(e * v for e, v in zip(row, values)) for row in P.entries]
 
 
 def test_criterion_1_gap_law():
@@ -138,7 +134,7 @@ def test_criterion_4_p_matrix_consistency():
             P = build_p_matrix(vf)
             plain = compute_series(vf, max(P.row_labels))
             values = [plain.V[sum(uid)].coeff(*uid) for uid in P.col_labels]
-            product = _apply(P, values)
+            product = apply_p(P, values)
             for i, j in enumerate(P.row_labels):
                 assert product[i] == plain.L[j], (n, seed, j)
             total += 1
@@ -235,7 +231,7 @@ def test_criterion_8_parameter_scaling():
         J = 2 * (n + 2)
         base = compute_series(vf, J)
         for s in (Fraction(2), Fraction(-3), Fraction(1, 5)):
-            scaled = compute_series(vf.scale_params(s), J)
+            scaled = compute_series(scaled_field(vf, s), J)
             for m in range(1, 7):
                 degree = 2 + m * (n - 1)
                 if degree % 2 == 0 and degree <= 2 * J + 2:

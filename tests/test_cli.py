@@ -153,6 +153,11 @@ def test_parse_error_is_bad_input(tmp_path, capsys):
         path = write_field(tmp_path, "bad.vf", f"n 3\nF 3 0 {coeff}\n")
         code, out, err = run(capsys, "center-check", path, "--mode", "float")
         assert code == 1 and out == "" and "line 2" in err, coeff
+    # a decimal exponent beyond the bound is refused before 10^E is built
+    path = write_field(tmp_path, "big.vf", "n 2\nF 2 0 1e999999999\nF 1 1 1\nG 1 1 2\n")
+    for mode in ("exact", "float"):
+        code, out, err = run(capsys, "lyapunov", path, "-J", "2", "--mode", mode)
+        assert code == 1 and out == "" and "line 2" in err and "100000" in err, mode
 
 
 def test_gaps_match(tmp_path, capsys):

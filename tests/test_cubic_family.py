@@ -16,9 +16,7 @@ from bautin_lab.cubic_family import (
     count_sign_changes_between,
     family_vector_field,
     find_sigma_roots,
-    q_eval,
     reproduce_example,
-    sigma_is_admissible,
     substitution_chain,
 )
 from bautin_lab.engine import compute_series
@@ -39,7 +37,7 @@ def test_q_coefficient_anchors():
     assert Q_COEFFS[10] == 1324524586
     assert Q_COEFFS[9] == -5941780227
     assert len(Q_COEFFS) == 11
-    assert q_eval(Fraction(0)) == 210691031040000000
+    assert _q(Fraction(0)) == 210691031040000000
 
 
 def test_q_has_exactly_four_real_roots():
@@ -57,7 +55,7 @@ def test_only_two_roots_are_admissible():
         roots = mp.polyroots([mp.mpf(c) for c in reversed(Q_COEFFS)], maxsteps=200, extraprec=200)
         real = sorted(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** -40)
         assert len(real) == 4
-        flags = [sigma_is_admissible(r) for r in real]
+        flags = [b6_squared_value(r, 1) >= 0 for r in real]
         # the outermost and innermost real roots admit a real b6; the middle
         # two would need b6^2 < 0
         assert flags == [True, False, False, True]
@@ -82,9 +80,16 @@ def test_sigma_roots_residual_criterion():
         with mp.workdps(precision):
             for s in (s1, s2):
                 bound = mp.mpf(10) ** (20 - precision) * abs(s) * abs(_q_prime(s))
-                assert abs(q_eval(s)) < bound
+                assert abs(_q(s)) < bound
     with pytest.raises(UsageError):
         find_sigma_roots(29)
+
+
+def _q(x):
+    acc = 0
+    for c in reversed(Q_COEFFS):
+        acc = acc * x + c
+    return acc
 
 
 def _q_prime(x):
@@ -221,7 +226,7 @@ def test_non_root_sigma_leaves_l7_alive():
     _, s2 = find_sigma_roots(60)
     with mp.workdps(60):
         sigma = s2 + mp.mpf("0.001")
-        assert abs(q_eval(sigma)) > 1
+        assert abs(_q(sigma)) > 1
         params = substitution_chain(Fraction(-1), sigma, 60)
         vf = family_vector_field(params, 60)
         series = compute_series(vf, 7)

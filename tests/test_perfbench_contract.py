@@ -1,10 +1,13 @@
 """The benchmark wraps package functions by name from outside (see
-perfbench/tracer.py).  This checks that the names it wraps still exist and
-are still reached, so a refactor cannot silently empty a per-layer metric."""
+perfbench/tracer.py) and imports others directly.  This checks that the
+names it wraps and imports still exist and are still reached, so a refactor
+cannot silently empty a per-layer metric or break a benchmark run."""
 
+import ast
 import importlib
 from pathlib import Path
 
+import bautin_lab
 import bautin_lab.cli
 import bautin_lab.structure
 from bautin_lab.fields import random_field
@@ -51,3 +54,20 @@ def test_tracer_spans_cover_the_per_degree_loop(monkeypatch, capsys):
             calls[span[0]] = calls.get(span[0], 0) + 1
         assert calls.get("engine.accumulate_rhs") == 8, (mode, calls)
         assert calls.get("engine.rotational_solve") == 8, (mode, calls)
+
+
+def test_benchmark_imports_resolve():
+    # every "from bautin_lab... import X" under perfbench/, not only the tracer's
+    seen = 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bautin_lab"):
+                exec(ast.unparse(node), {})  # ImportError on a name that is gone
+                seen += len(node.names)
+    assert seen >= 10
+
+
+def test_star_import_resolves():
+    namespace = {}
+    exec("from bautin_lab import *", namespace)  # AttributeError on a stale __all__ entry
+    assert set(bautin_lab.__all__) <= namespace.keys()

@@ -7,6 +7,7 @@ import pytest
 
 from bautin_lab.errors import UsageError
 from bautin_lab.scalars import (
+    MAX_DECIMAL_EXPONENT,
     RATIONAL,
     BigRealDomain,
     _round_ratio,
@@ -24,6 +25,12 @@ def test_parse_rational_forms():
         parse_rational("abc")
     with pytest.raises(UsageError):
         parse_rational("1/0")
+    # 1eE is read as the exact 10^E, so the exponent is bounded
+    assert parse_rational("1e-100000") == Fraction(1, 10**100000)
+    assert parse_rational("-2.5E+100_000") == -25 * 10**99999
+    for text in ("1e100001", "1e-100001", "3.0e999999999"):
+        with pytest.raises(UsageError, match="100000"):
+            parse_rational(text)
 
 
 def test_rational_domain_coerce():
@@ -85,15 +92,15 @@ def test_round_ratio_matches_mpf_division():
 
 
 def test_huge_decimal_exponents_parse_fast_and_round_once():
-    # a million-digit power of ten is read exactly and rounded once, without
-    # an mpf division on the million-digit int (which took about 18 s)
+    # the largest power of ten the exponent bound accepts is read exactly and
+    # rounded once, without an mpf division on the 10^5-digit int
     from mpmath.libmp import dps_to_prec
 
     dom = BigRealDomain(dps=60)
     prec = dps_to_prec(dom.dps)
-    N = 10**6
+    N = MAX_DECIMAL_EXPONENT
     start = time.process_time()
-    big, small = dom.coerce("1e1000000"), dom.coerce("1e-1000000")
+    big, small = dom.coerce(f"1e{N}"), dom.coerce(f"1e-{N}")
     assert time.process_time() - start < 5
     ten_n = 10**N
     # x = man * 2^exp within half an ulp 2^(exp + bc - prec - 1), in ints

@@ -26,15 +26,11 @@ from bautin_lab.structure import (
     gap_profile,
     verify_gaps,
 )
+from oracles import apply_p, poly_sum, stored_value
 
 
 def F(*args):
     return Fraction(*args)
-
-
-def _apply(P, values):
-    """P @ values, without the offsets (the P v + offsets = L oracle)."""
-    return [sum(e * v for e, v in zip(row, values)) for row in P.entries]
 
 
 # -- gap profiles ------------------------------------------------------------
@@ -121,7 +117,7 @@ def test_p_matrix_identity_on_plain_values():
         P = build_p_matrix(vf)
         plain = compute_series(vf, max(P.row_labels))
         values = [plain.V[sum(uid)].coeff(*uid) for uid in P.col_labels]
-        product = _apply(P, values)
+        product = apply_p(P, values)
         for i, j in enumerate(P.row_labels):
             assert product[i] == plain.L[j], (n, j)
         assert all(o == 0 for o in P.row_offsets)
@@ -142,7 +138,7 @@ def test_p_matrix_identity_general_fields_with_offsets():
         assert P.size == center_number_bound(n, False)
         plain = compute_series(vf, max(P.row_labels))
         values = [plain.V[sum(uid)].coeff(*uid) for uid in P.col_labels]
-        product = _apply(P, values)
+        product = apply_p(P, values)
         for i, j in enumerate(P.row_labels):
             assert product[i] + P.row_offsets[i] == plain.L[j], (n, j)
         # offsets only at rows whose degree 2j+2 is a replaced even degree
@@ -250,12 +246,6 @@ def test_det_bigreal_mode():
         assert abs(det_exact(m, dom) + 2) < mp.mpf(10) ** -35
 
 
-def _stored(x):
-    """The dyadic rational an mpf stores, exactly."""
-    sign, man, exp, _ = x._mpf_
-    return (-1 if sign else 1) * F(int(man)) * F(2) ** exp
-
-
 def test_float_det_is_the_exact_det_of_the_stored_entries_rounded_once():
     rng = random.Random(5)
     for dps in (30, 60, 120):
@@ -269,7 +259,7 @@ def test_float_det_is_the_exact_det_of_the_stored_entries_rounded_once():
                     for _ in range(size)
                 ])
         for m in matrices:
-            want = det_exact([[_stored(x) for x in row] for row in m], RATIONAL)
+            want = det_exact([[stored_value(x) for x in row] for row in m], RATIONAL)
             with dom.context():
                 want = mp.fdiv(want.numerator, want.denominator)
             assert want != 0 and det_exact(m, dom)._mpf_ == want._mpf_, (dps, len(m))
@@ -286,7 +276,7 @@ def test_float_det_of_exactly_dependent_rows_is_zero():
             for _ in range(3)
         ]
         rows.insert(2, [3 * a - 5 * b for a, b in zip(rows[0], rows[1])])
-    stored = [[_stored(x) for x in row] for row in rows]
+    stored = [[stored_value(x) for x in row] for row in rows]
     assert stored[2] == [3 * a - 5 * b for a, b in zip(stored[0], stored[1])]
     det = det_exact(rows, dom)
     assert det == 0 and det._mpf_ == mp.mpf(0)._mpf_
@@ -384,7 +374,7 @@ def test_float_weak_focus_order_bounds_the_exact_order():
     for n in (3, 4):
         vf = random_divergence_free_field(n, 1)
         bump = HomogPoly.monomial(2, 0, F(1, 10**45))
-        vf = dataclasses.replace(vf, F={**vf.F, 2: vf.f_part(2) + bump})
+        vf = dataclasses.replace(vf, F={**vf.F, 2: poly_sum(vf.f_part(2), bump)})
         exact, cert = center_check(vf), center_check(vf, dom)
         assert exact.verdict == "weak-focus" and exact.weak_focus_order == 1
         assert cert.verdict == "weak-focus" and cert.det_p is None
