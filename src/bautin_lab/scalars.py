@@ -63,9 +63,8 @@ _DIGITS = r"\d+(?:_\d+)*"
 #: with an optional exponent, signed.
 _RATIONAL = re.compile(
     rf"[-+]?(?:{_DIGITS}/{_DIGITS}"
-    rf"|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?)"
+    rf"|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE](?P<exp>[-+]?{_DIGITS}))?)"
 )
-_EXPONENT = re.compile(rf"[eE]([-+]?{_DIGITS})")
 
 #: Largest magnitude of a written decimal exponent: ``1eE`` is read as the
 #: exact 10^E, and exact mode then computes on numbers of that size.
@@ -81,9 +80,10 @@ def parse_rational(text: str) -> Fraction:
     4300 by default) and changes no global state.  A decimal exponent
     above ``MAX_DECIMAL_EXPONENT`` in magnitude raises UsageError.
     """
-    if _RATIONAL.fullmatch(text.strip()) is None:
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
         raise UsageError(f"not a rational number: {text!r}")
-    if any(abs(Decimal(e)) > MAX_DECIMAL_EXPONENT for e in _EXPONENT.findall(text)):
+    if match["exp"] and abs(Decimal(match["exp"])) > MAX_DECIMAL_EXPONENT:
         raise UsageError(f"decimal exponent of magnitude above {MAX_DECIMAL_EXPONENT}")
     num, _, den = text.strip().partition("/")
     if not den:

@@ -92,22 +92,23 @@ def test_round_ratio_matches_mpf_division():
 
 
 def test_huge_decimal_exponents_parse_fast_and_round_once():
-    # the largest power of ten the exponent bound accepts is read exactly and
-    # rounded once, without an mpf division on the 10^5-digit int
+    # the largest power of ten the exponent bound accepts (as text) and a
+    # million-digit one (as a Fraction) are read exactly and rounded once,
+    # without an mpf division on the big int (about 18 s at a million digits)
     from mpmath.libmp import dps_to_prec
 
     dom = BigRealDomain(dps=60)
     prec = dps_to_prec(dom.dps)
-    N = MAX_DECIMAL_EXPONENT
-    start = time.process_time()
-    big, small = dom.coerce(f"1e{N}"), dom.coerce(f"1e-{N}")
-    assert time.process_time() - start < 5
-    ten_n = 10**N
-    # x = man * 2^exp within half an ulp 2^(exp + bc - prec - 1), in ints
-    sign, man, exp, bc = big._mpf_
-    assert sign == 0 and 0 < bc <= prec and exp > 0
-    assert 2 * abs((int(man) << exp) - ten_n) <= 1 << (exp + bc - prec)
-    # the same inequality for 10^-N, multiplied by 10^N * 2^-exp
-    sign, man, exp, bc = small._mpf_
-    assert sign == 0 and 0 < bc <= prec and exp < 0
-    assert abs(int(man) * ten_n - (1 << -exp)) << (prec - bc + 1) <= ten_n
+    N, ten_m = MAX_DECIMAL_EXPONENT, 10 ** 10**6
+    for ten_n, pair in ((10**N, (f"1e{N}", f"1e-{N}")), (ten_m, (Fraction(ten_m), Fraction(1, ten_m)))):
+        start = time.process_time()
+        big, small = map(dom.coerce, pair)
+        assert time.process_time() - start < 5
+        # x = man * 2^exp within half an ulp 2^(exp + bc - prec - 1), in ints
+        sign, man, exp, bc = big._mpf_
+        assert sign == 0 and 0 < bc <= prec and exp > 0
+        assert 2 * abs((int(man) << exp) - ten_n) <= 1 << (exp + bc - prec)
+        # the same inequality for 10^-N, multiplied by 10^N * 2^-exp
+        sign, man, exp, bc = small._mpf_
+        assert sign == 0 and 0 < bc <= prec and exp < 0
+        assert abs(int(man) * ten_n - (1 << -exp)) << (prec - bc + 1) <= ten_n
