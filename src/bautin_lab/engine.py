@@ -40,17 +40,21 @@ a+1, the K+1 equations decouple by slot parity into two chains:
     (x^2+y^2)^(K/2), resolved by pinning one designated slot to zero.
 
 Both modes run both chains on ints.  The source numerators are first
-multiplied by a per-degree product of the chain divisors -- 3*5*...*K at odd
-K; at even K the odd-chain product, the closing factor 1 + unit[K-1] (as an
-integer over the odd-chain product) and the even-chain product -- so every
-step is an exact floor division, and the exact V_K and L are those
-numerators over the product times den.  Exact mode stores V_K so, reduced
-once by a single gcd over all of them; L is the Fraction of its numerator
-over the same denominator.  Float mode rounds each V_K coefficient and L
-once, to nearest at the working precision, and stores the rounded V_K as
-dyadic ints over one power of two.  The per-coefficient values of V_K
-(Fractions, or the mpfs the dyadic ints stand for) are built only when
-something reads ``series.V[K].coeffs``.
+multiplied by a per-degree scale -- lcm(1, 3, ..., K) at odd K; at even K
+the lcm of the closing factor 1 + unit[K-1] (as an integer over the
+odd-chain product) times lcm(1, 3, ..., K-1) and of 2 * lcm(1, ..., K/2) --
+so every step is an exact floor division, and the exact V_K and L are those
+numerators over the scale times den.  Every chain coefficient is m
+consecutive multipliers over m+1 consecutive divisors, so the divisors
+exceed the multipliers at a prime p by at most floor(log_p K) factors, and
+a least common multiple suffices (``_chain_constants`` has the proof); the
+smaller the scale, the less the gcd below has to divide back out.  Exact
+mode stores V_K so, reduced once by a single gcd over all of them; L is the
+Fraction of its numerator over the same denominator.  Float mode rounds
+each V_K coefficient and L once, to nearest at the working precision, and
+stores the rounded V_K as dyadic ints over one power of two.  The
+per-coefficient values of V_K (Fractions, or the mpfs the dyadic ints stand
+for) are built only when something reads ``series.V[K].coeffs``.
 
 The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.
@@ -224,7 +228,8 @@ def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[list[int], int |
     (v, l, d) with V's coefficients v[a]/d and L = l/d (l None at odd k).
 
     The numerators are scaled by the ``scale`` of ``_chain_constants(k)``,
-    which makes every step an exact floor division."""
+    a least common multiple that makes every step an exact floor division
+    (proved there), so d = den * scale."""
     scale, odd, unit, close = _chain_constants(k)
     c = [scale * x for x in nums]
     v = [0] * (k + 1)
@@ -253,14 +258,56 @@ def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[list[int], int |
 @cache
 def _chain_constants(k: int) -> tuple[int, int, tuple[int, ...] | None, int | None]:
     """Per-degree constants of ``_solve_ints``, computed on first use:
-    (scale, odd, unit, close).  ``odd`` is the product of the odd-slot chain
-    divisors 3, 5, ..., and ``scale`` a multiple of every chain's divisor
-    product.  At even k, ``unit`` is odd times the odd-slot solution for L = 1
-    and R = 0, and ``close`` = odd + unit[k-1] is odd times the closing factor
-    1 + unit[k-1] / odd; at odd k both are None."""
+    (scale, odd, unit, close).  ``odd`` is the product 3 * 5 * ... of the
+    odd-slot chain divisors, the odd numbers up to k.  At even k, ``unit`` is
+    odd times the odd-slot solution for L = 1 and R = 0, and ``close`` =
+    odd + unit[k-1] is odd times the closing factor 1 + unit[k-1] / odd; at
+    odd k both are None.  ``scale`` is lcm(1, 3, ..., k) at odd k and
+
+        lcm(close * lcm(1, 3, ..., k-1), 2 * lcm(1, 2, ..., k/2))
+
+    at even k, the least multiplier this argument shows to make every step
+    of the solve and of its transpose an exact floor division.
+
+    Each step of ``_solve_ints`` yields a value linear in the source
+    c = scale * nums: a coefficient of the exact solution, or at even k one
+    of the odd-slot run with L = 0 or the closing quotient.  It is an
+    integer for every integer nums when scale times its coefficient of each
+    nums[b'] is an integer.  Along a chain, the coefficient of nums[b'] in
+    the value solved m steps after the step that reads it is, up to sign, a
+    product of m multipliers over a product of m + 1 divisors (the first
+    step divides by 1 when it only copies a source).  The divisors are consecutive odd numbers up to k
+    in the odd-slot chains and in the even-slot chain at odd k, and
+    consecutive even numbers up to k in the even-slot chain at even k; the
+    multipliers are consecutive terms of step 2 as well.  For an odd prime p,
+    every p^e consecutive terms of such a progression hold exactly one
+    multiple of p^e, so the multipliers hold at least floor(m / p^e) of them
+    and the divisors at most floor(m / p^e) + 1, and none once p^e > k.
+    Summed over e (Legendre: the first sums to the power of p in m!), the
+    divisors exceed the multipliers at p by at most floor(log_p k), the
+    power of p in lcm(1, 3, ..., k), and odd divisors hold no 2.  So
+    lcm(1, 3, ..., k) clears both chains at odd k, and lcm(1, 3, ..., k-1)
+    the odd-slot run at even k with L = 0.  At even k, halving the divisors
+    and the multipliers leaves m + 1 consecutive integers up to k/2 over m
+    consecutive integers and one factor 2, so the same count at every prime
+    p gives 2 * lcm(1, ..., k/2).  The closing step divides c[k] - v[k-1] =
+    scale * X by ``close``, where X = nums[k] minus the L = 0 value at slot
+    k-1 and lcm(1, 3, ..., k-1) * X is an integer, so the factor
+    close * lcm(1, 3, ..., k-1) makes the quotient scale * L / odd an
+    integer; adding it times the integers ``unit`` keeps the odd slots
+    integral.  ``unit`` itself is the odd-slot chain on the source
+    odd * (x^2+y^2)^(k/2), exact because odd is a multiple of
+    lcm(1, 3, ..., k-1).
+
+    ``_solve_transpose`` undoes these steps in reverse, on w scaled by
+    scale.  Each c[b] enters exactly one forward step, so each quotient of
+    the transpose is, up to sign, one entry of scale * (M^T w + t l), where
+    V = M R and L = <l, R> is the exact solve; scale * M and scale * l are
+    integer matrices by the argument above, and w and t are integers.  No
+    step is left to a run-time check."""
     odd = prod(range(3, k + 1, 2))
     if k % 2 == 1:
-        return odd, odd, None, None  # the even-slot chain has the same divisors
+        return lcm(*range(1, k + 1, 2)), odd, None, None
     cp = circle_power(k // 2).coeffs
     unit = [0] * k
     for b in range(0, k, 2):
@@ -269,9 +316,8 @@ def _chain_constants(k: int) -> tuple[int, int, tuple[int, ...] | None, int | No
     close = odd + unit[k - 1]
     if close == 0:
         raise SolverInternalError(f"closing denominator vanished at degree {k}")
-    a_t = tiebreak_slot(k)[1]
-    even = prod(range(a_t + 2, k + 1, 2)) * prod(range(k - a_t + 2, k + 1, 2))
-    return odd * close * even, odd, tuple(unit), close
+    scale = lcm(close * lcm(*range(1, k, 2)), 2 * lcm(*range(1, k // 2 + 1)))
+    return scale, odd, tuple(unit), close
 
 
 def dense_rotational_solve(k: int, R: HomogPoly) -> tuple[HomogPoly, Scalar | None]:
@@ -495,8 +541,10 @@ def _solve_transpose(k: int, w: Sequence[int], t: int = 0) -> list[int]:
     """The transpose of ``_solve_ints``: for V, L the rotational solve of R,
     the covector g on R with <g, R> = scale * (<w, V> + t * L), where scale
     is that of ``_chain_constants(k)``.  The forward steps of the parity
-    chains are undone in reverse order; w is scaled by ``scale`` first, so
-    every step is an exact floor division, as in the forward solve."""
+    chains are undone in reverse order; w is scaled by ``scale`` first.
+    Each source numerator enters one forward step, so each quotient is, up
+    to sign, one entry of the integer covector g, and every step is an
+    exact floor division, as in the forward solve."""
     scale, odd, unit, close = _chain_constants(k)
     w = [scale * x for x in w]
     g = [0] * (k + 1)

@@ -39,13 +39,14 @@ processes.
 
 from __future__ import annotations
 
+import numbers
 import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp
@@ -71,27 +72,89 @@ _RATIONAL = re.compile(
 MAX_DECIMAL_EXPONENT = 10**5
 
 
+#: Longest digit string one ``int`` call converts: below the interpreter's
+#: default limit of 4300 digits on text-to-int conversion.
+_INT_CHUNK = 4000
+
+
+class _Lowest(NamedTuple):
+    """A numerator and a positive denominator known to be coprime.
+    ``Fraction`` takes any ``numbers.Rational``'s numerator and denominator
+    as they are (the ABC asks for lowest terms), so ``Fraction(_Lowest(n,
+    d))`` skips the gcd that ``Fraction(n, d)`` takes, which is quadratic in
+    their length."""
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_Lowest)
+
+
+def _digits_to_int(digits: str) -> int:
+    """The int a string of decimal digits writes, at any length and without
+    changing the interpreter's limit on text-to-int conversion: a string
+    longer than ``_INT_CHUNK`` digits is split as hi * 10^len(lo) + lo with
+    len(lo) = _INT_CHUNK * 2^i, so the cost is that of the multiplications
+    (Karatsuba), not quadratic in the length."""
+    if len(digits) <= _INT_CHUNK:
+        return int(digits)
+    powers = [10**_INT_CHUNK]  # powers[i] = 10^(_INT_CHUNK * 2^i)
+    while _INT_CHUNK << len(powers) < len(digits):
+        powers.append(powers[-1] ** 2)
+
+    def convert(s: str, i: int) -> int:  # len(s) <= _INT_CHUNK * 2^(i+1)
+        if i < 0:
+            return int(s)
+        lo = _INT_CHUNK << i
+        if len(s) <= lo:
+            return convert(s, i - 1)
+        return convert(s[:-lo], i - 1) * powers[i] + convert(s[-lo:], i - 1)
+
+    return convert(digits, len(powers) - 1)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, integer, or decimal text into an exact Fraction.
 
     Decimals are scaled by the exact power of ten ("0.25" -> 1/4); binary
-    floating point is never involved.  The digits are read through
-    ``Decimal``, which has no limit on their number (``int(text)`` stops at
-    4300 by default) and changes no global state.  A decimal exponent
-    above ``MAX_DECIMAL_EXPONENT`` in magnitude raises UsageError.
+    floating point is never involved.  The digits are read by
+    ``_digits_to_int``, at any length and in subquadratic time, and no
+    global state changes.  A decimal is n * 10^s for the int n of its
+    digits; at s < 0 only the factors 2 or 5 of n can cancel, and they are
+    divided out directly (one pass over n per factor 5), so no gcd is taken
+    on a long denominator.  ``p/q`` is reduced by one gcd.  A decimal
+    exponent above ``MAX_DECIMAL_EXPONENT`` in magnitude raises UsageError.
     """
     match = _RATIONAL.fullmatch(text.strip())
     if match is None:
         raise UsageError(f"not a rational number: {text!r}")
     if match["exp"] and abs(Decimal(match["exp"])) > MAX_DECIMAL_EXPONENT:
         raise UsageError(f"decimal exponent of magnitude above {MAX_DECIMAL_EXPONENT}")
-    num, _, den = text.strip().partition("/")
-    if not den:
-        return Fraction(Decimal(num))
-    try:
-        return Fraction(int(Decimal(num)), int(Decimal(den)))
-    except ZeroDivisionError as exc:
-        raise UsageError(f"not a rational number: {text!r}") from exc
+    body = match[0].replace("_", "")
+    sign = -1 if body[0] == "-" else 1
+    num, slash, den = body.lstrip("+-").partition("/")
+    if slash:
+        if not den.strip("0"):
+            raise UsageError(f"not a rational number: {text!r}")
+        return Fraction(sign * _digits_to_int(num), _digits_to_int(den))
+    mantissa, _, exp = num.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).rstrip("0")
+    if not digits:
+        return Fraction(0)
+    n = sign * _digits_to_int(digits)
+    shift = int(exp or 0) + len(whole) - len(digits)  # value = n * 10^shift
+    if shift >= 0:
+        return Fraction(n * 10**shift)
+    twos = fives = -shift  # n / (2^twos 5^fives); 10 does not divide n
+    if n % 2 == 0:
+        cut = min((n & -n).bit_length() - 1, twos)
+        n, twos = n >> cut, twos - cut
+    else:
+        while fives and n % 5 == 0:
+            n, fives = n // 5, fives - 1
+    return Fraction(_Lowest(n, 5**fives << twos))
 
 
 def exact_str(x: Fraction | int) -> str:

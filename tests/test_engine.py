@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import random
@@ -29,7 +30,7 @@ from bautin_lab.fields import (
     rotational_family_field,
 )
 from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
-from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm
+from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm, exact_str
 from bautin_lab.structure import build_p_matrix, gap_profile
 from oracles import poly_sum, residual, scaled_field, stored_value
 
@@ -398,12 +399,15 @@ FAMILIES = (
 )
 
 
-def _fraction_chains(k, c):
+def _fraction_chains(k, c, seen=None):
     """The parity chains of rotational_solve run value by value on
-    Fractions: the reference for the integer solve."""
+    Fractions: the reference for the integer solve.  A list ``seen`` gets
+    the odd-slot values of the first pass (at even k, those for L = 0)."""
     v = [F(0)] * (k + 1)
     for b in range(0, k, 2):
         v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
+    if seen is not None:
+        seen.extend(v)
     if k % 2 == 1:
         for b in range(k, 0, -2):
             v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) / (k - b + 1)
@@ -493,6 +497,75 @@ def test_solve_transpose_against_dense_solve():
             assert all(type(x) is int for x in g)
             want = sum(map(operator.mul, w, V.coeffs)) + (t * L if t else 0)
             assert sum(map(operator.mul, g, R.coeffs)) == scale * want, (k, t)
+
+
+def test_chain_solve_is_exact_at_every_degree_to_202():
+    # the scaled chains on ~100-bit sources, to past the benchmark's top
+    # degree 122: d is the scale, every slice equation holds on the ints,
+    # the pinned slot is zero, and the transpose gives <g, R> = <w, v> + t l
+    rng = random.Random(18)
+
+    def draw(n):
+        return [rng.getrandbits(100) - (1 << 99) for _ in range(n)]
+
+    for k in range(3, 203):
+        scale = engine._chain_constants(k)[0]
+        R = draw(k + 1)
+        v, l, d = engine._solve_ints(k, R, 1)
+        assert d == scale and all(type(x) is int for x in v), k
+        cp = circle_power(k // 2).coeffs if k % 2 == 0 else (0,) * (k + 1)
+        if k % 2 == 0:
+            assert v[tiebreak_slot(k)[1]] == 0, k
+        else:
+            assert l is None, k
+        l = l or 0
+        padded = [0, *v, 0]  # v[b] at padded[b + 1]
+        for b in range(k + 1):
+            lhs = (b + 1) * padded[b + 2] - (k - b + 1) * padded[b] + scale * R[b]
+            assert lhs == l * cp[b], (k, b)
+        w, t = draw(k + 1), (draw(1)[0] if k % 2 == 0 else 0)
+        g = engine._solve_transpose(k, w, t)
+        assert all(type(x) is int for x in g), k
+        assert sum(map(operator.mul, g, R)) == sum(map(operator.mul, w, v)) + t * l, k
+
+
+def test_chain_scale_clears_every_intermediate():
+    # brute force on Fractions, source by source: the scale is a multiple of
+    # every denominator the chains meet (the first pass, the closing value
+    # L / odd, V and L), and it divides the product of the chain divisors
+    for k in range(3, 61):
+        scale, odd, _, close = engine._chain_constants(k)
+        needed = 1
+        for b in range(k + 1):
+            seen = []
+            v, L = _fraction_chains(k, [F(int(a == b)) for a in range(k + 1)], seen)
+            seen += v if L is None else [*v, L, L / odd]
+            needed = math.lcm(needed, *(x.denominator for x in seen))
+        assert scale % needed == 0, k
+        product = odd
+        if k % 2 == 0:
+            a_t = tiebreak_slot(k)[1]
+            product *= close * math.prod(range(a_t + 2, k + 1, 2))
+            product *= math.prod(range(k - a_t + 2, k + 1, 2))
+        assert product % scale == 0, k
+
+
+def _digest(values):
+    return hashlib.sha256("\n".join(map(exact_str, values)).encode()).hexdigest()
+
+
+def test_exact_outputs_match_recorded_digests():
+    # sha256 of the exact text of L_1..L_60 of a random cubic, and of the
+    # entries and det of a random quintic's certificate matrix, as recorded:
+    # a change to any stored exact value changes them
+    series = compute_series(random_field(3, seed=1), 60)
+    assert _digest(series.L[j] for j in range(1, 61)) == (
+        "1f2235a9da82c446ba010160bb63d31e51664636ba2bf5717ba4835fbd942a0b"
+    )
+    P = build_p_matrix(random_field(5, seed=1))
+    assert _digest([x for row in P.entries for x in row] + [P.determinant()]) == (
+        "90ff19f0e31c9a0e99374de260033db6e0d3423b19763fa6668955752bf63523"
+    )
 
 
 def _pinned_columns(vf, levels, J):

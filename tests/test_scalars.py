@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -112,3 +113,58 @@ def test_huge_decimal_exponents_parse_fast_and_round_once():
         sign, man, exp, bc = small._mpf_
         assert sign == 0 and 0 < bc <= prec and exp < 0
         assert abs(int(man) * ten_n - (1 << -exp)) << (prec - bc + 1) <= ten_n
+
+
+def test_parse_rational_matches_the_decimal_reading():
+    # the direct reading against Fraction(Decimal(text)) on strings around
+    # the conversion chunk, with trailing zeros and factors 2 and 5 to cancel
+    rng = random.Random(18)
+    for _ in range(600):
+        digits = "".join(rng.choices("0123456789", k=rng.choice((1, 3, 40, 4001, 12000))))
+        digits += rng.choice(("", "0" * rng.randint(1, 5), "5" * rng.randint(1, 3), "2"))
+        point = rng.randint(0, len(digits))
+        text = rng.choice(("", "-", "+")) + digits[:point] + "." + digits[point:]
+        if rng.random() < 0.3:
+            text += f"e{rng.randint(-40, 40)}"
+        x = parse_rational(text)
+        want = Fraction(Decimal(text))
+        assert (x.numerator, x.denominator) == (want.numerator, want.denominator), text[:40]
+    assert parse_rational("1_000.000_5") == Fraction(2000001, 2000)
+    assert parse_rational("-12.50") == Fraction(-25, 2)
+    assert parse_rational("0.000e7") == 0
+    assert parse_rational("-0/7") == 0
+    with pytest.raises(UsageError):
+        parse_rational("3/000")
+
+
+def _residue(digits, p):
+    """The int written by a digit string, mod p, from 4000-digit pieces."""
+    r = 0
+    for i in range(0, len(digits), 4000):
+        piece = digits[i : i + 4000]
+        r = (r * pow(10, len(piece), p) + int(piece)) % p
+    return r
+
+
+def test_million_digit_numbers_parse_in_subquadratic_time():
+    # a 10^6-digit integer and a 10^6-digit decimal with half its digits
+    # after the point (a quadratic reading takes over 30 s, a gcd on the
+    # denominator about 10 s), both modes under 5 s of CPU time each, exact:
+    # the value is checked mod four Mersenne primes, in lowest terms
+    rng = random.Random(19)
+    digits = "".join(str(rng.randrange(10**4000)).zfill(4000) for _ in range(250))
+    digits = "7" + digits[1:-1] + "5"  # a factor 5 to cancel in the decimal
+    float_domain = BigRealDomain(dps=60)
+    for text, point in ((digits, 0), ("-" + digits[:500000] + "." + digits[500000:], 500000)):
+        values = []
+        for domain in (RATIONAL, float_domain):
+            start = time.process_time()
+            values.append(domain.coerce(text))
+            assert time.process_time() - start < 5, (domain, point)
+        num, den = values[0].numerator, values[0].denominator
+        assert num.bit_length() > 3 * 10**6 and (10**point) % den == 0
+        assert not (num % 2 == 0 == den % 2 or num % 5 == 0 == den % 5)
+        sign = -1 if text[0] == "-" else 1
+        for p in ((1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1):
+            assert num * pow(10, point, p) % p == sign * _residue(digits, p) * den % p
+        assert values[1] == float_domain.ratio(num, den)
