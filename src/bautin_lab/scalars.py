@@ -1,11 +1,12 @@
-"""Coefficient domains: exact rationals and extended-precision reals.
+"""Coefficient domains: exact rationals, extended-precision reals, residues.
 
 Every higher layer of the package is generic over a small "scalar" protocol:
 values combine with ``+ - * /`` and with plain ints, and ``x == 0`` is a
-meaningful zero test.  Two carriers satisfy it:
+meaningful zero test.  Three carriers satisfy it:
 
   * ``fractions.Fraction``     -- exact rational mode (the default),
-  * ``mpmath.mpf``             -- extended-precision real mode.
+  * ``mpmath.mpf``             -- extended-precision real mode,
+  * ``int`` in 0..p-1          -- residues modulo a prime (the float center check).
 
 Every conversion between carrier values and exact integers belongs to the
 domain, so only this module knows how an mpf stores its value.  Each domain
@@ -27,14 +28,12 @@ one plain run (c0) and one reverse sweep per constant (the c_i; see
 entries off it.
 
 A ``Domain`` object packages the carrier choice, the conversions above, and
-(for the floating carrier) the working precision and the magnitude below
-which a value is treated as zero by the analysis layers.  Domain values are
+(for the floating carrier) the working precision.  Domain values are
 immutable and freely shareable between threads.  The conversions round at
-the domain's own precision and read no global state.  Code that does
-arithmetic on mpf values (the cubic family's parameter resolution) runs it
-inside ``domain.context()``, which sets mpmath's process-global precision,
-so concurrent computations at different precisions must run in separate
-processes.
+the domain's own precision and read no global state.  Arithmetic on mpf
+values (the cubic family's parameter resolution) runs inside
+``domain.context()``, which sets mpmath's process-global precision, so
+concurrent computations at different precisions need separate processes.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numbers
 import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -157,13 +156,43 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(_Lowest(n, 5**fives << twos))
 
 
+#: Longest int, in bits, that ``exact_str`` converts in one ``Decimal`` call
+#: (about 9900 digits; L_60 of a random cubic has about 1700).
+_STR_CHUNK_BITS = 1 << 15
+
+
+def _int_to_decimal(n: int) -> Decimal:
+    """n as an exact Decimal.  ``Decimal(n)`` is quadratic in the length, so
+    a longer n is split as hi * 2^h + lo with h = _STR_CHUNK_BITS * 2^i and
+    recombined in decimal arithmetic, whose multiplication is subquadratic;
+    the context carries every digit, and Inexact is trapped."""
+    if n.bit_length() <= _STR_CHUNK_BITS:
+        return Decimal(n)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.traps[Inexact] = MAX_PREC, MAX_EMAX, True
+        powers = [Decimal(2) ** _STR_CHUNK_BITS]  # powers[i] = 2^(_STR_CHUNK_BITS * 2^i)
+        while _STR_CHUNK_BITS << len(powers) < n.bit_length():
+            powers.append(powers[-1] * powers[-1])
+
+        def convert(m: int, i: int) -> Decimal:  # 0 <= m < 2^(_STR_CHUNK_BITS * 2^(i+1))
+            if i < 0:
+                return Decimal(m)
+            h = _STR_CHUNK_BITS << i
+            if m.bit_length() <= h:
+                return convert(m, i - 1)
+            return convert(m >> h, i - 1) * powers[i] + convert(m & ((1 << h) - 1), i - 1)
+
+        value = convert(abs(n), len(powers) - 1)
+        return value if n > 0 else -value
+
+
 def exact_str(x: Fraction | int) -> str:
-    """``str(x)`` for an exact value, without the interpreter's limit on
-    int-to-decimal conversion (4300 digits by default): ``Decimal(n)`` is
-    built exactly and prints without that limit, and changes no global
-    state."""
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    """``str(x)`` for an exact value, in subquadratic time and without the
+    interpreter's limit on int-to-decimal conversion (4300 digits by
+    default): each int is built exactly as a ``Decimal`` (``_int_to_decimal``),
+    which prints without that limit, and no global state changes."""
+    num = str(_int_to_decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{_int_to_decimal(x.denominator)}"
 
 
 def _dyadic(x) -> tuple[int, int]:
@@ -243,23 +272,14 @@ class RationalDomain:
     def context(self):
         return nullcontext()
 
-    def is_negligible(self, x) -> bool:
-        return x == 0
-
     def to_str(self, x) -> str:
         return exact_str(x)
 
 
 @dataclass(frozen=True)
 class BigRealDomain:
-    """Extended-precision real coefficients at a fixed decimal precision.
-
-    ``dps`` is the number of decimal digits carried per operation (>= 30).
-    Analysis layers treat magnitudes below 10**(20 - dps) as zero (no exact
-    zero test exists in floating mode); the 20-digit headroom absorbs the
-    error-amplification of quantities derived from dps-digit data, e.g. a
-    root-resolution residual passing through steep polynomial stages.
-    """
+    """Extended-precision real coefficients: ``dps`` decimal digits carried
+    per operation (>= 30)."""
 
     dps: int = 60
     exact = False
@@ -304,32 +324,51 @@ class BigRealDomain:
         with mp.workdps(self.dps):
             yield
 
-    @property
-    def zero_threshold(self) -> mp.mpf:
-        with mp.workdps(self.dps):
-            return mp.mpf(10) ** (20 - self.dps)
-
-    def is_negligible(self, x) -> bool:
-        return abs(x) < self.zero_threshold
-
     def to_str(self, x) -> str:
         with mp.workdps(self.dps):
             return mp.nstr(mp.mpf(x), self.dps)
 
-    def widened(self) -> "BigRealDomain":
-        """The same domain at twice the working precision."""
-        return BigRealDomain(dps=self.dps * 2)
+
+@dataclass(frozen=True)
+class ResidueDomain:
+    """Residues modulo the prime p: a/b stands for a * b^-1 mod p.  A nonzero
+    residue proves a rational value nonzero; a zero one proves nothing, so
+    ``exact`` is False.  The engine's chain steps are exact floor divisions
+    for any integer source, so its loop solves on residues unchanged and
+    ``store_ints``/``ratio`` reduce the exact solution once."""
+
+    p: int = 2**61 - 1
+    exact = False
+
+    def coerce(self, x) -> int:
+        """The residue of an int, Fraction, text, or an mpf's dyadic value."""
+        if isinstance(x, mp.mpf) and mp.isfinite(x):
+            m, e = _dyadic(x)
+            return m * pow(2, e, self.p) % self.p
+        x = RATIONAL.coerce(x)
+        return self.ratio(x.numerator, x.denominator)
+
+    def read_ints(self, values: Sequence[int]) -> tuple[list[int], int]:
+        return list(values), 1
+
+    def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
+        inv = self.ratio(1, den)
+        return [x * inv % self.p for x in nums], 1
+
+    def ratio(self, num: int, den: int) -> int:
+        if den % self.p == 0:
+            raise UsageError(f"a denominator is divisible by the prime {self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
 
-Domain = Union[RationalDomain, BigRealDomain]
+Domain = Union[RationalDomain, BigRealDomain, ResidueDomain]
 
 RATIONAL = RationalDomain()
 
 
-def scalar_is_zero(x, domain: Domain) -> bool:
-    """Zero test appropriate to the domain: exact for rationals, thresholded
-    for extended-precision reals."""
-    return domain.is_negligible(x)
+def scalar_is_zero(x) -> bool:
+    """The exact zero test of every domain (a residue is zero when p divides it)."""
+    return x == 0
 
 
 def scalar_to_str(x, domain: Domain) -> str:

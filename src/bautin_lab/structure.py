@@ -12,12 +12,12 @@ constants are exactly affine in those coefficients, so
 with one row per leading constant and one column per full V_k coefficient,
 and the offsets the rows keep with every replaced block at zero.  Row j is
 one reverse sweep over the degrees up to 2j+2, so the rows of the low
-constants are cheap.  A nonzero
-determinant means the leading constants pin those coefficients one-to-one,
-which certifies that a field whose leading constants all vanish is a center
-(the generic case) and bounds the number of small-amplitude limit cycles by
-the row count.  That is an exact statement: in extended-precision mode
-``center_check`` reads the constants alone and never certifies a center.
+constants are cheap.  A nonzero determinant means the leading constants pin
+those coefficients one-to-one, which certifies that a field whose leading
+constants all vanish is a center (the generic case) and bounds the number of
+small-amplitude limit cycles by the row count.  That is an exact statement:
+extended-precision mode reads only the constants' residues modulo a prime
+and never certifies a center.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField, coerce_field
-from .scalars import Domain, Scalar, UnknownId, scalar_is_zero
+from .scalars import Domain, ResidueDomain, Scalar, UnknownId, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,8 @@ class CenterCertificate:
     exact mode answers "center-generic" or sets ``det_p``.  The chain
     cyclicity <= weak-focus order <= center bound  holds whenever both sides
     are reported; equality of all three is attainable but not asserted in
-    general.  A float weak-focus order bounds the exact one from above.
+    general.  A float weak-focus order, proven by a nonzero residue, bounds
+    the exact one from above and in general equals it.
     """
 
     verdict: str
@@ -266,26 +267,25 @@ class CenterCertificate:
 
 def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertificate:
     """Compute the leading nontrivial constants in pattern order up to the
-    center bound, on the field's coefficients rounded to ``domain`` (default:
-    the field's own); the first nonzero one gives a weak focus of that order.
-    In exact mode, if all vanish, a nonzero certificate-matrix determinant
-    certifies a center and a zero one refuses to certify.
+    center bound; the first nonzero one gives a weak focus of that order.
+    In exact mode (``domain``, by default the field's own), if all vanish, a
+    nonzero certificate-matrix determinant certifies a center and a zero
+    one refuses to certify.
 
-    A rounded field is in general not a center, so extended-precision mode
-    stops after the constants: every one negligible gives "inconclusive" at
-    once.  A nonzero one is confirmed by a rerun on the coefficients rounded
-    to the doubled working precision, with the zero threshold of ``domain``:
-    "weak-focus" when the rerun finds the same first nonzero constant, else
-    "inconclusive".  The rerun sees only the digits ``vf`` carries, so a
-    field stored at the working precision gives both passes the same
-    rounding; the CLI reads its input exactly, so each pass rounds it once.
+    Float mode runs the constants once modulo the prime p of
+    ``ResidueDomain`` on the values ``vf`` holds: the first nonzero residue
+    proves a weak focus, of the exact order unless p divides the numerator
+    of that order's constant (then the order reported is an upper bound),
+    and its value is computed on ``vf`` rounded to ``domain``.  No nonzero
+    residue, or a denominator divisible by p, gives "inconclusive".
     """
     if domain is None:
         domain = vf.domain
-    rounded = coerce_field(vf, domain)
-    found = _weak_focus(rounded, domain)
-    C = center_number_bound(vf.degree, vf.is_homogeneous())
+    pattern = _leading_indices(vf.degree, vf.is_homogeneous())
+    C = len(pattern)
     if domain.exact:
+        rounded = coerce_field(vf, domain)
+        found = _weak_focus(rounded, pattern)
         if found:
             return found
         det = build_p_matrix(rounded).determinant()
@@ -293,39 +293,30 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
             return CenterCertificate("center-generic", C, det_p=det)
         reason = "degenerate: det P = 0, the generic certificate does not apply"
         return CenterCertificate("inconclusive", C, det_p=det, reason=reason)
+    residues = ResidueDomain()
+    try:
+        found = _weak_focus(coerce_field(vf, residues), pattern)
+        reason = f"every leading constant is zero modulo the prime {residues.p}"
+    except UsageError as exc:
+        found, reason = None, str(exc)
     if not found:
-        reason = (
-            f"every leading constant is negligible at {domain.dps} digits; "
-            f"float mode cannot certify a center (run --mode exact)"
-        )
+        reason += "; float mode leaves the verdict to --mode exact"
         return CenterCertificate("inconclusive", C, reason=reason)
-    wide = _weak_focus(coerce_field(vf, domain.widened()), domain)
-    if wide and wide.weak_focus_order == found.weak_focus_order:
-        return found
-    reason = (
-        f"verdict unstable under precision doubling (weak-focus at {domain.dps} "
-        f"digits, {wide.verdict if wide else 'inconclusive'} at {domain.dps * 2})"
-    )
-    return CenterCertificate("inconclusive", C, reason=reason)
+    j = found.first_nonzero[0]
+    found.first_nonzero = (j, compute_series(coerce_field(vf, domain), j).L[j])
+    return found
 
 
-def _weak_focus(vf: VectorField, data_domain: Domain) -> CenterCertificate | None:
-    """One pass over the leading constants at ``vf``'s working precision,
-    with zero tests at ``data_domain``'s threshold: the weak-focus
-    certificate of the first nonzero one, or None if all vanish."""
-    pattern = _leading_indices(vf.degree, vf.is_homogeneous())
-
+def _weak_focus(vf: VectorField, pattern: list[int]) -> CenterCertificate | None:
+    """The weak-focus certificate of the first constant of ``pattern`` that
+    is nonzero in ``vf``'s domain, or None if all vanish."""
     # grow the series one pattern index at a time: the common outcome is an
     # early nonzero constant, long before the full center-bound budget
     series = compute_series(vf, pattern[0])
-    for position, j in enumerate(pattern, start=1):
+    for order, j in enumerate(pattern, start=1):
         extend_series(series, j)
-        L = series.L[j]
-        if not scalar_is_zero(L, data_domain):
+        if not scalar_is_zero(series.L[j]):
             return CenterCertificate(
-                "weak-focus",
-                len(pattern),
-                weak_focus_order=position,
-                first_nonzero=(j, L),
+                "weak-focus", len(pattern), weak_focus_order=order, first_nonzero=(j, series.L[j])
             )
     return None

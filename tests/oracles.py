@@ -90,3 +90,11 @@ def stored_value(x) -> Fraction:
         return Fraction(x)
     sign, man, exp, _ = x._mpf_
     return (-1 if sign else 1) * Fraction(int(man)) * Fraction(2) ** exp
+
+
+def stored_field(vf: VectorField) -> VectorField:
+    """The exact field of the dyadic rationals a float field stores."""
+    def exact(parts):
+        return {k: p.map_coeffs(stored_value) for k, p in parts.items()}
+
+    return VectorField(vf.degree, exact(vf.F), exact(vf.G))

@@ -10,8 +10,13 @@ import pytest
 from bautin_lab import cli, structure
 from bautin_lab.cli import main
 from bautin_lab.engine import compute_series
-from bautin_lab.fields import parse_vector_field, random_divergence_free_field, serialize_vector_field
-from bautin_lab.scalars import BigRealDomain
+from bautin_lab.fields import (
+    coerce_field,
+    parse_vector_field,
+    random_divergence_free_field,
+    serialize_vector_field,
+)
+from bautin_lab.scalars import BigRealDomain, ResidueDomain
 from bautin_lab.structure import center_check
 
 
@@ -316,78 +321,93 @@ def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
     vf = family_vector_field(substitution_chain(Fraction(-1), s1, 60), 60)
     path = tmp_path / "resolved.vf"
     path.write_text(serialize_vector_field(vf), encoding="utf-8")
-    code, out, _ = run(
-        capsys, "center-check", str(path), "--mode", "float", "--precision", "60"
-    )
-    assert code == 5
-    assert "weak_focus_order = 8" in out
+    # the paper's field is a weak focus of order 8; its 60 digits, read as
+    # exact decimals, make a weak focus of order 2 (L_2 about -3.5e-59), and
+    # float mode finds that order from the residues, as exact mode does
+    for mode in ("float", "exact"):
+        code, out, _ = run(capsys, "center-check", str(path), "--mode", mode)
+        assert code == 5 and "weak_focus_order = 2" in out, mode
 
 
-def test_center_check_float_reads_input_at_doubled_precision(tmp_path, capsys):
-    # general divergence-free quartics are centers with det P = 0.  Rounded
-    # to 60 digits, the coefficients of seeds 6 and 10 make a constant near
-    # L_12 nonzero at either working precision; the CLI reads the input at
-    # 120 digits, where the constants vanish, so the runs disagree and the
-    # float verdict is inconclusive like the exact one
+def test_center_check_float_reads_its_input_exactly(tmp_path, capsys):
+    # general divergence-free quartics are centers with det P = 0; rounded
+    # to 60 digits, seeds 6, 8 and 10 are weak foci.  The CLI reads the text
+    # exactly, so every residue vanishes and the float verdict is
+    # inconclusive like the exact one
     for seed in (6, 8, 10):
         vf = random_divergence_free_field(4, seed)
         assert center_check(vf).verdict == "inconclusive"
+        assert center_check(coerce_field(vf, BigRealDomain(dps=60))).verdict == "weak-focus"
         path = write_field(tmp_path, f"div4-{seed}.vf", serialize_vector_field(vf))
         code, out, _ = run(capsys, "center-check", path, "--mode", "float")
         assert code == 6 and "verdict = inconclusive" in out, seed
 
 
+def _record_series(monkeypatch):
+    """The fields of every series ``center_check`` starts, in order."""
+    seen = []
+    compute = structure.compute_series
+
+    def record(vf, J):
+        seen.append(vf)
+        return compute(vf, J)
+
+    monkeypatch.setattr(structure, "compute_series", record)
+    return seen
+
+
 def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch):
     # 1 + 2^-203 + 2^-450 lies just above a tie of the 203-bit (60-digit)
     # grid: rounded once it goes up, but rounded to 402 bits (120 digits)
-    # first it lands on the tie and goes to even, one ulp lower
+    # first it lands on the tie and goes to even, one ulp lower.  The value
+    # printed comes from one pass on the input rounded once
     c = f"{2**450 + 2**247 + 1}/{2**450}"
     text = f"n 3\nF 2 0 {c}\nF 3 0 1\nG 1 1 -{c}\n"
-    seen = []
-    once = structure._weak_focus
-
-    def record(vf, data_domain):
-        seen.append(vf)
-        return once(vf, data_domain)
-
-    monkeypatch.setattr(structure, "_weak_focus", record)
+    seen = _record_series(monkeypatch)
     path = write_field(tmp_path, "tie.vf", text)
     code, _, _ = run(capsys, "center-check", path, "--mode", "float")
-    assert code == 5 and len(seen) == 2
+    floats = [vf for vf in seen if isinstance(vf.domain, BigRealDomain)]
+    assert code == 5 and len(floats) == 1
     want = parse_vector_field(text, BigRealDomain(dps=60))
     with mp.workprec(402):  # mp.mpf copies the 203-bit values exactly
         for part in ("f_part", "g_part"):
             for d in (2, 3):
-                got, ref = (getattr(vf, part)(d).coeffs for vf in (seen[0], want))
+                got, ref = (getattr(vf, part)(d).coeffs for vf in (floats[0], want))
                 assert [mp.mpf(x)._mpf_ for x in got] == [mp.mpf(x)._mpf_ for x in ref]
-        assert seen[0].f_part(2).coeff(2, 0) == 1 + mp.mpf(2) ** -202
+        assert floats[0].f_part(2).coeff(2, 0) == 1 + mp.mpf(2) ** -202
 
 
 def test_center_check_float_confirms_only_a_weak_focus(capsys, monkeypatch):
-    # the doubled-precision pass only confirms a nonzero constant: the
-    # Hamiltonian center has every constant negligible and stops after one
-    # pass, the cubic weak focus is rerun at twice the digits
-    passes = []
-    once = structure._weak_focus
-
-    def record(vf, data_domain):
-        passes.append(vf.domain.dps)
-        return once(vf, data_domain)
-
-    monkeypatch.setattr(structure, "_weak_focus", record)
+    # the residue pass decides; a float series runs only to print the
+    # constant of a weak focus: none for the Hamiltonian center, one at 60
+    # digits for the cubic weak focus
+    seen = _record_series(monkeypatch)
     samples = Path(__file__).resolve().parents[1] / "sample_fields"
-    for name, code, dps in (("hamiltonian.vf", 6, [60]), ("cubic_f30.vf", 5, [60, 120])):
-        passes.clear()
+    for name, code, dps in (("hamiltonian.vf", 6, []), ("cubic_f30.vf", 5, [60])):
+        seen.clear()
         got, _, _ = run(capsys, "center-check", str(samples / name), "--mode", "float")
-        assert got == code and passes == dps, name
+        assert got == code and isinstance(seen[0].domain, ResidueDomain), name
+        assert [vf.domain.dps for vf in seen[1:]] == dps, name
+
+
+def test_center_check_float_refuses_a_denominator_divisible_by_the_prime(tmp_path, capsys):
+    # 1/p has no residue modulo p: float mode answers inconclusive and names
+    # the prime; exact mode finds the weak focus
+    p = ResidueDomain().p
+    path = write_field(tmp_path, "p.vf", f"n 3\nF 2 0 1/{p}\nF 3 0 1\n")
+    code, out, _ = run(capsys, "center-check", path, "--mode", "float", "--output", "json")
+    payload = json.loads(out)
+    assert code == 6 and payload["verdict"] == "inconclusive"
+    assert str(p) in payload["reason"] and "--mode exact" in payload["reason"]
+    code, out, _ = run(capsys, "center-check", path)
+    assert code == 5 and "weak_focus_order = 1" in out
 
 
 def test_center_check_float_needs_agreeing_dets(tmp_path, capsys):
     # general divergence-free quartics whose exact det P is 0, while their
-    # 60- and 120-digit det P pass the zero threshold with unrelated values.
-    # Float mode takes no det P: every constant is negligible in the first
-    # pass, so the verdict is inconclusive like the exact one, with no det_P
-    # line
+    # 60- and 120-digit det P are nonzero with unrelated values.  Float mode
+    # takes no det P: every residue of the leading constants vanishes, so
+    # the verdict is inconclusive like the exact one, with no det_P line
     for seed in (0, 11):
         vf = random_divergence_free_field(4, seed)
         assert center_check(vf).det_p == 0

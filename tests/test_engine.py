@@ -20,7 +20,6 @@ from bautin_lab.engine import (
 )
 from bautin_lab.errors import UsageError
 from bautin_lab.fields import (
-    VectorField,
     coerce_field,
     parse_vector_field,
     random_divergence_free_field,
@@ -30,9 +29,9 @@ from bautin_lab.fields import (
     rotational_family_field,
 )
 from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
-from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm, exact_str
+from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm, ResidueDomain, exact_str
 from bautin_lab.structure import build_p_matrix, gap_profile
-from oracles import poly_sum, residual, scaled_field, stored_value
+from oracles import poly_sum, residual, scaled_field, stored_field, stored_value
 
 
 def F(*args):
@@ -90,13 +89,8 @@ def _reference_rhs(series, k):
 def _stored_series(series):
     """A plain series holding, as exact rationals, the field and V values a
     float series stores."""
-    vf = series.field
     return LyapunovSeries(
-        VectorField(
-            vf.degree,
-            {d: p.map_coeffs(stored_value) for d, p in vf.F.items()},
-            {d: p.map_coeffs(stored_value) for d, p in vf.G.items()},
-        ),
+        stored_field(series.field),
         V={m: p.map_coeffs(stored_value) for m, p in series.V.items()},
     )
 
@@ -548,6 +542,39 @@ def test_chain_scale_clears_every_intermediate():
             product *= close * math.prod(range(a_t + 2, k + 1, 2))
             product *= math.prod(range(k - a_t + 2, k + 1, 2))
         assert product % scale == 0, k
+
+
+def test_residue_prime_divides_no_chain_constant():
+    # the residue solve divides by each degree's scale once; the prime of
+    # ResidueDomain divides neither the scale nor the closing factor up to
+    # degree 220 (L_109), so no run that short is refused for it
+    p = ResidueDomain().p
+    for k in range(3, 221):
+        scale, _, _, close = engine._chain_constants(k)
+        assert scale % p != 0 and (close is None or close % p != 0), k
+
+
+def test_residue_series_reduces_the_exact_constants():
+    # the unchanged loop on residues gives each exact L_j modulo p, on general
+    # and homogeneous fields (gap degrees included), and from a float field
+    # the residues of the dyadic values it stores
+    dom = ResidueDomain()
+    fields = [
+        make(n, seed)
+        for make in (random_field, random_homogeneous_field, random_divergence_free_field)
+        for n in range(2, 7)
+        for seed in (0, 1)
+    ]
+    inexact = coerce_field(random_field(3, 2), BigRealDomain(dps=60))
+    fields.append(stored_field(inexact))
+    for vf in fields:
+        exact = compute_series(vf, 6).L
+        residues = compute_series(coerce_field(vf, dom), 6).L
+        for j in range(1, 7):
+            want = exact[j].numerator * pow(exact[j].denominator, -1, dom.p) % dom.p
+            assert residues[j] == want, (vf, j)
+    stored = compute_series(coerce_field(stored_field(inexact), dom), 6).L
+    assert compute_series(coerce_field(inexact, dom), 6).L == stored
 
 
 def _digest(values):

@@ -11,10 +11,14 @@ from bautin_lab.scalars import (
     MAX_DECIMAL_EXPONENT,
     RATIONAL,
     BigRealDomain,
+    _STR_CHUNK_BITS,
+    ResidueDomain,
     _round_ratio,
+    exact_str,
     parse_rational,
     scalar_to_str,
 )
+from oracles import stored_value
 
 
 def test_parse_rational_forms():
@@ -37,8 +41,6 @@ def test_parse_rational_forms():
 def test_rational_domain_coerce():
     assert RATIONAL.coerce(3) == Fraction(3)
     assert RATIONAL.coerce("2/5") == Fraction(2, 5)
-    assert RATIONAL.is_negligible(Fraction(0))
-    assert not RATIONAL.is_negligible(Fraction(1, 10**50))
 
 
 def test_bigreal_domain():
@@ -46,11 +48,30 @@ def test_bigreal_domain():
     x = dom.coerce("1/3")
     with dom.context():
         assert abs(x * 3 - 1) < mp.mpf(10) ** -38
-    assert dom.is_negligible(dom.coerce("1e-25"))
-    assert not dom.is_negligible(dom.coerce("1e-15"))
-    assert dom.widened().dps == 80
     with pytest.raises(UsageError):
         BigRealDomain(dps=10)
+
+
+def test_residue_domain():
+    dom = ResidueDomain()
+    p = dom.p
+    assert p == 2**61 - 1 and not dom.exact
+    assert dom.coerce(-1) == p - 1
+    assert dom.coerce(Fraction(2, 3)) * 3 % p == 2
+    assert dom.coerce("-0.125") * 8 % p == p - 1
+    # an mpf is read as the dyadic rational it stores, not rounded again
+    third = BigRealDomain(dps=40).coerce("1/3")
+    assert dom.coerce(third) == dom.coerce(stored_value(third)) != dom.coerce(Fraction(1, 3))
+    for value in (mp.inf, mp.nan, 2.5):
+        with pytest.raises(UsageError):
+            dom.coerce(value)
+    assert dom.read_ints([5, 0, p - 1]) == ([5, 0, p - 1], 1)
+    assert dom.store_ints([3, 6 * p + 9], 3) == ([1, 3], 1)
+    assert dom.ratio(-1, 2) == (p - 1) // 2
+    # a denominator divisible by p has no residue: refused, naming p
+    for bad in (lambda: dom.coerce(Fraction(1, p)), lambda: dom.ratio(1, 2 * p)):
+        with pytest.raises(UsageError, match=str(p)):
+            bad()
 
 
 def test_scalar_to_str_lossless():
@@ -144,6 +165,35 @@ def _residue(digits, p):
         piece = digits[i : i + 4000]
         r = (r * pow(10, len(piece), p) + int(piece)) % p
     return r
+
+
+def test_exact_str_prints_long_values_exactly_in_subquadratic_time():
+    # str(Decimal(n)) is quadratic in the length (about 20 s at 10^6
+    # digits); exact_str splits a long int in binary and recombines the
+    # parts in decimal arithmetic.  A 10^6-digit int prints its own digits
+    # in under 5 s of CPU time
+    rng = random.Random(23)
+    digits = "9" + "".join(str(rng.randrange(10**4000)).zfill(4000) for _ in range(250))[1:]
+    n = parse_rational(digits).numerator
+    start = time.process_time()
+    text = exact_str(-n)
+    assert time.process_time() - start < 5
+    assert text == "-" + digits
+    # a Fraction whose two parts are above the interpreter's 4300-digit limit
+    # on int-to-text conversion, on either side of the split length
+    for length in (5000, 12000):
+        x = Fraction(rng.randrange(10**length), rng.randrange(10**length) | 1)
+        assert min(len(exact_str(x.numerator)), len(exact_str(x.denominator))) > 4300
+        assert parse_rational(exact_str(x)) == x
+    # at the split length and one bit on either side: the text of the one
+    # Decimal conversion, and it reads back
+    for bits in (_STR_CHUNK_BITS - 1, _STR_CHUNK_BITS, _STR_CHUNK_BITS + 1):
+        for m in (2**bits - 1, 2 ** (bits - 1), rng.getrandbits(bits - 1) | 2 ** (bits - 1)):
+            assert m.bit_length() == bits
+            for x in (m, -m, Fraction(1, m), Fraction(-m, 3)):
+                text = exact_str(x)
+                assert parse_rational(text) == x, bits
+            assert exact_str(m) == str(Decimal(m)), bits
 
 
 def test_million_digit_numbers_parse_in_subquadratic_time():

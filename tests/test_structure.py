@@ -17,7 +17,7 @@ from bautin_lab.fields import (
     rotational_family_field,
 )
 from bautin_lab.hpoly import HomogPoly
-from bautin_lab.scalars import RATIONAL, BigRealDomain
+from bautin_lab.scalars import RATIONAL, BigRealDomain, ResidueDomain
 from bautin_lab.structure import (
     build_p_matrix,
     center_check,
@@ -26,7 +26,7 @@ from bautin_lab.structure import (
     gap_profile,
     verify_gaps,
 )
-from oracles import apply_p, poly_sum, stored_value
+from oracles import apply_p, poly_sum, stored_field, stored_value
 
 
 def F(*args):
@@ -312,70 +312,74 @@ def test_center_check_reports_bound_and_order_consistently():
         assert cert.weak_focus_order <= cert.center_bound
 
 
-def test_center_check_precision_doubling_disagreement():
-    # a general divergence-free quartic whose exact det P is 0: at 60 digits
-    # L_12 passes the zero threshold (weak focus), at 120 digits every
-    # constant vanishes, so the two runs disagree
-    vf = random_divergence_free_field(4, 1)
-    exact = center_check(vf)
-    assert exact.verdict == "inconclusive" and exact.det_p == 0
-    cert = center_check(coerce_field(vf, BigRealDomain(dps=60)))
-    assert cert.verdict == "inconclusive"
-    assert cert.center_bound == 14
-    assert "precision doubling" in cert.reason
-    # given exactly, the field is rounded to each run's own precision
-    cert = center_check(vf, BigRealDomain(dps=60))
-    assert cert.verdict == "inconclusive" and "precision doubling" in cert.reason
-
-
 def test_center_check_cross_check_sees_the_digits_given():
-    # general divergence-free quartics are centers with det P = 0.  Stored at
-    # 60 digits, seeds 6 and 10 keep a constant above the zero threshold at
-    # either working precision (a false weak focus); given exactly or at 120
-    # digits, the 120-digit run sees the constants vanish and the runs disagree
+    # general divergence-free quartics are centers with det P = 0.  Float
+    # mode decides on the values it is given: exactly, the residues of every
+    # constant vanish (inconclusive); stored at 60 or 120 digits, the field
+    # of seed 1 is still a center, while seeds 6 and 10 are weak foci.  The
+    # float verdict is the exact one on those same stored values, or
+    # inconclusive, at the exact order
+    p = str(ResidueDomain().p)
     d60, d120 = BigRealDomain(dps=60), BigRealDomain(dps=120)
-    for seed in (6, 10):
+    orders = {1: None, 6: 1, 10: 2}
+    for seed, order in orders.items():
         vf = random_divergence_free_field(4, seed)
-        assert center_check(coerce_field(vf, d60)).verdict == "weak-focus", seed
-        for given in (vf, coerce_field(vf, d120)):
-            cert = center_check(given, d60)
-            assert cert.verdict == "inconclusive" and "precision doubling" in cert.reason, seed
+        cert = center_check(vf, d60)
+        assert cert.verdict == "inconclusive" and p in cert.reason, seed
+        assert cert.center_bound == 14
+        for given in (coerce_field(vf, d60), coerce_field(vf, d120)):
+            exact, cert = center_check(stored_field(given)), center_check(given, d60)
+            assert cert.verdict in (exact.verdict, "inconclusive"), seed
+            assert cert.weak_focus_order == exact.weak_focus_order, seed
+        assert center_check(coerce_field(vf, d60)).weak_focus_order == order, seed
 
 
-def test_float_center_check_is_exact_or_inconclusive():
-    # float mode never certifies a center and takes no det P; on constructed
-    # centers it answers like exact mode or inconclusive, and on random
-    # fields it finds the exact weak-focus order
-    dom = BigRealDomain(dps=60)
-    centers = []
-    for n in range(2, 6):
-        for seed in (0, 1):
-            for homogeneous in (False, True):
-                centers.append(random_divergence_free_field(n, seed, homogeneous=homogeneous))
-                centers.append(random_reversible_field(n, seed, homogeneous=homogeneous))
-            centers.append(rotational_family_field(n, seed))
-    for vf in centers:
-        cert = center_check(vf, dom)
-        assert cert.verdict in (center_check(vf).verdict, "inconclusive")
-        assert cert.verdict != "center-generic" and cert.det_p is None
-    for n in (2, 3, 4):
-        for seed in (0, 1):
-            vf = random_field(n, seed)
-            exact, cert = center_check(vf), center_check(vf, dom)
-            assert cert.verdict == exact.verdict == "weak-focus"
-            assert cert.weak_focus_order == exact.weak_focus_order
-
-
-def test_float_weak_focus_order_bounds_the_exact_order():
-    # a divergence-free field moved off the center by 1e-45: exact L_1 is
-    # about -1.7e-45, below the 60-digit zero threshold, so float mode reports
-    # a later constant; its order is an upper bound on the exact one
-    dom = BigRealDomain(dps=60)
+def _near_centers():
+    """Divergence-free fields, n = 3 and 4, moved off the center by 1e-45 in
+    the x^2 coefficient of F_2: weak foci of order 1, L_1 about -1.7e-45."""
+    out = []
     for n in (3, 4):
         vf = random_divergence_free_field(n, 1)
         bump = HomogPoly.monomial(2, 0, F(1, 10**45))
-        vf = dataclasses.replace(vf, F={**vf.F, 2: poly_sum(vf.f_part(2), bump)})
+        out.append(dataclasses.replace(vf, F={**vf.F, 2: poly_sum(vf.f_part(2), bump)}))
+    return out
+
+
+def test_float_center_check_is_exact_or_inconclusive():
+    # 47 fields: divergence-free, reversible, random and random homogeneous,
+    # n = 2..6, seeds 0 and 1; rotational n = 2..6; the two near-centers.
+    # Float mode never certifies a center and takes no det P; it answers the
+    # exact verdict or inconclusive, and a weak focus at the exact order
+    dom = BigRealDomain(dps=60)
+    makers = (
+        random_divergence_free_field,
+        random_reversible_field,
+        random_field,
+        random_homogeneous_field,
+    )
+    fields = [make(n, seed) for make in makers for n in range(2, 7) for seed in (0, 1)]
+    fields += [rotational_family_field(n, 1) for n in range(2, 7)] + _near_centers()
+    assert len(fields) == 47
+    for vf in fields:
         exact, cert = center_check(vf), center_check(vf, dom)
-        assert exact.verdict == "weak-focus" and exact.weak_focus_order == 1
-        assert cert.verdict == "weak-focus" and cert.det_p is None
-        assert cert.weak_focus_order >= exact.weak_focus_order
+        assert cert.verdict in (exact.verdict, "inconclusive")
+        assert cert.verdict != "center-generic" and cert.det_p is None
+        assert cert.weak_focus_order == exact.weak_focus_order
+        if cert.first_nonzero:
+            assert cert.first_nonzero[0] == exact.first_nonzero[0]
+
+
+def test_float_weak_focus_order_equals_the_exact_order():
+    # L_1 of the near-centers is about -1.7e-45, far below the working
+    # precision's reach on coefficients of size 1, but its residue is
+    # nonzero: float mode reports order 1, as exact mode does, and prints
+    # L_1 from the 60-digit run
+    dom = BigRealDomain(dps=60)
+    for vf in _near_centers():
+        exact, cert = center_check(vf), center_check(vf, dom)
+        assert exact.verdict == cert.verdict == "weak-focus"
+        assert exact.weak_focus_order == cert.weak_focus_order == 1
+        (j, got), (_, want) = cert.first_nonzero, exact.first_nonzero
+        with dom.context():
+            want = mp.fdiv(want.numerator, want.denominator)
+            assert j == 1 and abs(got - want) < abs(want) / 10**6
