@@ -312,6 +312,24 @@ def test_center_check_reports_bound_and_order_consistently():
         assert cert.weak_focus_order <= cert.center_bound
 
 
+def test_center_check_precision_doubling_disagreement():
+    # a general divergence-free quartic whose exact det P is 0: a 60-digit
+    # zero threshold once let L_12 through as a false weak focus.  The
+    # residue pass sees every constant vanish, exactly or at 60 digits, and
+    # reports inconclusive at the full bound, naming the prime
+    p = str(ResidueDomain().p)
+    vf = random_divergence_free_field(4, 1)
+    exact = center_check(vf)
+    assert exact.verdict == "inconclusive" and exact.det_p == 0
+    cert = center_check(coerce_field(vf, BigRealDomain(dps=60)))
+    assert cert.verdict == "inconclusive"
+    assert cert.center_bound == 14
+    assert p in cert.reason
+    # given exactly, the field is reduced mod p without rounding
+    cert = center_check(vf, BigRealDomain(dps=60))
+    assert cert.verdict == "inconclusive" and p in cert.reason
+
+
 def test_center_check_cross_check_sees_the_digits_given():
     # general divergence-free quartics are centers with det P = 0.  Float
     # mode decides on the values it is given: exactly, the residues of every
