@@ -13,6 +13,11 @@ class FieldParseError(UsageError):
         self.line_no = line_no
 
 
+class NoResidueError(UsageError):
+    """A value has no residue modulo the prime of ``ResidueDomain``: its
+    denominator is a multiple of the prime."""
+
+
 class StageDomainError(UsageError):
     """A parameter-resolution stage left the real domain (negative radicand,
     zero denominator).  ``stage`` names the offending substitution."""

@@ -50,7 +50,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp
 
-from .errors import UsageError
+from .errors import NoResidueError, UsageError
 
 #: Unknowns are labelled by the (x-exponent, y-exponent) slot they stand for.
 UnknownId = tuple[int, int]
@@ -252,7 +252,10 @@ class RationalDomain:
             return Fraction(x)
         if isinstance(x, str):
             return parse_rational(x)
-        raise UsageError(f"cannot coerce {type(x).__name__} into rational domain")
+        if isinstance(x, mp.mpf) and mp.isfinite(x):
+            m, e = _dyadic(x)
+            return m * Fraction(2) ** e
+        raise UsageError(f"cannot coerce {x!r} into rational domain")
 
     def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
         """Values as integer numerators over their least common denominator
@@ -337,14 +340,11 @@ class ResidueDomain:
     for any integer source, so its loop solves on residues unchanged and
     ``store_ints``/``ratio`` reduce the exact solution once."""
 
-    p: int = 2**61 - 1
+    p = 2**61 - 1
     exact = False
 
     def coerce(self, x) -> int:
         """The residue of an int, Fraction, text, or an mpf's dyadic value."""
-        if isinstance(x, mp.mpf) and mp.isfinite(x):
-            m, e = _dyadic(x)
-            return m * pow(2, e, self.p) % self.p
         x = RATIONAL.coerce(x)
         return self.ratio(x.numerator, x.denominator)
 
@@ -357,7 +357,7 @@ class ResidueDomain:
 
     def ratio(self, num: int, den: int) -> int:
         if den % self.p == 0:
-            raise UsageError(f"a denominator is divisible by the prime {self.p}")
+            raise NoResidueError(f"a denominator is divisible by the prime {self.p}")
         return num * pow(den, -1, self.p) % self.p
 
 

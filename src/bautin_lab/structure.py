@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
-from .errors import SolverInternalError, UsageError
+from .errors import NoResidueError, SolverInternalError, UsageError
 from .fields import VectorField, coerce_field
-from .scalars import Domain, ResidueDomain, Scalar, UnknownId, scalar_is_zero
+from .scalars import RATIONAL, Domain, ResidueDomain, Scalar, UnknownId, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,9 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     ``ResidueDomain`` on the values ``vf`` holds: the first nonzero residue
     proves a weak focus, of the exact order unless p divides the numerator
     of that order's constant (then the order reported is an upper bound),
-    and its value is computed on ``vf`` rounded to ``domain``.  No nonzero
-    residue, or a denominator divisible by p, gives "inconclusive".
+    and its value is that constant of ``vf``, computed exactly and rounded
+    once to ``domain``.  No nonzero residue, or a denominator divisible by
+    p, gives "inconclusive".
     """
     if domain is None:
         domain = vf.domain
@@ -293,17 +294,17 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
             return CenterCertificate("center-generic", C, det_p=det)
         reason = "degenerate: det P = 0, the generic certificate does not apply"
         return CenterCertificate("inconclusive", C, det_p=det, reason=reason)
-    residues = ResidueDomain()
     try:
-        found = _weak_focus(coerce_field(vf, residues), pattern)
-        reason = f"every leading constant is zero modulo the prime {residues.p}"
-    except UsageError as exc:
+        found = _weak_focus(coerce_field(vf, ResidueDomain()), pattern)
+        reason = f"every leading constant is zero modulo the prime {ResidueDomain.p}"
+    except NoResidueError as exc:
         found, reason = None, str(exc)
     if not found:
         reason += "; float mode leaves the verdict to --mode exact"
         return CenterCertificate("inconclusive", C, reason=reason)
     j = found.first_nonzero[0]
-    found.first_nonzero = (j, compute_series(coerce_field(vf, domain), j).L[j])
+    L = compute_series(coerce_field(vf, RATIONAL), j).L[j]
+    found.first_nonzero = (j, domain.ratio(L.numerator, L.denominator))
     return found
 
 

@@ -16,7 +16,7 @@ from bautin_lab.fields import (
     random_divergence_free_field,
     serialize_vector_field,
 )
-from bautin_lab.scalars import BigRealDomain, ResidueDomain
+from bautin_lab.scalars import RATIONAL, BigRealDomain, ResidueDomain, parse_rational
 from bautin_lab.structure import center_check
 
 
@@ -322,11 +322,17 @@ def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
     path = tmp_path / "resolved.vf"
     path.write_text(serialize_vector_field(vf), encoding="utf-8")
     # the paper's field is a weak focus of order 8; its 60 digits, read as
-    # exact decimals, make a weak focus of order 2 (L_2 about -3.5e-59), and
-    # float mode finds that order from the residues, as exact mode does
+    # exact decimals, make a weak focus of order 2 (L_2 about +1.3e-58), and
+    # float mode finds that order from the residues, as exact mode does, and
+    # prints the exact L_2 rounded once to 60 digits
+    lines = {}
     for mode in ("float", "exact"):
         code, out, _ = run(capsys, "center-check", str(path), "--mode", mode)
         assert code == 5 and "weak_focus_order = 2" in out, mode
+        lines[mode] = out.split("L_2 = ")[1].strip()
+    dom = BigRealDomain(dps=60)
+    exact = parse_rational(lines["exact"])
+    assert lines["float"] == dom.to_str(dom.ratio(exact.numerator, exact.denominator))
 
 
 def test_center_check_float_reads_its_input_exactly(tmp_path, capsys):
@@ -357,37 +363,38 @@ def _record_series(monkeypatch):
 
 
 def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch):
-    # 1 + 2^-203 + 2^-450 lies just above a tie of the 203-bit (60-digit)
-    # grid: rounded once it goes up, but rounded to 402 bits (120 digits)
-    # first it lands on the tie and goes to even, one ulp lower.  The value
-    # printed comes from one pass on the input rounded once
+    # c = 1 + 2^-203 + 2^-450 lies just above a tie of the 203-bit (60-digit)
+    # grid, and L_1 of this quadratic is (c^2 + 1)/16.  Float mode reads the
+    # text exactly and prints L_1 of those values rounded once: the series
+    # behind the printed value runs on c itself, and its result differs in
+    # the last bit from a 60-digit run on c rounded
     c = f"{2**450 + 2**247 + 1}/{2**450}"
-    text = f"n 3\nF 2 0 {c}\nF 3 0 1\nG 1 1 -{c}\n"
+    text = f"n 2\nF 2 0 {c}\nF 1 1 {c}\nG 0 2 1\n"
     seen = _record_series(monkeypatch)
     path = write_field(tmp_path, "tie.vf", text)
-    code, _, _ = run(capsys, "center-check", path, "--mode", "float")
-    floats = [vf for vf in seen if isinstance(vf.domain, BigRealDomain)]
-    assert code == 5 and len(floats) == 1
-    want = parse_vector_field(text, BigRealDomain(dps=60))
-    with mp.workprec(402):  # mp.mpf copies the 203-bit values exactly
-        for part in ("f_part", "g_part"):
-            for d in (2, 3):
-                got, ref = (getattr(vf, part)(d).coeffs for vf in (floats[0], want))
-                assert [mp.mpf(x)._mpf_ for x in got] == [mp.mpf(x)._mpf_ for x in ref]
-        assert floats[0].f_part(2).coeff(2, 0) == 1 + mp.mpf(2) ** -202
+    code, out, _ = run(capsys, "center-check", path, "--mode", "float")
+    assert code == 5 and [vf.domain for vf in seen[1:]] == [RATIONAL]
+    assert seen[1].f_part(2).coeff(2, 0) == parse_rational(c)
+    vf, dom = parse_vector_field(text), BigRealDomain(dps=60)
+    L = compute_series(vf, 1).L[1]
+    once = dom.ratio(L.numerator, L.denominator)
+    assert f"L_1 = {dom.to_str(once)}" in out
+    cert = center_check(vf, dom)
+    assert cert.first_nonzero == (1, once)
+    assert once._mpf_ != compute_series(coerce_field(vf, dom), 1).L[1]._mpf_
 
 
 def test_center_check_float_confirms_only_a_weak_focus(capsys, monkeypatch):
-    # the residue pass decides; a float series runs only to print the
-    # constant of a weak focus: none for the Hamiltonian center, one at 60
-    # digits for the cubic weak focus
+    # the residue pass decides; an exact series runs only to print the
+    # constant of a weak focus: none for the Hamiltonian center, one for the
+    # cubic weak focus
     seen = _record_series(monkeypatch)
     samples = Path(__file__).resolve().parents[1] / "sample_fields"
-    for name, code, dps in (("hamiltonian.vf", 6, []), ("cubic_f30.vf", 5, [60])):
+    for name, code, after in (("hamiltonian.vf", 6, []), ("cubic_f30.vf", 5, [RATIONAL])):
         seen.clear()
         got, _, _ = run(capsys, "center-check", str(samples / name), "--mode", "float")
         assert got == code and isinstance(seen[0].domain, ResidueDomain), name
-        assert [vf.domain.dps for vf in seen[1:]] == dps, name
+        assert [vf.domain for vf in seen[1:]] == after, name
 
 
 def test_center_check_float_refuses_a_denominator_divisible_by_the_prime(tmp_path, capsys):

@@ -338,7 +338,8 @@ def test_center_check_of_the_resolved_field_finds_the_exact_order():
     # the paper's field is a weak focus of order 8; the field resolved at 60
     # digits stores dyadic values on which L_1..L_3 vanish exactly and L_4
     # does not.  Float mode reads that order off the residues of the stored
-    # values, as exact mode does on them
+    # values, as exact mode does on them, and prints the exact L_j of the
+    # stored values rounded once
     from bautin_lab.structure import center_check
 
     s1, _ = find_sigma_roots(60)
@@ -347,5 +348,7 @@ def test_center_check_of_the_resolved_field_finds_the_exact_order():
     cert, exact = center_check(vf), center_check(stored_field(vf))
     assert cert.verdict == exact.verdict == "weak-focus"
     assert cert.weak_focus_order == exact.weak_focus_order == 4
+    (j, got), (_, want) = cert.first_nonzero, exact.first_nonzero
+    assert got == vf.domain.ratio(want.numerator, want.denominator)
     assert cert.center_bound == 8
     assert cert.exit_code == 5

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from bautin_lab.errors import UsageError
+from bautin_lab.errors import NoResidueError, UsageError
 from bautin_lab.scalars import (
     MAX_DECIMAL_EXPONENT,
     RATIONAL,
@@ -41,6 +41,13 @@ def test_parse_rational_forms():
 def test_rational_domain_coerce():
     assert RATIONAL.coerce(3) == Fraction(3)
     assert RATIONAL.coerce("2/5") == Fraction(2, 5)
+    # an mpf is read as the dyadic rational it stores
+    third = BigRealDomain(dps=40).coerce("1/3")
+    assert RATIONAL.coerce(third) == stored_value(third) != Fraction(1, 3)
+    assert RATIONAL.coerce(mp.mpf(-12)) == -12 and RATIONAL.coerce(mp.mpf(0)) == 0
+    for value in (mp.inf, mp.nan, 2.5):
+        with pytest.raises(UsageError):
+            RATIONAL.coerce(value)
 
 
 def test_bigreal_domain():
@@ -70,7 +77,7 @@ def test_residue_domain():
     assert dom.ratio(-1, 2) == (p - 1) // 2
     # a denominator divisible by p has no residue: refused, naming p
     for bad in (lambda: dom.coerce(Fraction(1, p)), lambda: dom.ratio(1, 2 * p)):
-        with pytest.raises(UsageError, match=str(p)):
+        with pytest.raises(NoResidueError, match=str(p)):
             bad()
 
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from bautin_lab.engine import compute_series, compute_series_unknown
-from bautin_lab.errors import UsageError
+from bautin_lab.errors import NoResidueError, UsageError
 from bautin_lab.fields import (
     coerce_field,
     parse_vector_field,
@@ -364,9 +364,9 @@ def _near_centers():
 
 
 def test_float_center_check_is_exact_or_inconclusive():
-    # 47 fields: divergence-free, reversible, random and random homogeneous,
-    # n = 2..6, seeds 0 and 1; rotational n = 2..6; the two near-centers.
-    # Float mode never certifies a center and takes no det P; it answers the
+    # the 47 fields of the measurement (divergence-free, reversible, random
+    # and random homogeneous, n = 2..6, seeds 0 and 1; rotational n = 2..6
+    # at seed 1; the two near-centers) and 20 more centers.  Float mode never certifies a center and takes no det P; it answers the
     # exact verdict or inconclusive, and a weak focus at the exact order
     dom = BigRealDomain(dps=60)
     makers = (
@@ -377,7 +377,13 @@ def test_float_center_check_is_exact_or_inconclusive():
     )
     fields = [make(n, seed) for make in makers for n in range(2, 7) for seed in (0, 1)]
     fields += [rotational_family_field(n, 1) for n in range(2, 7)] + _near_centers()
-    assert len(fields) == 47
+    # homogeneous centers, where every constant off the gap-law pattern is
+    # zero and every residue must vanish up to the center bound
+    for n in range(2, 6):
+        for seed in (0, 1):
+            fields.append(random_divergence_free_field(n, seed, homogeneous=True))
+            fields.append(random_reversible_field(n, seed, homogeneous=True))
+        fields.append(rotational_family_field(n, 0))
     for vf in fields:
         exact, cert = center_check(vf), center_check(vf, dom)
         assert cert.verdict in (exact.verdict, "inconclusive")
@@ -391,13 +397,24 @@ def test_float_weak_focus_order_equals_the_exact_order():
     # L_1 of the near-centers is about -1.7e-45, far below the working
     # precision's reach on coefficients of size 1, but its residue is
     # nonzero: float mode reports order 1, as exact mode does, and prints
-    # L_1 from the 60-digit run
+    # the exact L_1 rounded once to 60 digits
     dom = BigRealDomain(dps=60)
     for vf in _near_centers():
         exact, cert = center_check(vf), center_check(vf, dom)
         assert exact.verdict == cert.verdict == "weak-focus"
         assert exact.weak_focus_order == cert.weak_focus_order == 1
         (j, got), (_, want) = cert.first_nonzero, exact.first_nonzero
+        assert j == 1 and got == dom.ratio(want.numerator, want.denominator)
         with dom.context():
-            want = mp.fdiv(want.numerator, want.denominator)
-            assert j == 1 and abs(got - want) < abs(want) / 10**6
+            assert got < -1e-46
+
+
+def test_float_center_check_raises_on_a_non_finite_coefficient():
+    # only a denominator divisible by p makes the residue pass inconclusive;
+    # a library float field holding nan is an error, not a verdict
+    dom = BigRealDomain(dps=60)
+    vf = coerce_field(random_field(2, 0), dom)
+    bad = dataclasses.replace(vf, F={**vf.F, 2: HomogPoly.monomial(2, 0, mp.nan)})
+    with pytest.raises(UsageError, match="nan") as info:
+        center_check(bad, dom)
+    assert not isinstance(info.value, NoResidueError)
