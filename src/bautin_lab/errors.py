@@ -14,8 +14,7 @@ class FieldParseError(UsageError):
 
 
 class NoResidueError(UsageError):
-    """A value has no residue modulo the prime of ``ResidueDomain``: its
-    denominator is a multiple of the prime."""
+    """A denominator divisible by the prime of ``ResidueDomain``: no residue."""
 
 
 class StageDomainError(UsageError):

@@ -281,8 +281,7 @@ class RationalDomain:
 
 @dataclass(frozen=True)
 class BigRealDomain:
-    """Extended-precision real coefficients: ``dps`` decimal digits carried
-    per operation (>= 30)."""
+    """Extended-precision reals carrying ``dps`` (>= 30) decimal digits."""
 
     dps: int = 60
     exact = False
@@ -334,11 +333,10 @@ class BigRealDomain:
 
 @dataclass(frozen=True)
 class ResidueDomain:
-    """Residues modulo the prime p: a/b stands for a * b^-1 mod p.  A nonzero
-    residue proves a rational value nonzero; a zero one proves nothing, so
-    ``exact`` is False.  The engine's chain steps are exact floor divisions
-    for any integer source, so its loop solves on residues unchanged and
-    ``store_ints``/``ratio`` reduce the exact solution once."""
+    """Residues modulo the prime p (a/b is a * b^-1 mod p).  A nonzero residue
+    proves a rational nonzero, a zero one proves nothing: ``exact`` is False.
+    The engine's chain steps divide exactly for any integer source, so its
+    loop solves on residues unchanged and ``store_ints`` reduces the result."""
 
     p = 2**61 - 1
     exact = False
@@ -352,8 +350,7 @@ class ResidueDomain:
         return list(values), 1
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
-        inv = self.ratio(1, den)
-        return [x * inv % self.p for x in nums], 1
+        return [self.ratio(x, den) for x in nums], 1
 
     def ratio(self, num: int, den: int) -> int:
         if den % self.p == 0:

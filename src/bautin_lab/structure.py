@@ -249,8 +249,8 @@ class CenterCertificate:
     exact mode answers "center-generic" or sets ``det_p``.  The chain
     cyclicity <= weak-focus order <= center bound  holds whenever both sides
     are reported; equality of all three is attainable but not asserted in
-    general.  A float weak-focus order, proven by a nonzero residue, bounds
-    the exact one from above and in general equals it.
+    general.  A float weak-focus order bounds the exact one, and in general
+    equals it.
     """
 
     verdict: str
@@ -272,13 +272,11 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     nonzero certificate-matrix determinant certifies a center and a zero
     one refuses to certify.
 
-    Float mode runs the constants once modulo the prime p of
-    ``ResidueDomain`` on the values ``vf`` holds: the first nonzero residue
-    proves a weak focus, of the exact order unless p divides the numerator
-    of that order's constant (then the order reported is an upper bound),
-    and its value is that constant of ``vf``, computed exactly and rounded
-    once to ``domain``.  No nonzero residue, or a denominator divisible by
-    p, gives "inconclusive".
+    Float mode reduces the values ``vf`` holds modulo the prime p of
+    ``ResidueDomain``: the first nonzero residue proves a weak focus, of the
+    exact order unless p divides that constant's numerator (then an upper
+    bound), whose exact value is rounded once to ``domain``.  No nonzero
+    residue, or a denominator divisible by p, gives "inconclusive".
     """
     if domain is None:
         domain = vf.domain
