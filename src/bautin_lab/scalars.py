@@ -32,15 +32,15 @@ A ``Domain`` object packages the carrier choice, the conversions above, and
 immutable and freely shareable between threads.  The conversions round at
 the domain's own precision and read no global state.  Arithmetic on mpf
 values (the cubic family's parameter resolution) runs inside
-``domain.context()``, which sets mpmath's process-global precision, so
-concurrent computations at different precisions need separate processes.
+``BigRealDomain.context()``, which sets mpmath's process-global precision,
+so concurrent computations at different precisions need separate processes.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -271,9 +271,6 @@ class RationalDomain:
 
     def ratio(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
-
-    def context(self):
-        return nullcontext()
 
     def to_str(self, x) -> str:
         return exact_str(x)

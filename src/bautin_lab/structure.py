@@ -16,8 +16,7 @@ constants are cheap.  A nonzero determinant means the leading constants pin
 those coefficients one-to-one, which certifies that a field whose leading
 constants all vanish is a center (the generic case) and bounds the number of
 small-amplitude limit cycles by the row count.  That is an exact statement:
-extended-precision mode reads only the constants' residues modulo a prime
-and never certifies a center.
+extended-precision mode never builds P and never certifies a center.
 """
 
 from __future__ import annotations
@@ -155,7 +154,6 @@ class PMatrix:
     col_labels: list[UnknownId]
     row_offsets: list[Scalar]
     domain: Domain
-    standalone_leading: Scalar | None = None
 
     @property
     def size(self) -> int:
@@ -175,13 +173,14 @@ def build_p_matrix(
     replace every level 2..n.  Columns follow unknown registration order
     (ascending degree, then descending x-power) unless ``column_order`` gives
     an explicit slot permutation.  For homogeneous odd degree the first
-    leading constant does not involve the block coefficients: it is reported
-    standalone and the rest form the rows.
+    leading constant does not involve the block coefficients and is not a
+    row.
     """
     n = vf.degree
     homogeneous = vf.is_homogeneous()
     rows = _leading_indices(n, homogeneous)
-    standalone_idx = rows.pop(0) if homogeneous and n % 2 == 1 else None
+    if homogeneous and n % 2 == 1:
+        rows.pop(0)
     levels = [n] if homogeneous else list(range(2, n + 1))
     series = compute_series_unknown(vf, levels, J=max(rows))
     slots = list(series.unknowns)
@@ -197,9 +196,7 @@ def build_p_matrix(
 
     entries = [[series.L[j].coeffs[uid] for uid in slots] for j in rows]
     offsets = [series.L[j].const for j in rows]
-    standalone = series.L[standalone_idx].const if standalone_idx is not None else None
-
-    return PMatrix(entries, rows, slots, offsets, vf.domain, standalone)
+    return PMatrix(entries, rows, slots, offsets, vf.domain)
 
 
 def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
@@ -249,8 +246,7 @@ class CenterCertificate:
     exact mode answers "center-generic" or sets ``det_p``.  The chain
     cyclicity <= weak-focus order <= center bound  holds whenever both sides
     are reported; equality of all three is attainable but not asserted in
-    general.  A float weak-focus order bounds the exact one, and in general
-    equals it.
+    general.  The weak-focus order is the exact one in both modes.
     """
 
     verdict: str
@@ -266,56 +262,52 @@ class CenterCertificate:
 
 
 def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertificate:
-    """Compute the leading nontrivial constants in pattern order up to the
-    center bound; the first nonzero one gives a weak focus of that order.
-    In exact mode (``domain``, by default the field's own), if all vanish, a
-    nonzero certificate-matrix determinant certifies a center and a zero
-    one refuses to certify.
+    """Compute the exact leading nontrivial constants in pattern order up to
+    the center bound; the first nonzero one gives a weak focus of that order,
+    its value built once by ``domain`` (by default the field's own).  In exact
+    mode, if all vanish, a nonzero certificate-matrix determinant certifies a
+    center and a zero one refuses to certify.
 
-    Float mode reduces the values ``vf`` holds modulo the prime p of
-    ``ResidueDomain``: the first nonzero residue proves a weak focus, of the
-    exact order unless p divides that constant's numerator (then an upper
-    bound), whose exact value is rounded once to ``domain``.  No nonzero
-    residue, or a denominator divisible by p, gives "inconclusive".
+    Float mode first reduces the values ``vf`` holds modulo the prime p of
+    ``ResidueDomain``.  No nonzero residue, or a denominator divisible by p,
+    gives "inconclusive"; a nonzero residue proves that constant nonzero, so
+    the exact search stops at it at the latest and never reaches P.
     """
     if domain is None:
         domain = vf.domain
     pattern = _leading_indices(vf.degree, vf.is_homogeneous())
     C = len(pattern)
-    if domain.exact:
-        rounded = coerce_field(vf, domain)
-        found = _weak_focus(rounded, pattern)
-        if found:
-            return found
-        det = build_p_matrix(rounded).determinant()
-        if det != 0:
-            return CenterCertificate("center-generic", C, det_p=det)
-        reason = "degenerate: det P = 0, the generic certificate does not apply"
-        return CenterCertificate("inconclusive", C, det_p=det, reason=reason)
-    try:
-        found = _weak_focus(coerce_field(vf, ResidueDomain()), pattern)
-        reason = f"every leading constant is zero modulo the prime {ResidueDomain.p}"
-    except NoResidueError as exc:
-        found, reason = None, str(exc)
-    if not found:
-        reason += "; float mode leaves the verdict to --mode exact"
-        return CenterCertificate("inconclusive", C, reason=reason)
-    j = found.first_nonzero[0]
-    L = compute_series(coerce_field(vf, RATIONAL), j).L[j]
-    found.first_nonzero = (j, domain.ratio(L.numerator, L.denominator))
-    return found
+    if not domain.exact:
+        try:
+            i, _ = _first_nonzero(coerce_field(vf, ResidueDomain()), pattern)
+            reason = f"every leading constant is zero modulo the prime {ResidueDomain.p}"
+        except NoResidueError as exc:
+            i, reason = None, str(exc)
+        if i is None:
+            reason += "; float mode leaves the verdict to --mode exact"
+            return CenterCertificate("inconclusive", C, reason=reason)
+        pattern = pattern[: i + 1]
+    exact = coerce_field(vf, RATIONAL)
+    i, series = _first_nonzero(exact, pattern)
+    if i is not None:
+        L = series.L[pattern[i]]
+        first = (pattern[i], domain.ratio(L.numerator, L.denominator))
+        return CenterCertificate("weak-focus", C, weak_focus_order=i + 1, first_nonzero=first)
+    det = build_p_matrix(exact).determinant()
+    if det != 0:
+        return CenterCertificate("center-generic", C, det_p=det)
+    reason = "degenerate: det P = 0, the generic certificate does not apply"
+    return CenterCertificate("inconclusive", C, det_p=det, reason=reason)
 
 
-def _weak_focus(vf: VectorField, pattern: list[int]) -> CenterCertificate | None:
-    """The weak-focus certificate of the first constant of ``pattern`` that
-    is nonzero in ``vf``'s domain, or None if all vanish."""
+def _first_nonzero(vf: VectorField, pattern: list[int]) -> tuple[int | None, LyapunovSeries]:
+    """The position in ``pattern`` of the first constant that is nonzero in
+    ``vf``'s domain (None if all vanish), and the series grown up to it."""
     # grow the series one pattern index at a time: the common outcome is an
     # early nonzero constant, long before the full center-bound budget
     series = compute_series(vf, pattern[0])
-    for order, j in enumerate(pattern, start=1):
+    for i, j in enumerate(pattern):
         extend_series(series, j)
         if not scalar_is_zero(series.L[j]):
-            return CenterCertificate(
-                "weak-focus", len(pattern), weak_focus_order=order, first_nonzero=(j, series.L[j])
-            )
-    return None
+            return i, series
+    return None, series

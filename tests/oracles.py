@@ -42,19 +42,14 @@ def rot_apply(p: HomogPoly) -> HomogPoly:
 
 
 def residual(series: LyapunovSeries, k: int) -> HomogPoly:
-    """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2), in the series' domain.
-
-    In exact mode it is identically zero for every degree of a plain series
-    (``compute_series``).  In float mode it is the effect of rounding V_k
-    and L once each, not zero."""
-    domain = series.domain
+    """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2) of an exact series:
+    identically zero for every degree of a plain series (``compute_series``)."""
     num, den = accumulate_rhs(series, k)
-    with domain.context():
-        terms = [rot_apply(series.V[k]), num.map_coeffs(lambda c: domain.coerce(Fraction(c, den)))]
-        L = series.L.get(k // 2 - 1) if k % 2 == 0 else None
-        if L is not None:
-            terms.append(circle_power(k // 2).map_coeffs(lambda b: -L * b))
-        return poly_sum(*terms)
+    terms = [rot_apply(series.V[k]), num.map_coeffs(lambda c: Fraction(c, den))]
+    L = series.L.get(k // 2 - 1) if k % 2 == 0 else None
+    if L is not None:
+        terms.append(circle_power(k // 2).map_coeffs(lambda b: -L * b))
+    return poly_sum(*terms)
 
 
 def divergence_is_zero(vf: VectorField) -> bool:

@@ -385,9 +385,9 @@ def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch)
 
 
 def test_center_check_float_confirms_only_a_weak_focus(capsys, monkeypatch):
-    # the residue pass decides; an exact series runs only to print the
-    # constant of a weak focus: none for the Hamiltonian center, one for the
-    # cubic weak focus
+    # the residue pass runs first; the exact search runs only below a
+    # nonzero residue: none for the Hamiltonian center, one for the cubic
+    # weak focus
     seen = _record_series(monkeypatch)
     samples = Path(__file__).resolve().parents[1] / "sample_fields"
     for name, code, after in (("hamiltonian.vf", 6, []), ("cubic_f30.vf", 5, [RATIONAL])):
@@ -410,7 +410,18 @@ def test_center_check_float_refuses_a_denominator_divisible_by_the_prime(tmp_pat
     assert code == 5 and "weak_focus_order = 1" in out
 
 
-def test_center_check_float_needs_agreeing_dets(tmp_path, capsys):
+def test_center_check_float_order_is_exact_when_p_divides_the_constant(tmp_path, capsys):
+    # L_1 = p/8 is nonzero but its residue is zero: the residue pass first
+    # sees L_3, and the exact search below it still stops at L_1
+    p = ResidueDomain().p
+    path = write_field(tmp_path, "p8.vf", f"n 3\nF 3 0 1\nF 1 2 {p - 3}\n")
+    for mode in ("exact", "float"):
+        code, out, _ = run(capsys, "center-check", path, "--mode", mode)
+        assert code == 5 and "weak_focus_order = 1" in out, mode
+    assert "L_1 = 288230376151711743.875" in out
+
+
+def test_center_check_float_prints_no_det_p_at_degenerate_centers(tmp_path, capsys):
     # general divergence-free quartics whose exact det P is 0, while their
     # 60- and 120-digit det P are nonzero with unrelated values.  Float mode
     # takes no det P: every residue of the leading constants vanishes, so

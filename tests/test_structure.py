@@ -96,7 +96,6 @@ def test_p_matrix_homogeneous_quadratic():
     assert P.row_labels == [1, 2, 3, 4]
     assert P.col_labels == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert all(o == 0 for o in P.row_offsets)
-    assert P.standalone_leading is None
     assert P.determinant() != 0
 
 
@@ -106,8 +105,6 @@ def test_p_matrix_homogeneous_cubic_standalone():
     assert P.size == 4
     assert P.row_labels == [2, 3, 4, 5]
     assert (2, 2) not in P.col_labels  # the pinned slot carries no unknown
-    plain = compute_series(vf, 5)
-    assert P.standalone_leading == plain.L[1]
 
 
 def test_p_matrix_identity_on_plain_values():
@@ -161,6 +158,26 @@ def test_p_matrix_float_agrees_with_exact():
                     assert abs(x - dom.coerce(q)) <= scale * mp.mpf(10) ** -50
             det_q = exact.determinant()
             assert abs(approx.determinant() - dom.coerce(det_q)) <= abs(det_q) * mp.mpf(10) ** -45
+
+
+def test_p_matrix_residues_reduce_the_exact_matrix():
+    # the reverse sweeps and Bareiss run unchanged on residues: every entry,
+    # every row offset and det P is the exact value reduced modulo p
+    dom = ResidueDomain()
+
+    def mod_p(x):
+        return dom.ratio(x.numerator, x.denominator)
+
+    for make in (random_field, random_homogeneous_field):
+        for n in range(2, 7):
+            for seed in (0, 1):
+                exact = build_p_matrix(make(n, seed))
+                residues = build_p_matrix(coerce_field(make(n, seed), dom))
+                assert residues.row_labels == exact.row_labels, (make, n, seed)
+                assert residues.col_labels == exact.col_labels, (make, n, seed)
+                assert residues.entries == [[mod_p(x) for x in row] for row in exact.entries]
+                assert residues.row_offsets == [mod_p(x) for x in exact.row_offsets]
+                assert residues.determinant() == mod_p(exact.determinant()), (make, n, seed)
 
 
 def test_p_matrix_column_order_override():
@@ -312,7 +329,7 @@ def test_center_check_reports_bound_and_order_consistently():
         assert cert.weak_focus_order <= cert.center_bound
 
 
-def test_center_check_precision_doubling_disagreement():
+def test_center_check_float_is_inconclusive_at_a_degenerate_quartic_center():
     # a general divergence-free quartic whose exact det P is 0: a 60-digit
     # zero threshold once let L_12 through as a false weak focus.  The
     # residue pass sees every constant vanish, exactly or at 60 digits, and
@@ -330,7 +347,7 @@ def test_center_check_precision_doubling_disagreement():
     assert cert.verdict == "inconclusive" and p in cert.reason
 
 
-def test_center_check_cross_check_sees_the_digits_given():
+def test_center_check_float_decides_on_the_digits_given():
     # general divergence-free quartics are centers with det P = 0.  Float
     # mode decides on the values it is given: exactly, the residues of every
     # constant vanish (inconclusive); stored at 60 or 120 digits, the field
@@ -366,8 +383,10 @@ def _near_centers():
 def test_float_center_check_is_exact_or_inconclusive():
     # the 47 fields of the measurement (divergence-free, reversible, random
     # and random homogeneous, n = 2..6, seeds 0 and 1; rotational n = 2..6
-    # at seed 1; the two near-centers) and 20 more centers.  Float mode never certifies a center and takes no det P; it answers the
-    # exact verdict or inconclusive, and a weak focus at the exact order
+    # at seed 1; the two near-centers), 20 more centers, and a cubic whose
+    # L_1 = p/8 has a zero residue.  Float mode never certifies a center and
+    # takes no det P; it answers the exact verdict or inconclusive, and a
+    # weak focus at the exact order
     dom = BigRealDomain(dps=60)
     makers = (
         random_divergence_free_field,
@@ -377,6 +396,7 @@ def test_float_center_check_is_exact_or_inconclusive():
     )
     fields = [make(n, seed) for make in makers for n in range(2, 7) for seed in (0, 1)]
     fields += [rotational_family_field(n, 1) for n in range(2, 7)] + _near_centers()
+    fields.append(parse_vector_field(f"n 3\nF 3 0 1\nF 1 2 {ResidueDomain.p - 3}\n"))
     # homogeneous centers, where every constant off the gap-law pattern is
     # zero and every residue must vanish up to the center bound
     for n in range(2, 6):
