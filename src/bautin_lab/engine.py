@@ -48,8 +48,8 @@ numerators over the scale times den.  Every chain coefficient is m
 consecutive multipliers over m+1 consecutive divisors, so the divisors
 exceed the multipliers at a prime p by at most floor(log_p K) factors, and
 a least common multiple suffices (``_chain_constants`` has the proof); the
-smaller the scale, the less the gcd below has to divide back out.  Exact
-mode stores V_K so, reduced once by a single gcd over all of them; L is the
+smaller the scale, the less the reduction below has to divide back out.
+Exact mode stores V_K so, in lowest terms by one division pass; L is the
 Fraction of its numerator over the same denominator.  Float mode rounds
 each V_K coefficient and L once, to nearest at the working precision, and
 stores the rounded V_K as dyadic ints over one power of two.  The
@@ -207,7 +207,7 @@ def rotational_solve(
     chains on ints (``_solve_ints``) on R read exactly (``_scaled``), so V
     is a ``ScaledPoly``.  The domain turns the exact solution into stored
     form (``store_ints``) and builds L (``ratio``): in exact mode V is
-    reduced by one gcd and L is a Fraction; in float mode each V
+    reduced in one division pass and L is a Fraction; in float mode each V
     coefficient and L is the exact solution rounded once, to nearest at the
     working precision of ``domain``.  The two parity chains are always
     solvable in exact arithmetic; a vanishing closing denominator would mean

@@ -13,11 +13,11 @@ domain, so only this module knows how an mpf stores its value.  Each domain
 reads values as integer numerators over one denominator (``read_ints``: the
 lcm of the denominators for Fractions, the dyadic rational man * 2^exp each
 mpf stores for reals), turns an exactly solved num/den into stored form
-(``store_ints``: one gcd in exact mode, each coefficient rounded once in
-float mode) and builds one value from num/den (``ratio``: a Fraction, or the
-correctly rounded mpf).  The engine's per-degree loop and the certificate
-determinant compute on those ints in both modes, so float mode rounds each
-solved coefficient, each Lyapunov constant and det P once.
+(``store_ints``: one division pass in exact mode, each coefficient rounded
+once in float mode) and builds one value from num/den (``ratio``: a
+Fraction, or the correctly rounded mpf).  The engine's per-degree loop and
+the certificate determinant compute on those ints in both modes, so float
+mode rounds each solved coefficient, each Lyapunov constant and det P once.
 
 ``LinearForm`` is not a carrier but a record of an affine expression
 c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i in one
@@ -264,10 +264,18 @@ class RationalDomain:
         return [x.numerator * (den // x.denominator) for x in values], den
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
-        """The exact values nums[i]/den in stored form: reduced by one gcd
-        over all of them."""
-        g = gcd(*nums, den)
-        return [x // g for x in nums], den // g
+        """nums[i]/den (den > 0) in lowest terms, in one division pass:
+        g = gcd(den, numerators so far) divides the next numerator; a
+        remainder r shrinks g to gcd(g, r) and rescales earlier quotients."""
+        g, out = den, []
+        for x in nums:
+            q, r = divmod(x, g)
+            if r:
+                h = gcd(g, r)
+                f, g, q = g // h, h, x // h
+                out = [y * f for y in out]
+            out.append(q)
+        return out, den // g
 
     def ratio(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)

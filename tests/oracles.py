@@ -5,10 +5,12 @@ monomial rule, not from the parity chains of ``engine.rotational_solve``;
 ``residual`` uses it to check that a series solves every degree's equation.
 ``divergence_is_zero`` and ``is_reversible`` check the structure the center
 generators build in.  Sums are taken over the coefficient tuples: the
-package's polynomials have no addition.
+package's polynomials have no addition.  ``gcd_reduced`` is the one-gcd
+reduction that ``RationalDomain.store_ints`` is checked against.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from bautin_lab.engine import LyapunovSeries, accumulate_rhs
 from bautin_lab.fields import VectorField
@@ -19,6 +21,13 @@ def poly_sum(*polys: HomogPoly) -> HomogPoly:
     """Coefficient-wise sum of polynomials of one degree."""
     coeffs = zip(*(p.coeffs for p in polys), strict=True)
     return HomogPoly(polys[0].degree, [sum(cs) for cs in coeffs])
+
+
+def gcd_reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums/den (den > 0) in lowest terms: every value divided by the gcd of
+    all of them."""
+    g = gcd(*nums, den)
+    return [x // g for x in nums], den // g
 
 
 def rot_apply(p: HomogPoly) -> HomogPoly:

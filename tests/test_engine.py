@@ -595,6 +595,18 @@ def test_exact_outputs_match_recorded_digests():
     )
 
 
+def test_exact_blocks_are_stored_in_lowest_terms():
+    # the digests above pin the L values; this pins the stored form of every
+    # V_k: numerators over a positive denominator sharing no factor with all
+    # of them (a zero block is stored over 1), the homogeneous quartic's
+    # zero blocks included
+    fields = [random_field(3, seed) for seed in range(4)]
+    fields += [random_field(5, seed=1), random_homogeneous_field(4, seed=1)]
+    for vf in fields:
+        for k, V in compute_series(vf, 40).V.items():
+            assert V.den > 0 and math.gcd(*V.nums, V.den) == 1, (vf, k)
+
+
 def _pinned_columns(vf, levels, J):
     """The coefficients of L_1..L_J in the unknowns of
     ``compute_series_unknown(vf, levels, J)`` by the forward loop: one run

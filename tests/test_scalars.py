@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bautin_lab.errors import NoResidueError, UsageError
 from bautin_lab.scalars import (
@@ -18,7 +20,7 @@ from bautin_lab.scalars import (
     parse_rational,
     scalar_to_str,
 )
-from oracles import stored_value
+from oracles import gcd_reduced, stored_value
 
 
 def test_parse_rational_forms():
@@ -48,6 +50,46 @@ def test_rational_domain_coerce():
     for value in (mp.inf, mp.nan, 2.5):
         with pytest.raises(UsageError):
             RATIONAL.coerce(value)
+
+
+#: A prime above 2^61 (the Mersenne prime 2^89 - 1).
+_BIG_PRIME = 2**89 - 1
+
+
+@st.composite
+def _ratios(draw):
+    """nums/den with a common factor planted in both and _BIG_PRIME in some
+    of them, so the reduction has something to remove and g shrinks at
+    uneven places."""
+    common = draw(st.integers(1, 2**70)) * draw(st.sampled_from([1, 2**64, _BIG_PRIME]))
+    entry = st.one_of(st.just(0), st.integers(-(2**200), 2**200))
+    nums = draw(st.lists(st.tuples(entry, st.booleans()), min_size=1, max_size=12))
+    den = draw(st.integers(1, 2**100)) * draw(st.sampled_from([1, _BIG_PRIME]))
+    return [x * common * (_BIG_PRIME if big else 1) for x, big in nums], den * common
+
+
+@given(_ratios())
+@example(([0, 0, 0], 7 * _BIG_PRIME))  # all zero: zeros over 1
+@example(([-6], 4))  # a single entry
+@example(([-4, 0, 6, 9], 1))
+@example(([3 * _BIG_PRIME, 0, -5 * _BIG_PRIME], 7 * _BIG_PRIME))
+@example(([12, -18, 8], 2**61 * 6))
+def test_rational_store_ints_is_the_gcd_reduction(ratio):
+    nums, den = ratio
+    stored = RATIONAL.store_ints(nums, den)
+    assert stored == gcd_reduced(nums, den)
+    assert all(type(x) is int for x in stored[0]) and stored[1] > 0
+
+
+def test_rational_store_ints_when_every_entry_shrinks_the_gcd():
+    # every entry of [2^100, 2^99, ..., 1] * q over 2^100 * q halves the
+    # running gcd, so each one rescales the quotients taken before it
+    q = 3**4000
+    nums, den = [q << i for i in range(100, -1, -1)], q << 100
+    start = time.process_time()
+    stored = RATIONAL.store_ints(nums, den)
+    assert time.process_time() - start < 0.5
+    assert stored == ([1 << i for i in range(100, -1, -1)], 1 << 100) == gcd_reduced(nums, den)
 
 
 def test_bigreal_domain():
