@@ -75,8 +75,11 @@ stencil, and at each pinned block it is that block's coefficients.  A
 column then stands for one full V_k coefficient, the attribution of the
 published tables.  The sweep for L_j stops at the lowest pinned degree, so
 it pays only for the degrees up to 2j+2, and it computes on ints with one
-gcd per degree; each coefficient is then stored once by the domain, exact
-or rounded once in float mode.
+gcd per degree.  ``covector_rows`` yields these linear parts one row, and
+one sweep, at a time as integer rows, so a caller that needs only det P
+sweeps no row it does not draw and makes no offset run;
+``compute_series_unknown`` stores each coefficient once by the domain,
+exact or rounded once in float mode.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ from functools import cache, cached_property
 from itertools import count
 from math import gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
@@ -444,11 +447,10 @@ def compute_series_unknown(
 
     The constant c is the L_j of the offset run, which starts from
     V_2 = (x^2+y^2)/2 with every replaced block pinned at zero.  The
-    coefficients of L_j are the exact value of one reverse sweep
-    (``_covectors``), stored once per replaced block (``store_ints``).  A
-    constant solved at a replaced even degree never involves that block, so
-    with no lower levels selected (the homogeneous case) its coefficients
-    are all zero.
+    coefficients of L_j are the exact row of ``covector_rows``, stored once
+    (``store_ints``).  A constant solved at a replaced even degree never
+    involves that block, so with no lower levels selected (the homogeneous
+    case) its coefficients are all zero.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -459,21 +461,43 @@ def compute_series_unknown(
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
     domain = vf.domain
     degrees = [k + 1 for k in levels if k + 1 <= 2 * J + 2]
-    unknowns = [
+    unknowns = _unknown_slots(degrees)
+    series = _extend(_start(vf), J, {k: HomogPoly.zero(k) for k in degrees})
+    forms = {}
+    for (j, c), (row, den) in zip(series.L.items(), covector_rows(series, degrees, series.L)):
+        nums, den = domain.store_ints(row, den)
+        forms[j] = LinearForm(c, {uid: domain.ratio(x, den) for uid, x in zip(unknowns, nums)})
+    return LyapunovSeries(vf, L=forms, unknowns=unknowns)
+
+
+def _unknown_slots(degrees: Iterable[int]) -> list[UnknownId]:
+    """The unknowns of the replaced blocks V_k, k in ``degrees`` (ascending),
+    in registration order: ascending degree, then descending x-power, the
+    tie-break slot of an even degree left out."""
+    return [
         (k - a, a)
         for k in degrees
         for a in range(k + 1)
         if k % 2 == 1 or (k - a, a) != tiebreak_slot(k)
     ]
-    series = _extend(_start(vf), J, {k: HomogPoly.zero(k) for k in degrees})
-    forms = {}
-    for j, c in series.L.items():
-        blocks = {
-            k: ScaledPoly(k, *domain.store_ints(*w), domain.ratio).coeffs
-            for k, w in _covectors(series, 2 * j + 2, degrees).items()
-        }
-        forms[j] = LinearForm(c, {(i, a): blocks[i + a][a] for i, a in unknowns})
-    return LyapunovSeries(vf, L=forms, unknowns=unknowns)
+
+
+def covector_rows(
+    series: LyapunovSeries, degrees: list[int], rows: Iterable[int]
+) -> Iterator[tuple[list[int], int]]:
+    """For each index j of ``rows`` in turn: the linear part of L_j in the
+    replaced blocks V_k, k in ``degrees`` (ascending), as integer numerators
+    over one positive denominator, one column per unknown of
+    ``_unknown_slots(degrees)``.  Each row is one reverse sweep
+    (``_covectors``) with its blocks put over their lcm, the exact values of
+    the field ``series`` holds; a row is swept only when it is drawn.  Only
+    ``series._field_terms`` is read, so ``LyapunovSeries(vf)`` serves."""
+    slots = _unknown_slots(degrees)
+    for j in rows:
+        blocks = _covectors(series, 2 * j + 2, degrees)
+        den = lcm(*(d for _, d in blocks.values()))
+        scaled = {k: [x * (den // d) for x in w] for k, (w, d) in blocks.items()}
+        yield [scaled[i + a][a] for i, a in slots], den
 
 
 def _covectors(

@@ -355,7 +355,11 @@ class ResidueDomain:
         return list(values), 1
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
-        return [self.ratio(x, den) for x in nums], 1
+        """Each nums[i]/den as ``ratio`` builds it, with den inverted once."""
+        if not nums:
+            return [], 1
+        inv = self.ratio(1, den)
+        return [x * inv % self.p for x in nums], 1
 
     def ratio(self, num: int, den: int) -> int:
         if den % self.p == 0:

@@ -17,14 +17,27 @@ those coefficients one-to-one, which certifies that a field whose leading
 constants all vanish is a center (the generic case) and bounds the number of
 small-amplitude limit cycles by the row count.  That is an exact statement:
 extended-precision mode never builds P and never certifies a center.
+
+Determinants are taken by fraction-free elimination one row at a time
+(``_det_rows``), which answers 0 as soon as a row reduces to zero.
+``center_check`` draws P's rows into it one reverse sweep at a time, so at
+a center whose P is singular (rank 7 of 14 at the seed-1 reversible
+quartic) the costliest rows, those of the highest constants, are never swept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .engine import LyapunovSeries, compute_series, compute_series_unknown, extend_series
+from .engine import (
+    LyapunovSeries,
+    compute_series,
+    compute_series_unknown,
+    covector_rows,
+    extend_series,
+)
 from .errors import NoResidueError, SolverInternalError, UsageError
 from .fields import VectorField, coerce_field
 from .scalars import RATIONAL, Domain, ResidueDomain, Scalar, UnknownId, scalar_is_zero
@@ -164,25 +177,33 @@ class PMatrix:
         return det_exact(self.entries, self.domain)
 
 
-def build_p_matrix(
-    vf: VectorField, column_order: Sequence[UnknownId] | None = None
-) -> PMatrix:
-    """Build the unknown-carrying series and read off the certificate matrix.
-
-    Homogeneous fields replace only the top-level block; general fields
-    replace every level 2..n.  Columns follow unknown registration order
-    (ascending degree, then descending x-power) unless ``column_order`` gives
-    an explicit slot permutation.  For homogeneous odd degree the first
-    leading constant does not involve the block coefficients and is not a
-    row.
-    """
+def _certificate_shape(vf: VectorField) -> tuple[list[int], list[int]]:
+    """The row labels of the certificate matrix and the degrees of the
+    blocks it replaces.  Homogeneous fields replace only the top-level block
+    V_(n+1); general fields replace V_3..V_(n+1).  For homogeneous odd degree
+    the first leading constant does not involve the block coefficients and
+    is not a row."""
     n = vf.degree
     homogeneous = vf.is_homogeneous()
     rows = _leading_indices(n, homogeneous)
     if homogeneous and n % 2 == 1:
         rows.pop(0)
-    levels = [n] if homogeneous else list(range(2, n + 1))
-    series = compute_series_unknown(vf, levels, J=max(rows))
+    degrees = [n + 1] if homogeneous else list(range(3, n + 2))
+    return rows, degrees
+
+
+def build_p_matrix(
+    vf: VectorField, column_order: Sequence[UnknownId] | None = None
+) -> PMatrix:
+    """Build the unknown-carrying series and read off the certificate matrix.
+
+    Columns follow unknown registration order (ascending degree, then
+    descending x-power) unless ``column_order`` gives an explicit slot
+    permutation.  The rows and the replaced blocks are those of
+    ``_certificate_shape``.
+    """
+    rows, degrees = _certificate_shape(vf)
+    series = compute_series_unknown(vf, [k - 1 for k in degrees], J=max(rows))
     slots = list(series.unknowns)
     if column_order is not None:
         missing = set(column_order) ^ set(slots)
@@ -205,37 +226,50 @@ def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
     extended-precision mode (exactly zero when the stored rows are exactly
     dependent).
 
-    Each row is cleared to integers (``domain.read_ints``), then Bareiss
-    fraction-free elimination runs on them, so every intermediate entry is
-    an exact minor (controls coefficient blow-up compared to plain fraction
-    elimination)."""
+    Each row is cleared to integers (``domain.read_ints``) when the
+    row-by-row fraction-free elimination (``_det_rows``) reaches it; every
+    intermediate entry is an exact minor, and no row after the first one
+    that reduces to zero is read."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise UsageError("determinant needs a square matrix")
-    if size == 0:
-        return domain.ratio(1, 1)
-    rows: list[list[int]] = []
-    scale = 1
-    for row in matrix:
-        ints, den = domain.read_ints(row)
-        scale *= den
-        rows.append(ints)
+    return domain.ratio(*_det_rows(map(domain.read_ints, matrix)))
 
-    sign = 1
-    prev = 1
-    for col in range(size - 1):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return domain.ratio(0, 1)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
+
+def _det_rows(rows: Iterable[tuple[list[int], int]]) -> tuple[int, int]:
+    """The determinant of a square matrix given row by row, each row as
+    integer numerators over one positive denominator, as (num, den); (0, 1)
+    as soon as a row reduces to zero, without drawing the rows after it.
+
+    Fraction-free elimination, one row at a time (Bareiss, with column
+    pivots).  A new row is reduced by each earlier pivot row s in turn,
+
+        row <- (pivot_s * row - row[c_s] * pivot row_s) / pivot_(s-1),
+
+    with c_s the pivot column of row s and pivot_(-1) = 1, and column c_s,
+    now zero, is dropped.  By Sylvester's identity every entry is then a
+    minor of the integer matrix, so each division is exact and the entries
+    grow no faster than the minors.  The new row's pivot is its first
+    nonzero entry; moving its column to the front of the columns left is a
+    permutation of sign (-1)^(its position), and the last pivot, so signed,
+    is the determinant of the integer rows."""
+    pivots: list[tuple[int, int, list[int]]] = []  # (position, pivot, rest of the row)
+    sign, det, scale = 1, 1, 1
+    for row, den in rows:
+        scale *= den
+        row, prev = list(row), 1
+        for p, piv, rest in pivots:
+            f = row.pop(p)
+            row = [(piv * a - f * b) // prev for a, b in zip(row, rest)]
+            prev = piv
+        p = next((i for i, a in enumerate(row) if a), None)
+        if p is None:
+            return 0, 1
+        if p % 2:
             sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                rows[r][c] = (rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]) // prev
-            rows[r][col] = 0
-        prev = rows[col][col]
-    return domain.ratio(sign * rows[size - 1][size - 1], scale)
+        det = row.pop(p)
+        pivots.append((p, det, row))
+    return sign * det, scale
 
 
 @dataclass
@@ -266,7 +300,9 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     the center bound; the first nonzero one gives a weak focus of that order,
     its value built once by ``domain`` (by default the field's own).  In exact
     mode, if all vanish, a nonzero certificate-matrix determinant certifies a
-    center and a zero one refuses to certify.
+    center and a zero one refuses to certify.  det P is taken with P's rows
+    swept and eliminated one at a time (``_certificate_det``): the matrix is
+    never assembled, and a zero det stops at the first dependent row.
 
     Float mode first reduces the values ``vf`` holds modulo the prime p of
     ``ResidueDomain``.  No nonzero residue, or a denominator divisible by p,
@@ -293,11 +329,20 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
         L = series.L[pattern[i]]
         first = (pattern[i], domain.ratio(L.numerator, L.denominator))
         return CenterCertificate("weak-focus", C, weak_focus_order=i + 1, first_nonzero=first)
-    det = build_p_matrix(exact).determinant()
+    det = _certificate_det(exact)
     if det != 0:
         return CenterCertificate("center-generic", C, det_p=det)
     reason = "degenerate: det P = 0, the generic certificate does not apply"
     return CenterCertificate("inconclusive", C, det_p=det, reason=reason)
+
+
+def _certificate_det(vf: VectorField) -> Fraction:
+    """det P of an exact field, equal to ``build_p_matrix(vf).determinant()``.
+    The rows are swept (``covector_rows``) as the elimination draws them, so
+    a zero det stops at the first dependent row, and no offset run is made
+    (only the linear parts enter det P)."""
+    rows, degrees = _certificate_shape(vf)
+    return RATIONAL.ratio(*_det_rows(covector_rows(LyapunovSeries(vf), degrees, rows)))
 
 
 def _first_nonzero(vf: VectorField, pattern: list[int]) -> tuple[int | None, LyapunovSeries]:

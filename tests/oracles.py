@@ -4,7 +4,8 @@
 monomial rule, not from the parity chains of ``engine.rotational_solve``;
 ``residual`` uses it to check that a series solves every degree's equation.
 ``divergence_is_zero`` and ``is_reversible`` check the structure the center
-generators build in.  Sums are taken over the coefficient tuples: the
+generators build in.  ``det_cofactor`` is the determinant by cofactor
+expansion on Fractions, the oracle of the fraction-free elimination.  Sums are taken over the coefficient tuples: the
 package's polynomials have no addition.  ``gcd_reduced`` is the one-gcd
 reduction that ``RationalDomain.store_ints`` is checked against.
 """
@@ -28,6 +29,18 @@ def gcd_reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     all of them."""
     g = gcd(*nums, den)
     return [x // g for x in nums], den // g
+
+
+def det_cofactor(m) -> Fraction:
+    """The determinant by cofactor expansion along the first row, on
+    Fractions (1 for the 0 x 0 matrix)."""
+    if not m:
+        return Fraction(1)
+    total = Fraction(0)
+    for c in range(len(m)):
+        minor = [row[:c] + row[c + 1 :] for row in m[1:]]
+        total += (-1) ** c * Fraction(m[0][c]) * det_cofactor(minor)
+    return total
 
 
 def rot_apply(p: HomogPoly) -> HomogPoly:

@@ -123,6 +123,27 @@ def test_residue_domain():
             bad()
 
 
+@given(
+    st.lists(st.integers(-(2**130), 2**130), max_size=8),
+    st.integers(1, 2**70),
+    st.sampled_from([1, ResidueDomain.p, ResidueDomain.p**2]),
+)
+@example([5, -7], 3, ResidueDomain.p)
+@example([], 1, ResidueDomain.p)
+def test_residue_store_ints_inverts_den_once(nums, den, factor):
+    # one inverse per call gives the residues of ratio, entry by entry; a
+    # denominator divisible by p still has no residue
+    dom = ResidueDomain()
+    den *= factor
+    try:
+        want = [dom.ratio(x, den) for x in nums], 1
+    except NoResidueError:
+        with pytest.raises(NoResidueError, match=str(dom.p)):
+            dom.store_ints(nums, den)
+    else:
+        assert dom.store_ints(nums, den) == want
+
+
 def test_scalar_to_str_lossless():
     assert scalar_to_str(Fraction(3, 8), RATIONAL) == "3/8"
     dom = BigRealDomain(dps=40)

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from bautin_lab import engine
 from bautin_lab.engine import compute_series, compute_series_unknown
 from bautin_lab.errors import NoResidueError, UsageError
 from bautin_lab.fields import (
@@ -19,6 +22,8 @@ from bautin_lab.fields import (
 from bautin_lab.hpoly import HomogPoly
 from bautin_lab.scalars import RATIONAL, BigRealDomain, ResidueDomain
 from bautin_lab.structure import (
+    _certificate_det,
+    _det_rows,
     build_p_matrix,
     center_check,
     center_number_bound,
@@ -26,7 +31,7 @@ from bautin_lab.structure import (
     gap_profile,
     verify_gaps,
 )
-from oracles import apply_p, poly_sum, stored_field, stored_value
+from oracles import apply_p, det_cofactor, poly_sum, stored_field, stored_value
 
 
 def F(*args):
@@ -232,26 +237,103 @@ def test_det_identity_and_singular():
     assert det_exact(repeated, RATIONAL) == 0
 
 
-def _det_cofactor(m):
-    if len(m) == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for c in range(len(m)):
-        minor = [row[:c] + row[c + 1 :] for row in m[1:]]
-        total += (-1) ** c * m[0][c] * _det_cofactor(minor)
-    return total
+@st.composite
+def _dependent_matrices(draw):
+    """(m, k): an integer matrix whose row k is a combination of the rows
+    above it (the zero row at k = 0), the other rows drawn freely."""
+    size = draw(st.integers(1, 6))
+    k = draw(st.integers(0, size - 1))
+    entry = st.integers(-(2**40), 2**40)
+    m = [draw(st.lists(entry, min_size=size, max_size=size)) for _ in range(size)]
+    weights = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    m[k] = [sum(w * row[c] for w, row in zip(weights, m)) for c in range(size)]
+    return m, k
 
 
-def test_det_against_cofactor_oracle():
-    import random
+@given(_dependent_matrices())
+@example(([[0, 0], [1, 2]], 0))
+@example(([[1, 2, 3], [4, 5, 6], [5, 7, 9]], 2))
+def test_elimination_stops_at_a_planted_dependency(case):
+    # the row-by-row elimination answers 0 at the dependent row k at the
+    # latest (earlier if the rows above are already dependent) and draws no
+    # row after it; det_exact agrees with the cofactor oracle
+    m, k = case
+    drawn = []
 
-    rng = random.Random(3)
-    for _ in range(6):
-        m = [
-            [F(rng.randint(-9, 9)) / rng.randint(1, 9) for _ in range(6)]
-            for _ in range(6)
-        ]
-        assert det_exact(m, RATIONAL) == _det_cofactor(m)
+    def rows():
+        for i, row in enumerate(m):
+            drawn.append(i)
+            yield row, 1
+
+    assert _det_rows(rows()) == (0, 1)
+    assert drawn[-1] <= k
+    assert det_exact([[F(x) for x in row] for row in m], RATIONAL) == det_cofactor(m) == 0
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))))
+def test_elimination_sign_on_permutation_matrices(perm):
+    m = [[int(c == p) for c in range(len(perm))] for p in perm]
+    assert det_exact(m, RATIONAL) == det_cofactor(m) in (1, -1)
+
+
+def _seeded_matrix(size, seed):
+    rng = random.Random(seed)
+    return [[F(rng.randint(-9, 9)) / rng.randint(1, 9) for _ in range(size)] for _ in range(size)]
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(max_denominator=50), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@example([])
+@example([[F(-7, 3)]])
+@example([[F(0)]])
+@example(_seeded_matrix(6, 3))
+def test_det_against_cofactor_oracle(m):
+    assert det_exact(m, RATIONAL) == det_cofactor(m)
+
+
+def test_streamed_det_equals_the_built_matrix_det():
+    # rows swept as the elimination draws them give det P of the built
+    # matrix: nonzero on random fields, zero at the constructed centers
+    for n in range(2, 6):
+        for make in (random_field, random_homogeneous_field):
+            vf = make(n, 1)
+            det = build_p_matrix(vf).determinant()
+            assert det != 0 and _certificate_det(vf) == det, (make, n)
+        centers = [random_divergence_free_field(n, 1), random_reversible_field(n, 1)]
+        centers.append(rotational_family_field(n, n))
+        for vf in centers:
+            cert = center_check(vf)
+            assert cert.det_p == build_p_matrix(vf).determinant() == 0, (vf, n)
+
+
+def test_center_check_sweeps_p_up_to_the_first_dependent_row(monkeypatch):
+    # one reverse sweep per row drawn: the reversible centers stop at their
+    # first dependent row (rank P is 7 of 14 at n = 4), the divergence-free
+    # quartic (rank 13 of 14) sweeps all C = 14 rows
+    sweeps = []
+    covectors = engine._covectors
+
+    def counted(*args):
+        sweeps.append(args)
+        return covectors(*args)
+
+    monkeypatch.setattr(engine, "_covectors", counted)
+    for vf, C, swept in (
+        (random_reversible_field(4, 1), 14, 8),
+        (random_reversible_field(5, 1), 20, 11),
+        (random_divergence_free_field(4, 1), 14, 14),
+    ):
+        sweeps.clear()
+        cert = center_check(vf)
+        assert (cert.verdict, cert.det_p, cert.center_bound) == ("inconclusive", 0, C)
+        assert len(sweeps) == swept, (vf, len(sweeps))
 
 
 def test_det_bigreal_mode():
