@@ -1,5 +1,10 @@
 """Exact Lyapunov constants and center certificates for planar polynomial
-vector fields with a linear center at the origin."""
+vector fields with a linear center at the origin.
+
+The eight-cycle cubic family (``cubic_family``) computes in floating point
+and needs mpmath, so its names load with that module on first access
+(PEP 562): importing the package and running exact code load neither.
+"""
 
 from .engine import (
     LyapunovSeries,
@@ -43,14 +48,16 @@ from .structure import (
     gap_profile,
     verify_gaps,
 )
-from .cubic_family import (
-    CubicFamilyParams,
-    Q_COEFFS,
-    family_vector_field,
-    find_sigma_roots,
-    reproduce_example,
-    substitution_chain,
-)
+
+#: Names served from ``cubic_family`` by ``__getattr__``.
+_CUBIC_FAMILY = frozenset({
+    "CubicFamilyParams",
+    "Q_COEFFS",
+    "family_vector_field",
+    "find_sigma_roots",
+    "reproduce_example",
+    "substitution_chain",
+})
 
 __version__ = "0.1.0"
 
@@ -100,3 +107,15 @@ __all__ = [
     "tiebreak_slot",
     "verify_gaps",
 ]
+
+
+def __getattr__(name: str):
+    if name in _CUBIC_FAMILY:
+        from . import cubic_family
+
+        return getattr(cubic_family, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _CUBIC_FAMILY)

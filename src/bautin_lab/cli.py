@@ -22,7 +22,6 @@ import sys
 import traceback
 from pathlib import Path
 
-from .cubic_family import reproduce_example
 from .engine import compute_series
 from .errors import SolverInternalError, UsageError
 from .fields import (
@@ -177,6 +176,8 @@ def cmd_center_check(args: argparse.Namespace) -> int:
 
 
 def cmd_example_jl(args: argparse.Namespace) -> int:
+    from .cubic_family import reproduce_example  # the float family loads mpmath
+
     b4 = parse_rational(args.b4)
     if b4 >= 0:
         raise UsageError("--b4 must be negative")

@@ -61,7 +61,8 @@ class VectorField:
 
 def parse_vector_field(text: str, domain: Domain = RATIONAL) -> VectorField:
     """Parse the line-oriented text format; raises FieldParseError with the
-    offending line number."""
+    offending line number.  One leading byte-order mark (U+FEFF) is dropped."""
+    text = text.removeprefix("\ufeff")
     degree: int | None = None
     F: dict[int, list[Scalar]] = {}
     G: dict[int, list[Scalar]] = {}

@@ -34,28 +34,43 @@ the domain's own precision and read no global state.  Arithmetic on mpf
 values (the cubic family's parameter resolution) runs inside
 ``BigRealDomain.context()``, which sets mpmath's process-global precision,
 so concurrent computations at different precisions need separate processes.
+
+mpmath is imported on first use, by a ``BigRealDomain`` method (through
+``_mpmath``), never when this module loads: exact and residue computations
+run without it.  ``RationalDomain.coerce`` recognises an mpf only once
+mpmath is loaded, since no mpf can exist before.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence, Union
-
-import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
 
 from .errors import NoResidueError, UsageError
+
+if TYPE_CHECKING:
+    import mpmath
 
 #: Unknowns are labelled by the (x-exponent, y-exponent) slot they stand for.
 UnknownId = tuple[int, int]
 
-Scalar = Union[int, Fraction, mp.mpf]
+Scalar = Union[int, Fraction, "mpmath.mpf"]
+
+
+@cache
+def _mpmath():
+    """The mpmath module, imported by the first call and kept."""
+    import mpmath
+
+    return mpmath
 
 
 _DIGITS = r"\d+(?:_\d+)*"
@@ -252,7 +267,8 @@ class RationalDomain:
             return Fraction(x)
         if isinstance(x, str):
             return parse_rational(x)
-        if isinstance(x, mp.mpf) and mp.isfinite(x):
+        mp = sys.modules.get("mpmath")  # no mpf exists before mpmath is loaded
+        if mp is not None and isinstance(x, mp.mpf) and mp.isfinite(x):
             m, e = _dyadic(x)
             return m * Fraction(2) ** e
         raise UsageError(f"cannot coerce {x!r} into rational domain")
@@ -304,6 +320,7 @@ class BigRealDomain:
             x = parse_rational(x)
         if isinstance(x, Fraction):
             return self.ratio(x.numerator, x.denominator)
+        mp = _mpmath()
         with mp.workdps(self.dps):
             value = mp.mpf(x)
         if not mp.isfinite(value):
@@ -318,20 +335,23 @@ class BigRealDomain:
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
         """Each exact value nums[i]/den rounded once, as ``ratio`` rounds it,
         and stored as dyadic numerators over one power of two."""
-        prec = dps_to_prec(self.dps)
+        prec = _mpmath().libmp.dps_to_prec(self.dps)
         return _aligned([_round_ratio(n, den, prec) for n in nums])
 
-    def ratio(self, num: int, den: int) -> mp.mpf:
+    def ratio(self, num: int, den: int) -> mpmath.mpf:
         """The mpf nearest to num/den (den > 0) at this precision, ties to
         even: the exact value rounded once, whatever the global precision."""
-        return mp.make_mpf(from_man_exp(*_round_ratio(num, den, dps_to_prec(self.dps))))
+        mp = _mpmath()
+        rounded = _round_ratio(num, den, mp.libmp.dps_to_prec(self.dps))
+        return mp.make_mpf(mp.libmp.from_man_exp(*rounded))
 
     @contextmanager
     def context(self) -> Iterator[None]:
-        with mp.workdps(self.dps):
+        with _mpmath().workdps(self.dps):
             yield
 
     def to_str(self, x) -> str:
+        mp = _mpmath()
         with mp.workdps(self.dps):
             return mp.nstr(mp.mpf(x), self.dps)
 

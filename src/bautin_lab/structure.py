@@ -16,7 +16,7 @@ constants are cheap.  A nonzero determinant means the leading constants pin
 those coefficients one-to-one, which certifies that a field whose leading
 constants all vanish is a center (the generic case) and bounds the number of
 small-amplitude limit cycles by the row count.  That is an exact statement:
-extended-precision mode never builds P and never certifies a center.
+the float ``center_check`` never builds P and never certifies a center.
 
 Determinants are taken by fraction-free elimination one row at a time
 (``_det_rows``), which answers 0 as soon as a row reduces to zero.

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+import bautin_lab
 from bautin_lab import cli, structure
 from bautin_lab.cli import main
 from bautin_lab.engine import compute_series
@@ -300,11 +304,60 @@ def test_example_jl_table_both_roots(capsys):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("n 3\nF 3 0 1\n"))
     code, out, _ = run(capsys, "lyapunov", "-", "-J", "1")
     assert code == 0 and out.strip() == "L_1 = 3/8"
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch):
+    # UTF-8 text saved with a byte-order mark, as some editors write it
+    path = tmp_path / "bom.vf"
+    path.write_bytes(b"\xef\xbb\xbfn 3\nF 3 0 1\n")
+    code, out, _ = run(capsys, "lyapunov", str(path), "-J", "1")
+    assert code == 0 and out.strip() == "L_1 = 3/8"
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeffn 3\nF 3 0 1\n"))
+    code, out, _ = run(capsys, "lyapunov", "-", "-J", "1")
+    assert code == 0 and out.strip() == "L_1 = 3/8"
+
+
+#: Run in a fresh interpreter: exact work first, then the float commands.
+_LAZY_PROBE = """
+import contextlib, io, json, sys
+import bautin_lab
+from bautin_lab import cli, parse_vector_field
+
+path = sys.argv[1]
+missing = sorted(set(bautin_lab.__all__) - set(dir(bautin_lab)))
+with open(path, encoding="utf-8") as f:
+    parse_vector_field(f.read())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([cmd, path]) for cmd in ("lyapunov", "gaps", "center-check")]
+loaded = [m for m in ("mpmath", "bautin_lab.cubic_family") if m in sys.modules]
+runs = []
+for argv in (["lyapunov", path, "--mode", "float", "-J", "2"], ["example-jl", "--root", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append([cli.main(argv), out.getvalue()])
+print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded, "runs": runs}))
+"""
+
+
+def test_exact_work_loads_neither_mpmath_nor_the_cubic_family(tmp_path, capsys):
+    path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
+    src = str(Path(bautin_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE, path],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    probe = json.loads(done.stdout)
+    assert probe["missing"] == []
+    assert probe["codes"] == [0, 0, 5]
+    assert probe["loaded"] == []
+    expected = [
+        list(run(capsys, "lyapunov", path, "--mode", "float", "-J", "2")[:2]),
+        list(run(capsys, "example-jl", "--root", "1")[:2]),
+    ]
+    assert probe["runs"] == expected
 
 
 def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
