@@ -1,9 +1,9 @@
 """Exact Lyapunov constants and center certificates for planar polynomial
 vector fields with a linear center at the origin.
 
-The eight-cycle cubic family (``cubic_family``) computes in floating point
-and needs mpmath, so its names load with that module on first access
-(PEP 562): importing the package and running exact code load neither.
+The eight-cycle cubic family (``cubic_family``) is float only: its names
+load with that module on first access (PEP 562), and its first computation
+loads mpmath, so importing the package and running exact code load neither.
 """
 
 from .engine import (

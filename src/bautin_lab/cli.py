@@ -176,27 +176,23 @@ def cmd_center_check(args: argparse.Namespace) -> int:
 
 
 def cmd_example_jl(args: argparse.Namespace) -> int:
-    from .cubic_family import reproduce_example  # the float family loads mpmath
+    from .cubic_family import reproduce_example  # exact commands never load it
 
     b4 = parse_rational(args.b4)
     if b4 >= 0:
         raise UsageError("--b4 must be negative")
     roots = [args.root] if args.root else [1, 2]
     reports = [reproduce_example(root=r, b4=b4, precision=args.precision) for r in roots]
-    if args.output == "json":
-        out = reports[0] if len(reports) == 1 else {"schema": SCHEMA, "roots": reports}
-        print(json.dumps(out, indent=2))
-        return EXIT_OK
-    if args.output == "csv":
-        print("key,value")
+    if args.output != "table":
+        pairs = []
         for rep in reports:
             r = rep["root_index"]
-            print(f"sigma_{r},{rep['sigma']}")
-            for j in range(1, 9):
-                print(f"L_{j}_root{r},{rep['L'][str(j)]}")
-            print(f"L8_over_b4_8_root{r},{rep['L8_over_b4_8']}")
-            print(f"detP_root{r},{rep['detP']}")
-            print(f"detP_over_b4_30_root{r},{rep['detP_over_b4_30']}")
+            pairs.append((f"sigma_{r}", rep["sigma"]))
+            pairs += [(f"L_{j}_root{r}", text) for j, text in rep["L"].items()]
+            pairs += [
+                (f"{key}_root{r}", rep[key]) for key in ("L8_over_b4_8", "detP", "detP_over_b4_30")
+            ]
+        _emit_pairs(args.output, pairs, reports[0] if len(reports) == 1 else {"roots": reports})
         return EXIT_OK
     for rep in reports:
         print(f"root {rep['root_index']}: sigma = {rep['sigma']}")

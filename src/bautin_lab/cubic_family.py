@@ -19,11 +19,20 @@ vanish while the eighth stays nonzero.  The stages, in order:
 Q has four real roots but only two leave b6^2 positive; those two admissible
 roots sit in known rational brackets, and each is correctly rounded to the
 requested precision by exact bisection of its bracket, once per precision.
-a1 and b1 take the positive square root.  Both b6 branches give valid
-family members with the same seven vanishing constants; the default branch
-is the one whose L_8 is negative for b4 < 0 (the opposite branch flips the
-signs of L_8 and of the odd-degree certificate-matrix columns), and the
-other remains selectable so both can be recorded.
+a1 and b1 take the positive square root.
+
+The stages run on exact Fractions of the stored sigma, the given b4 and the
+square roots b6, a1, b1 correctly rounded by ``BigRealDomain.sqrt``: every
+stage refusal is an exact decision, every parameter is its exact stage
+value rounded once, and so is every field coefficient in the stored
+parameters and every scaled report value.  Nothing here computes on mpfs,
+whose arithmetic rounds at mpmath's global precision.
+
+Both b6 branches give valid family members with the same seven vanishing
+constants; the default branch is the one whose L_8 is negative for b4 < 0
+(the opposite branch flips the signs of L_8 and of the odd-degree
+certificate-matrix columns), and the other remains selectable so both can
+be recorded.
 """
 
 from __future__ import annotations
@@ -33,13 +42,11 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-import mpmath as mp
-
 from .engine import compute_series
 from .errors import SolverInternalError, StageDomainError, UsageError
 from .fields import VectorField
 from .hpoly import HomogPoly
-from .scalars import BigRealDomain, Scalar, parse_rational
+from .scalars import RATIONAL, BigRealDomain, Scalar, parse_rational
 from .structure import build_p_matrix
 
 #: Coefficients of Q(sigma), constant term first, leading coefficient last.
@@ -185,7 +192,7 @@ def _q_sign(p: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _round_root(bracket: tuple[Fraction, Fraction], domain: BigRealDomain) -> mp.mpf:
+def _round_root(bracket: tuple[Fraction, Fraction], domain: BigRealDomain) -> Scalar:
     """The root of Q inside an exact sign-change bracket, correctly rounded
     by ``domain.ratio``.
 
@@ -211,7 +218,7 @@ def _round_root(bracket: tuple[Fraction, Fraction], domain: BigRealDomain) -> mp
 
 
 @cache
-def find_sigma_roots(precision: int = 60) -> tuple[mp.mpf, mp.mpf]:
+def find_sigma_roots(precision: int = 60) -> tuple[Scalar, Scalar]:
     """The two admissible roots of Q, each correctly rounded to the requested
     decimal precision (at least 30 digits); computed once per precision."""
     domain = BigRealDomain(dps=precision)
@@ -221,8 +228,11 @@ def find_sigma_roots(precision: int = 60) -> tuple[mp.mpf, mp.mpf]:
 def substitution_chain(
     b4: Scalar, sigma: Scalar, precision: int = 60, b6_sign: int = DEFAULT_B6_SIGN
 ) -> CubicFamilyParams:
-    """Resolve the full parameter set from (b4, sigma).
+    """Resolve the full parameter set from (b4, sigma), exact rationals (an
+    int, Fraction, ``p/q`` text, or an mpf read as the value it stores).
 
+    Each stage is computed exactly; b6, a1 and b1 are square roots rounded
+    once, and each returned parameter is its stage value rounded once.
     Raises StageDomainError naming the stage whose denominator vanishes or
     whose radicand goes negative.  ``b6_sign`` selects the square-root branch
     for b6 (``DEFAULT_B6_SIGN`` = -1 by default; both branches are legitimate
@@ -231,63 +241,63 @@ def substitution_chain(
     if b6_sign not in (1, -1):
         raise UsageError("b6_sign must be +1 or -1")
     domain = BigRealDomain(dps=precision)
-    with domain.context():
-        b4 = domain.ratio(b4.numerator, b4.denominator) if isinstance(b4, Fraction) else mp.mpf(b4)
-        if not b4 < 0:
-            raise StageDomainError("b4", "b4 must be negative")
-        sigma = mp.mpf(sigma)
-        a9 = sigma * b4
+    b4, sigma = RATIONAL.coerce(b4), RATIONAL.coerce(sigma)
+    if not b4 < 0:
+        raise StageDomainError("b4", "b4 must be negative")
+    a9 = sigma * b4
 
-        b6_sq = b6_squared_value(a9, b4)
-        if b6_sq < 0:
-            raise StageDomainError("b6_squared", f"negative radicand {b6_sq}")
-        b6 = b6_sign * mp.sqrt(b6_sq)
+    b6_sq = b6_squared_value(a9, b4)
+    if b6_sq < 0:
+        raise StageDomainError("b6_squared", f"negative radicand {domain.to_str(b6_sq)}")
+    b6 = b6_sign * RATIONAL.coerce(domain.sqrt(b6_sq))
 
-        a8_den = 20 * (a9 + 4 * b4)
-        if a8_den == 0:
-            raise StageDomainError("a8", "denominator vanished")
-        a8 = (13 * a9 * b6 + 60 * b4 * b6) / a8_den
+    a8_den = 20 * (a9 + 4 * b4)
+    if a8_den == 0:
+        raise StageDomainError("a8", "denominator vanished")
+    a8 = (13 * a9 * b6 + 60 * b4 * b6) / a8_den
 
-        b8_den = 48 * (2 * a9**2 + 23 * a9 * b4 + 60 * b4**2)
-        if b8_den == 0:
-            raise StageDomainError("b8", "denominator vanished")
-        b8 = (-601 * a9**3 - 7240 * a9**2 * b4 - 30480 * a9 * b4**2 - 43200 * b4**3) / b8_den
+    b8_den = 48 * (2 * a9**2 + 23 * a9 * b4 + 60 * b4**2)
+    if b8_den == 0:
+        raise StageDomainError("b8", "denominator vanished")
+    b8 = (-601 * a9**3 - 7240 * a9**2 * b4 - 30480 * a9 * b4**2 - 43200 * b4**3) / b8_den
 
-        ra = (b8 - a8) / 2
-        if ra < 0:
-            raise StageDomainError("a1", f"negative radicand {ra}")
-        rb = (b8 + a8) / 2
-        if rb < 0:
-            raise StageDomainError("b1", f"negative radicand {rb}")
-        a1 = mp.sqrt(ra)
-        b1 = mp.sqrt(rb)
+    ra = (b8 - a8) / 2
+    if ra < 0:
+        raise StageDomainError("a1", f"negative radicand {domain.to_str(ra)}")
+    rb = (b8 + a8) / 2
+    if rb < 0:
+        raise StageDomainError("b1", f"negative radicand {domain.to_str(rb)}")
 
-        a7 = -b4
-        a5 = a7 - a9 + b6 / 2
-        return CubicFamilyParams(
-            a1=a1, b1=b1, a3=mp.mpf(0), a5=a5, a7=a7, a8=a8, a9=a9,
-            b4=b4, b5=mp.mpf(0), b6=b6, b8=b8, sigma=sigma,
-        )
+    a7 = -b4
+    a5 = a7 - a9 + b6 / 2
+    c = domain.coerce
+    return CubicFamilyParams(
+        a1=domain.sqrt(ra), b1=domain.sqrt(rb), a5=c(a5), a7=c(a7), a8=c(a8), a9=c(a9),
+        b4=c(b4), b6=c(b6), b8=c(b8), sigma=c(sigma),
+    )
 
 
 def family_vector_field(params: CubicFamilyParams, precision: int = 60) -> VectorField:
-    """The degree-3 field for one parameter set.
+    """The degree-3 field for one parameter set: each coefficient is its
+    formula in the parameters' exact values, rounded once.
 
     Only the sign condition on b4 is enforced here (b4 <= 0); the stage
     consistency relations are checked by the resolution pipeline, so partially
     substituted family members remain constructible.
     """
-    p = params
-    if p.b4 > 0:
+    a1, b1, a3, a5, a7, b4, b5, b6 = (
+        RATIONAL.coerce(getattr(params, name))
+        for name in ("a1", "b1", "a3", "a5", "a7", "b4", "b5", "b6")
+    )
+    if b4 > 0:
         raise UsageError("b4 must be <= 0 in this family")
     domain = BigRealDomain(dps=precision)
-    with domain.context():
-        c = domain.coerce
-        F2 = HomogPoly(2, [c(p.a1), c(-2 * p.b1), c(p.a3 - p.a1)])
-        G2 = HomogPoly(2, [c(p.b1), c(2 * p.a1), c(-p.b1)])
-        F3 = HomogPoly(3, [c(0), c(-p.a5), c(0), c(-p.a7)])
-        G3 = HomogPoly(3, [c(-p.b4), c(-p.b5), c(-(p.b6 - p.a5)), c(0)])
-        return VectorField(3, {2: F2, 3: F3}, {2: G2, 3: G3}, domain)
+    c = domain.coerce
+    F2 = HomogPoly(2, [c(a1), c(-2 * b1), c(a3 - a1)])
+    G2 = HomogPoly(2, [c(b1), c(2 * a1), c(-b1)])
+    F3 = HomogPoly(3, [c(0), c(-a5), c(0), c(-a7)])
+    G3 = HomogPoly(3, [c(-b4), c(-b5), c(-(b6 - a5)), c(0)])
+    return VectorField(3, {2: F2, 3: F3}, {2: G2, 3: G3}, domain)
 
 
 def reproduce_example(
@@ -300,9 +310,10 @@ def reproduce_example(
     L_1..L_8, builds the 8x8 certificate matrix in the published column
     order, and reports the b4-scaled values L_8 / b4^8 and det(P) / b4^30.
     The two scaling exponents are verified by recomputing at b4 / 2 and
-    comparing ratios rather than assumed.  Each P entry is rounded once
-    before the determinant, so only about ``precision - 15`` of the digits
-    of det P and det P / b4^30 are determined (45.6 of 60, measured).
+    comparing ratios (exact in the stored L_8 and det P) rather than
+    assumed.  Each P entry is rounded once before the determinant, so
+    only about ``precision - 15`` of the digits of det P and det P / b4^30
+    are determined (45.6 of 60, measured).
     """
     if root not in (1, 2):
         raise UsageError("root must be 1 or 2")
@@ -315,16 +326,14 @@ def reproduce_example(
             f"b4 must be rational (int, 'p/q' text or Fraction), not {type(b4).__name__}"
         )
 
-    sigma1, sigma2 = find_sigma_roots(precision)
-    sigma = sigma1 if root == 1 else sigma2
+    sigma = find_sigma_roots(precision)[root - 1]
     second_b4 = b4 / 2
-
-    main = _resolved_run(sigma, b4, precision)
-    other = _resolved_run(sigma, second_b4, precision)
-
-    with mp.workdps(precision):  # second_b4 / b4 = 1/2
-        l8_dev = abs(other["L8"] / main["L8"] * 2**8 - 1)
-        det_dev = abs(other["detP"] / main["detP"] * 2**30 - 1)
+    params, series, P, det = _resolved_run(sigma, b4, precision)
+    _, other_series, _, other_det = _resolved_run(sigma, second_b4, precision)
+    L8, other_L8 = (RATIONAL.coerce(run.L[8]) for run in (series, other_series))
+    # second_b4 / b4 = 1/2
+    l8_dev = abs(other_L8 / L8 * 2**8 - 1)
+    det_dev = abs(other_det / det * 2**30 - 1)
 
     domain = BigRealDomain(dps=precision)
     report = {
@@ -334,16 +343,16 @@ def reproduce_example(
         "b6_sign": DEFAULT_B6_SIGN,
         "sigma": domain.to_str(sigma),
         "b4": str(b4),
-        "params": {k: domain.to_str(v) for k, v in main["params"].as_dict().items()},
-        "L": {str(j): domain.to_str(v) for j, v in main["series"].l_values()},
-        "L8_over_b4_8": domain.to_str(main["L8_scaled"]),
-        "detP": domain.to_str(main["detP"]),
-        "detP_over_b4_30": domain.to_str(main["detP_scaled"]),
+        "params": {k: domain.to_str(v) for k, v in params.as_dict().items()},
+        "L": {str(j): domain.to_str(v) for j, v in series.l_values()},
+        "L8_over_b4_8": domain.to_str(L8 / b4**8),
+        "detP": domain.to_str(det),
+        "detP_over_b4_30": domain.to_str(det / b4**30),
         "P": {
-            "rows": [f"L{j}" for j in main["P"].row_labels],
-            "columns": [f"v{i}{j}" for i, j in main["P"].col_labels],
-            "entries": [[domain.to_str(e) for e in row] for row in main["P"].entries],
-            "row_offsets": [domain.to_str(o) for o in main["P"].row_offsets],
+            "rows": [f"L{j}" for j in P.row_labels],
+            "columns": [f"v{i}{j}" for i, j in P.col_labels],
+            "entries": [[domain.to_str(e) for e in row] for row in P.entries],
+            "row_offsets": [domain.to_str(o) for o in P.row_offsets],
         },
         "scaling_check": {
             "second_b4": str(second_b4),
@@ -356,20 +365,11 @@ def reproduce_example(
     return report
 
 
-def _resolved_run(sigma: mp.mpf, b4: Fraction, precision: int) -> dict:
+def _resolved_run(sigma: Scalar, b4: Fraction, precision: int):
+    """The parameters, series to L_8, certificate matrix and the exact value
+    of its stored det P at (sigma, b4)."""
     params = substitution_chain(b4, sigma, precision)
     vf = family_vector_field(params, precision)
     series = compute_series(vf, 8)
     P = build_p_matrix(vf, column_order=REPORT_COLUMN_ORDER)
-    with mp.workdps(precision):
-        det = P.determinant()
-        b4f = vf.domain.ratio(b4.numerator, b4.denominator)
-        return {
-            "params": params,
-            "series": series,
-            "P": P,
-            "L8": series.L[8],
-            "detP": det,
-            "L8_scaled": series.L[8] / b4f**8,
-            "detP_scaled": det / b4f**30,
-        }
+    return params, series, P, RATIONAL.coerce(P.determinant())

@@ -116,15 +116,14 @@ def parse_vector_field(text: str, domain: Domain = RATIONAL) -> VectorField:
 
 
 def serialize_vector_field(vf: VectorField) -> str:
-    """Inverse of parse_vector_field on the nonzero terms."""
+    """Inverse of parse_vector_field on the nonzero terms: each coefficient
+    is written as the exact value it stores (an mpf as its dyadic rational),
+    so parsing the text in the field's domain gives the field back."""
     lines = [f"n {vf.degree}"]
     for side, parts in (("F", vf.F), ("G", vf.G)):
         for k in sorted(parts):
             for i, j, c in parts[k].terms():
-                if isinstance(c, (int, Fraction)):
-                    lines.append(f"{side} {i} {j} {exact_str(c)}")
-                else:
-                    lines.append(f"{side} {i} {j} {vf.domain.to_str(c)}")
+                lines.append(f"{side} {i} {j} {exact_str(RATIONAL.coerce(c))}")
     return "\n".join(lines) + "\n"
 
 

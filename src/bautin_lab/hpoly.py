@@ -32,7 +32,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import UsageError
-from .scalars import Scalar, exact_str
+from .scalars import RATIONAL, Scalar, exact_str
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,7 @@ class HomogPoly:
                 yield (self.degree - a, a, c)
 
     def __str__(self) -> str:
-        return terms_str(
-            (i, j, exact_str(c) if isinstance(c, (int, Fraction)) else str(c))
-            for i, j, c in self.terms()
-        )
+        return terms_str((i, j, exact_str(RATIONAL.coerce(c))) for i, j, c in self.terms())
 
 
 class ScaledPoly(HomogPoly):

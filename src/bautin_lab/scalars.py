@@ -29,11 +29,13 @@ entries off it.
 
 A ``Domain`` object packages the carrier choice, the conversions above, and
 (for the floating carrier) the working precision.  Domain values are
-immutable and freely shareable between threads.  The conversions round at
-the domain's own precision and read no global state.  Arithmetic on mpf
-values (the cubic family's parameter resolution) runs inside
-``BigRealDomain.context()``, which sets mpmath's process-global precision,
-so concurrent computations at different precisions need separate processes.
+immutable and freely shareable between threads.  ``BigRealDomain`` is the
+only code that creates an mpf, and it creates one only by rounding an exact
+value once: a num/den (``ratio``, which ``coerce`` reads every input into)
+or the square root of a Fraction (``sqrt``).  It never reads or sets
+mpmath's process-global precision, which mpf arithmetic (even ``-x``)
+rounds at; so the package does no arithmetic on mpfs, and results do not
+depend on that setting.
 
 mpmath is imported on first use, by a ``BigRealDomain`` method (through
 ``_mpmath``), never when this module loads: exact and residue computations
@@ -46,13 +48,12 @@ from __future__ import annotations
 import numbers
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
+from math import gcd, isfinite, isqrt, lcm
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .errors import NoResidueError, UsageError
 
@@ -270,7 +271,7 @@ class RationalDomain:
         mp = sys.modules.get("mpmath")  # no mpf exists before mpmath is loaded
         if mp is not None and isinstance(x, mp.mpf) and mp.isfinite(x):
             m, e = _dyadic(x)
-            return m * Fraction(2) ** e
+            return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
         raise UsageError(f"cannot coerce {x!r} into rational domain")
 
     def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -311,21 +312,15 @@ class BigRealDomain:
         if self.dps < 30:
             raise UsageError("extended-precision domain needs at least 30 digits")
 
-    def coerce(self, x) -> Scalar:
-        """Convert into an mpf at this precision, rounding the exact value
-        once: text is read exactly (``parse_rational``, so any number of
-        digits) and a Fraction goes through ``ratio``.  Non-finite values
-        and zero denominators raise UsageError, as they do in exact mode."""
-        if isinstance(x, str):
-            x = parse_rational(x)
-        if isinstance(x, Fraction):
-            return self.ratio(x.numerator, x.denominator)
-        mp = _mpmath()
-        with mp.workdps(self.dps):
-            value = mp.mpf(x)
-        if not mp.isfinite(value):
-            raise UsageError(f"not a finite number: {x!r}")
-        return value
+    def coerce(self, x) -> mpmath.mpf:
+        """The exact value of x rounded once by ``ratio``: text is read by
+        ``parse_rational`` (any number of digits), an mpf or a finite Python
+        float as the dyadic rational it stores.  Non-finite values and zero
+        denominators raise UsageError, as they do in exact mode."""
+        if isinstance(x, float) and isfinite(x):
+            x = Fraction(x)
+        x = RATIONAL.coerce(x)
+        return self.ratio(x.numerator, x.denominator)
 
     def read_ints(self, values) -> tuple[list[int], int]:
         """The dyadic rationals the values store (mpfs, or ints) as integer
@@ -345,15 +340,26 @@ class BigRealDomain:
         rounded = _round_ratio(num, den, mp.libmp.dps_to_prec(self.dps))
         return mp.make_mpf(mp.libmp.from_man_exp(*rounded))
 
-    @contextmanager
-    def context(self) -> Iterator[None]:
-        with _mpmath().workdps(self.dps):
-            yield
+    def sqrt(self, x: Fraction) -> mpmath.mpf:
+        """The mpf nearest to the square root of x >= 0, ties to even.  With
+        q = floor(x 4^k) and s = isqrt(q) of at least prec + 2 bits,
+        sqrt(x) 2^k is s or lies strictly between s and s + 1, where no
+        rounding boundary of the grid falls (they are integers at that
+        size); so it rounds as s, or as s + 1/2."""
+        n, d = x.numerator, x.denominator
+        if n < 0:
+            raise UsageError(f"square root of a negative number: {x}")
+        mp = _mpmath()
+        prec = mp.libmp.dps_to_prec(self.dps)
+        k = (2 * prec + 6 - n.bit_length() + d.bit_length()) // 2
+        q, r = divmod(n << 2 * k, d) if k >= 0 else divmod(n, d << -2 * k)
+        s = isqrt(q)
+        m, e = _round_ratio(2 * s + (r != 0 or s * s != q), 2, prec)
+        return mp.make_mpf(mp.libmp.from_man_exp(m, e - k))
 
     def to_str(self, x) -> str:
-        mp = _mpmath()
-        with mp.workdps(self.dps):
-            return mp.nstr(mp.mpf(x), self.dps)
+        """x rounded once (``coerce``), written with ``dps`` significant digits."""
+        return _mpmath().libmp.to_str(self.coerce(x)._mpf_, self.dps)
 
 
 @dataclass(frozen=True)
@@ -398,8 +404,8 @@ def scalar_is_zero(x) -> bool:
 
 
 def scalar_to_str(x, domain: Domain) -> str:
-    """Lossless text for a scalar: 'p/q' in rational mode, a full-precision
-    decimal in floating mode."""
+    """Text for a scalar: exact 'p/q' in rational mode, the value rounded to
+    the working precision in floating mode."""
     if isinstance(x, int):
         return exact_str(x)
     return domain.to_str(x)

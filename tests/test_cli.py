@@ -22,6 +22,7 @@ from bautin_lab.fields import (
 )
 from bautin_lab.scalars import RATIONAL, BigRealDomain, ResidueDomain, parse_rational
 from bautin_lab.structure import center_check
+from oracles import stored_value
 
 
 def run(capsys, *argv):
@@ -296,6 +297,51 @@ def test_example_jl_at_the_lowest_precision(capsys):
             assert mp.mpf(check[key]) <= tol, key
 
 
+def test_example_jl_prints_each_parameter_as_its_stage_formula_rounded_once(capsys):
+    # the stages run exactly on the stored sigma, the given b4 and the
+    # rounded square roots b6, a1, b1, and each printed parameter is the
+    # exact stage value rounded once
+    from bautin_lab.cubic_family import b6_squared_value, find_sigma_roots
+
+    code, out, _ = run(capsys, "example-jl", "--root", "2", "--b4=-3/7", "--output", "json")
+    assert code == 0
+    dom, b4 = BigRealDomain(dps=60), Fraction(-3, 7)
+    a9 = stored_value(find_sigma_roots(60)[1]) * b4
+    b6 = -stored_value(dom.sqrt(b6_squared_value(a9, b4)))
+    a8 = (13 * a9 * b6 + 60 * b4 * b6) / (20 * (a9 + 4 * b4))
+    b8 = (-601 * a9**3 - 7240 * a9**2 * b4 - 30480 * a9 * b4**2 - 43200 * b4**3) / (
+        48 * (2 * a9**2 + 23 * a9 * b4 + 60 * b4**2)
+    )
+    want = {
+        "a1": dom.sqrt((b8 - a8) / 2), "b1": dom.sqrt((b8 + a8) / 2), "a3": 0,
+        "a5": -b4 - a9 + b6 / 2, "a7": -b4, "a8": a8, "a9": a9, "b4": b4, "b5": 0,
+        "b6": b6, "b8": b8,
+    }
+    assert json.loads(out)["params"] == {k: dom.to_str(v) for k, v in want.items()}
+
+
+def test_float_results_do_not_depend_on_the_global_precision(capsys):
+    from bautin_lab.cubic_family import reproduce_example
+
+    cubic = str(Path(__file__).resolve().parents[1] / "sample_fields" / "cubic_f30.vf")
+    dom = BigRealDomain(dps=60)
+    values = ["1/3", "-2.5e-70", Fraction(10**70 + 1, 7), 0.1, BigRealDomain(dps=120).ratio(1, 7)]
+
+    def results():
+        return (
+            reproduce_example(root=1, b4="-3/7"),
+            run(capsys, "lyapunov", "random:3", "--mode", "float", "-J", "6"),
+            run(capsys, "center-check", cubic, "--mode", "float", "--output", "json"),
+            [(dom.coerce(v)._mpf_, dom.to_str(v)) for v in values],
+        )
+
+    with mp.workdps(15):
+        low = results()
+    with mp.workdps(300):
+        high = results()
+    assert low == high
+
+
 def test_example_jl_table_both_roots(capsys):
     code, out, _ = run(capsys, "example-jl", "--precision", "60")
     assert code == 0
@@ -368,22 +414,30 @@ def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
         find_sigma_roots,
         substitution_chain,
     )
-    from bautin_lab.fields import serialize_vector_field
 
+    dom = BigRealDomain(dps=60)
     s1, _ = find_sigma_roots(60)
     vf = family_vector_field(substitution_chain(Fraction(-1), s1, 60), 60)
     path = tmp_path / "resolved.vf"
-    path.write_text(serialize_vector_field(vf), encoding="utf-8")
+    path.write_text(
+        "n 3\n"
+        + "".join(
+            f"{side} {i} {j} {dom.to_str(c)}\n"
+            for side, parts in (("F", vf.F), ("G", vf.G))
+            for k in sorted(parts)
+            for i, j, c in parts[k].terms()
+        ),
+        encoding="utf-8",
+    )
     # the paper's field is a weak focus of order 8; its 60 digits, read as
-    # exact decimals, make a weak focus of order 2 (L_2 about +1.3e-58), and
+    # exact decimals, make a weak focus of order 4 (L_4 about -8.6e-57), and
     # float mode finds that order from the residues, as exact mode does, and
-    # prints the exact L_2 rounded once to 60 digits
+    # prints the exact L_4 rounded once to 60 digits
     lines = {}
     for mode in ("float", "exact"):
         code, out, _ = run(capsys, "center-check", str(path), "--mode", mode)
-        assert code == 5 and "weak_focus_order = 2" in out, mode
-        lines[mode] = out.split("L_2 = ")[1].strip()
-    dom = BigRealDomain(dps=60)
+        assert code == 5 and "weak_focus_order = 4" in out, mode
+        lines[mode] = out.split("L_4 = ")[1].strip()
     exact = parse_rational(lines["exact"])
     assert lines["float"] == dom.to_str(dom.ratio(exact.numerator, exact.denominator))
 
@@ -510,7 +564,7 @@ def test_float_input_above_int_str_limit(tmp_path, capsys):
     exact = compute_series(parse_vector_field(text), 2).L
     domain = BigRealDomain(dps=60)
     vf = parse_vector_field(text, domain)
-    with domain.context():
+    with mp.workdps(domain.dps):
         assert vf.f_part(2).coeff(2, 0) == mp.fdiv(10**5000 + 7, 3)
         assert vf.g_part(3).coeff(0, 3) == mp.fdiv(10**5000 + 7, 10**5001)
         for j, line in enumerate(out.strip().splitlines(), start=1):

@@ -221,7 +221,7 @@ def test_float_series_wide_exponent_range():
     domain = BigRealDomain(dps=60)
     exact = compute_series(parse_vector_field(text), 20)
     inexact = compute_series(parse_vector_field(text, domain), 20)
-    with domain.context():
+    with mp.workdps(domain.dps):
         for j in range(1, 21):
             want = mp.fdiv(exact.L[j].numerator, exact.L[j].denominator)
             assert want != 0 and abs(inexact.L[j] - want) <= mp.mpf("1e-50") * abs(want), j
@@ -444,7 +444,7 @@ def _dense_checked(monkeypatch, domain=RATIONAL):
         V, L = solve(k, R, d)
         dense_V, dense_L = dense_rotational_solve(k, R)
         if not domain.exact:
-            with domain.context():
+            with mp.workdps(domain.dps):
                 dense_V = dense_V.map_coeffs(lambda c: mp.fdiv(c.numerator, c.denominator))
                 if dense_L is not None:
                     dense_L = mp.fdiv(dense_L.numerator, dense_L.denominator)
@@ -696,7 +696,7 @@ def test_float_unknown_coefficients_are_rounded_once():
             series = compute_series_unknown(inexact, levels, n + 3)
             stored = _stored_series(LyapunovSeries(inexact)).field
             columns = _pinned_columns(stored, levels, n + 3)
-            with domain.context():
+            with mp.workdps(domain.dps):
                 for j, form in series.L.items():
                     exact = [columns[s][j] for s in series.unknowns]
                     want = [mp.fdiv(c.numerator, c.denominator)._mpf_ for c in exact]
@@ -708,11 +708,11 @@ def test_float_solve_of_a_float_homog_poly():
     # the public call with mpf coefficients reads them as the dyadic
     # rationals they store and rounds at the domain's precision
     domain = BigRealDomain(dps=40)
-    with domain.context():
+    with mp.workdps(domain.dps):
         R = HomogPoly(6, [mp.mpf(1) / 3, 0, mp.mpf(-2), mp.mpf(5) / 7, 0, 1, mp.mpf(2) ** -90])
         exact_R = HomogPoly(6, [stored_value(c) for c in R.coeffs])
     V, L = rotational_solve(6, R, domain)
     exact_V, exact_L = dense_rotational_solve(6, exact_R)
-    with domain.context():
+    with mp.workdps(domain.dps):
         assert V.coeffs == tuple(mp.fdiv(c.numerator, c.denominator) for c in exact_V.coeffs)
         assert L == mp.fdiv(exact_L.numerator, exact_L.denominator)

@@ -6,6 +6,7 @@ import pytest
 from bautin_lab.errors import FieldParseError, UsageError
 from bautin_lab.fields import (
     VectorField,
+    coerce_field,
     parse_vector_field,
     random_divergence_free_field,
     random_field,
@@ -16,7 +17,7 @@ from bautin_lab.fields import (
 )
 from bautin_lab.hpoly import HomogPoly
 from bautin_lab.scalars import RATIONAL, BigRealDomain
-from oracles import divergence_is_zero, is_reversible, poly_sum
+from oracles import divergence_is_zero, is_reversible, poly_sum, stored_value
 
 
 def test_parse_simple_cubic():
@@ -63,7 +64,7 @@ def test_parse_errors_carry_line_numbers():
 def test_float_mode_parsing():
     dom = BigRealDomain(dps=40)
     vf = parse_vector_field("n 2\nF 2 0 0.5\nG 1 1 -1/4\n", dom)
-    with dom.context():
+    with mp.workdps(dom.dps):
         assert vf.f_part(2).coeff(2, 0) == 0.5
         assert abs(vf.g_part(2).coeff(1, 1) + 0.25) == 0
 
@@ -90,6 +91,23 @@ def test_serialize_round_trip_random_fields():
         for k in range(2, n + 1):
             assert back.f_part(k).coeffs == vf.f_part(k).coeffs
             assert back.g_part(k).coeffs == vf.g_part(k).coeffs
+
+
+def test_serialize_round_trip_keeps_the_stored_float_values():
+    # a float coefficient is written as the dyadic rational it stores, so
+    # the text reads back to the same field in float mode and to the stored
+    # values in exact mode
+    for dps in (30, 60, 120):
+        dom = BigRealDomain(dps=dps)
+        for seed in range(30):
+            vf = coerce_field(random_field(3, seed), dom)
+            text = serialize_vector_field(vf)
+            back, exact = parse_vector_field(text, dom), parse_vector_field(text)
+            for k in (2, 3):
+                for part in ("f_part", "g_part"):
+                    coeffs = getattr(vf, part)(k).coeffs
+                    assert getattr(back, part)(k).coeffs == coeffs, (dps, seed)
+                    assert getattr(exact, part)(k).coeffs == tuple(map(stored_value, coeffs))
 
 
 def test_vector_field_validation():

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath.libmp import dps_to_prec
 
 from bautin_lab.errors import NoResidueError, UsageError
 from bautin_lab.scalars import (
@@ -95,10 +96,31 @@ def test_rational_store_ints_when_every_entry_shrinks_the_gcd():
 def test_bigreal_domain():
     dom = BigRealDomain(dps=40)
     x = dom.coerce("1/3")
-    with dom.context():
+    with mp.workdps(dom.dps):
         assert abs(x * 3 - 1) < mp.mpf(10) ** -38
     with pytest.raises(UsageError):
         BigRealDomain(dps=10)
+
+
+@given(st.fractions(min_value=0), st.sampled_from([30, 60, 120]))
+@example(Fraction(0), 60)
+@example(Fraction(4, 9), 60)
+@example(Fraction(((1 << 203) + 1) ** 2), 60)  # the root is a tie of the 203-bit grid
+@example(Fraction(1, 10**300), 30)
+@example(Fraction(10**300 + 1), 120)
+def test_bigreal_sqrt_is_correctly_rounded(x, dps):
+    # with ulp the grid spacing at y = sqrt(x) rounded, read exactly:
+    # (y - ulp/2)^2 <= x <= (y + ulp/2)^2
+    y = BigRealDomain(dps=dps).sqrt(x)
+    if x == 0:
+        assert y == 0
+        return
+    sign, man, exp, bc = y._mpf_
+    half_ulp = Fraction(2) ** (exp + bc - dps_to_prec(dps)) / 2
+    assert not sign
+    assert (stored_value(y) - half_ulp) ** 2 <= x <= (stored_value(y) + half_ulp) ** 2
+    with pytest.raises(UsageError):
+        BigRealDomain(dps=dps).sqrt(-x)
 
 
 def test_residue_domain():
@@ -148,7 +170,7 @@ def test_scalar_to_str_lossless():
     assert scalar_to_str(Fraction(3, 8), RATIONAL) == "3/8"
     dom = BigRealDomain(dps=40)
     s = scalar_to_str(dom.coerce("0.1"), dom)
-    with dom.context():
+    with mp.workdps(dom.dps):
         assert abs(mp.mpf(s) - dom.coerce("0.1")) < mp.mpf(10) ** -38
 
 
@@ -178,7 +200,7 @@ def test_round_ratio_matches_mpf_division():
             # coerce(Fraction) rounds through the same routine: bit-identical
             # to mp.fdiv at the working precision, whatever the global one
             dom = BigRealDomain(dps=dps_of_prec[prec])
-            with dom.context():
+            with mp.workdps(dom.dps):
                 want = mp.fdiv(n, d)
             assert dom.coerce(Fraction(n, d))._mpf_ == want._mpf_, (n, d, prec)
 

@@ -156,7 +156,7 @@ def test_p_matrix_float_agrees_with_exact():
         exact = build_p_matrix(vf)
         approx = build_p_matrix(coerce_field(vf, dom))
         assert approx.col_labels == exact.col_labels
-        with dom.context():
+        with mp.workdps(dom.dps):
             for row_f, row_q in zip(approx.entries, exact.entries):
                 scale = max(abs(x) for x in row_q)
                 for x, q in zip(row_f, row_q):
@@ -340,7 +340,7 @@ def test_det_bigreal_mode():
     import mpmath as mp
 
     dom = BigRealDomain(dps=40)
-    with dom.context():
+    with mp.workdps(dom.dps):
         m = [[mp.mpf(1), mp.mpf(2)], [mp.mpf(3), mp.mpf(4)]]
         assert abs(det_exact(m, dom) + 2) < mp.mpf(10) ** -35
 
@@ -350,7 +350,7 @@ def test_float_det_is_the_exact_det_of_the_stored_entries_rounded_once():
     for dps in (30, 60, 120):
         dom = BigRealDomain(dps=dps)
         matrices = [build_p_matrix(coerce_field(random_field(3, seed=dps), dom)).entries]
-        with dom.context():
+        with mp.workdps(dom.dps):
             for size in (1, 2, 5, 8):
                 matrices.append([
                     [mp.mpf(rng.randint(-10**9, 10**9)) / rng.randint(1, 10**9)
@@ -359,7 +359,7 @@ def test_float_det_is_the_exact_det_of_the_stored_entries_rounded_once():
                 ])
         for m in matrices:
             want = det_exact([[stored_value(x) for x in row] for row in m], RATIONAL)
-            with dom.context():
+            with mp.workdps(dom.dps):
                 want = mp.fdiv(want.numerator, want.denominator)
             assert want != 0 and det_exact(m, dom)._mpf_ == want._mpf_, (dps, len(m))
 
@@ -369,7 +369,7 @@ def test_float_det_of_exactly_dependent_rows_is_zero():
     # the entries are not small integers, so rounded elimination leaves noise
     rng = random.Random(6)
     dom = BigRealDomain(dps=60)
-    with dom.context():
+    with mp.workdps(dom.dps):
         rows = [
             [mp.mpf(rng.getrandbits(150)) / 2 ** rng.randint(0, 10) for _ in range(4)]
             for _ in range(3)
@@ -507,7 +507,7 @@ def test_float_weak_focus_order_equals_the_exact_order():
         assert exact.weak_focus_order == cert.weak_focus_order == 1
         (j, got), (_, want) = cert.first_nonzero, exact.first_nonzero
         assert j == 1 and got == dom.ratio(want.numerator, want.denominator)
-        with dom.context():
+        with mp.workdps(dom.dps):
             assert got < -1e-46
 
 
