@@ -1,9 +1,11 @@
 """Exact Lyapunov constants and center certificates for planar polynomial
 vector fields with a linear center at the origin.
 
-The eight-cycle cubic family (``cubic_family``) is float only: its names
-load with that module on first access (PEP 562), and its first computation
-loads mpmath, so importing the package and running exact code load neither.
+The package has no third-party dependency: float mode stores its values as
+dyadic Fractions and prints them itself (``scalars``).  The eight-cycle
+cubic family (``cubic_family``) is float only: its names load with that
+module on first access (PEP 562), so importing the package and running
+exact code do not load it.
 """
 
 from .engine import (

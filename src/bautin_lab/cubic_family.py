@@ -25,8 +25,7 @@ The stages run on exact Fractions of the stored sigma, the given b4 and the
 square roots b6, a1, b1 correctly rounded by ``BigRealDomain.sqrt``: every
 stage refusal is an exact decision, every parameter is its exact stage
 value rounded once, and so is every field coefficient in the stored
-parameters and every scaled report value.  Nothing here computes on mpfs,
-whose arithmetic rounds at mpmath's global precision.
+parameters and every scaled report value.
 
 Both b6 branches give valid family members with the same seven vanishing
 constants; the default branch is the one whose L_8 is negative for b4 < 0
@@ -249,7 +248,7 @@ def substitution_chain(
     b6_sq = b6_squared_value(a9, b4)
     if b6_sq < 0:
         raise StageDomainError("b6_squared", f"negative radicand {domain.to_str(b6_sq)}")
-    b6 = b6_sign * RATIONAL.coerce(domain.sqrt(b6_sq))
+    b6 = b6_sign * domain.sqrt(b6_sq)
 
     a8_den = 20 * (a9 + 4 * b4)
     if a8_den == 0:
@@ -330,7 +329,7 @@ def reproduce_example(
     second_b4 = b4 / 2
     params, series, P, det = _resolved_run(sigma, b4, precision)
     _, other_series, _, other_det = _resolved_run(sigma, second_b4, precision)
-    L8, other_L8 = (RATIONAL.coerce(run.L[8]) for run in (series, other_series))
+    L8, other_L8 = series.L[8], other_series.L[8]
     # second_b4 / b4 = 1/2
     l8_dev = abs(other_L8 / L8 * 2**8 - 1)
     det_dev = abs(other_det / det * 2**30 - 1)
@@ -366,10 +365,10 @@ def reproduce_example(
 
 
 def _resolved_run(sigma: Scalar, b4: Fraction, precision: int):
-    """The parameters, series to L_8, certificate matrix and the exact value
-    of its stored det P at (sigma, b4)."""
+    """The parameters, series to L_8, certificate matrix and its det P at
+    (sigma, b4)."""
     params = substitution_chain(b4, sigma, precision)
     vf = family_vector_field(params, precision)
     series = compute_series(vf, 8)
     P = build_p_matrix(vf, column_order=REPORT_COLUMN_ORDER)
-    return params, series, P, RATIONAL.coerce(P.determinant())
+    return params, series, P, P.determinant()

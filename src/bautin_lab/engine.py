@@ -22,9 +22,9 @@ denominator e_d once per series.  den is the lcm of V_m.den * e_d over the
 terms present, each V_m's numerators are scaled to it once, and the sums run
 on plain ints, so no per-coefficient gcd is taken.  In exact mode the
 denominators are those of the stored blocks and lcms of the field's.
-In float mode every mpf is read as the dyadic rational man * 2^exp it stores,
-so the denominators are powers of two and R_K is the exact source term of
-the stored values; it is not rounded.  The domain does every conversion
+In float mode every stored value is a dyadic Fraction, so the denominators
+are powers of two and R_K is the exact source term of the stored values; it
+is not rounded.  The domain does every conversion
 between its values and ints (``scalars``), so nothing here branches on the
 mode.
 
@@ -53,8 +53,8 @@ Exact mode stores V_K so, in lowest terms by one division pass; L is the
 Fraction of its numerator over the same denominator.  Float mode rounds
 each V_K coefficient and L once, to nearest at the working precision, and
 stores the rounded V_K as dyadic ints over one power of two.  The
-per-coefficient values of V_K (Fractions, or the mpfs the dyadic ints stand
-for) are built only when something reads ``series.V[K].coeffs``.
+per-coefficient Fractions of V_K are built only when something reads
+``series.V[K].coeffs``.
 
 The pinned slot at even K with half-degree h = K/2 is (h, h) for even h and
 (h-1, h+1) for odd h; the fixed value is always zero.

@@ -117,8 +117,9 @@ def parse_vector_field(text: str, domain: Domain = RATIONAL) -> VectorField:
 
 def serialize_vector_field(vf: VectorField) -> str:
     """Inverse of parse_vector_field on the nonzero terms: each coefficient
-    is written as the exact value it stores (an mpf as its dyadic rational),
-    so parsing the text in the field's domain gives the field back."""
+    is written as the exact value it stores (a float-mode value as its
+    dyadic rational), so parsing the text in the field's domain gives the
+    field back."""
     lines = [f"n {vf.degree}"]
     for side, parts in (("F", vf.F), ("G", vf.G)):
         for k in sorted(parts):

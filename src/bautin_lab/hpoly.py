@@ -7,8 +7,9 @@ the target workloads) and the rotational operator x*d/dy - y*d/dx only couples
 neighbouring entries, so a dense layout is both simpler and faster than a
 sparse one.
 
-Coefficients may be any scalar the package knows (Fraction, mpf, or plain
-int for structural zeros); operations never assume a particular carrier.
+Coefficients may be any scalar the package knows (Fraction, a residue, or
+plain int for structural zeros); operations never assume a particular
+carrier.
 The operations are the ones the field generators and ``coerce_field`` use:
 products, which skip zero coefficients of either carrier, negation, partial
 derivatives and coefficient maps.  The engine's per-degree loop uses neither
@@ -18,9 +19,9 @@ integer numerators (see ``engine.accumulate_rhs``).
 ``ScaledPoly`` stores integer numerators over one positive denominator,
 ``nums[a] / den``.  Every V_k of a series is held this way, and the engine
 computes on ``nums``/``den`` alone; the coefficients (exact Fractions, or the
-mpf values a float block's dyadic numerators stand for) are built on the
-first read of ``coeffs`` and kept, so reading them again returns the same
-objects.
+rounded Fractions a float block's dyadic numerators stand for) are built on
+the first read of ``coeffs`` and kept, so reading them again returns the
+same objects.
 """
 
 from __future__ import annotations
@@ -126,8 +127,7 @@ class ScaledPoly(HomogPoly):
     """Coefficient a is ``nums[a] / den``: integer numerators over one
     positive denominator.  The coefficients read are ``value(nums[a], den)``,
     exact Fractions by default; a series passes its domain's ``ratio``,
-    which for a float block gives back the mpf a dyadic numerator stands
-    for.  They are built on the first read of ``coeffs`` and kept."""
+    which for a float block gives back the stored value unchanged.  They are built on the first read of ``coeffs`` and kept."""
 
     def __init__(
         self,

@@ -2,22 +2,25 @@
 
 Every higher layer of the package is generic over a small "scalar" protocol:
 values combine with ``+ - * /`` and with plain ints, and ``x == 0`` is a
-meaningful zero test.  Three carriers satisfy it:
+meaningful zero test.  Two carriers satisfy it:
 
-  * ``fractions.Fraction``     -- exact rational mode (the default),
-  * ``mpmath.mpf``             -- extended-precision real mode,
+  * ``fractions.Fraction``     -- exact rational mode (the default) and
+                                  extended-precision real mode alike,
   * ``int`` in 0..p-1          -- residues modulo a prime (the float center check).
 
-Every conversion between carrier values and exact integers belongs to the
-domain, so only this module knows how an mpf stores its value.  Each domain
-reads values as integer numerators over one denominator (``read_ints``: the
-lcm of the denominators for Fractions, the dyadic rational man * 2^exp each
-mpf stores for reals), turns an exactly solved num/den into stored form
-(``store_ints``: one division pass in exact mode, each coefficient rounded
-once in float mode) and builds one value from num/den (``ratio``: a
-Fraction, or the correctly rounded mpf).  The engine's per-degree loop and
-the certificate determinant compute on those ints in both modes, so float
-mode rounds each solved coefficient, each Lyapunov constant and det P once.
+A real-mode value is the dyadic rational m * 2^e with at most ``prec`` bits
+in m that rounding left, stored as an exact Fraction (in lowest terms, its
+denominator a power of two); it prints with ``dps`` significant digits only
+through ``scalar_to_str`` or the domain's ``to_str``.  Every conversion
+between carrier values and exact integers belongs to the domain.  Each
+domain reads values as integer numerators over one denominator
+(``read_ints``: the lcm of the denominators, a power of two in real mode),
+turns an exactly solved num/den into stored form (``store_ints``: one
+division pass in exact mode, each coefficient rounded once in real mode)
+and builds one value from num/den (``ratio``: the Fraction, or the
+correctly rounded dyadic one).  The engine's per-degree loop and the
+certificate determinant compute on those ints in both modes, so real mode
+rounds each solved coefficient, each Lyapunov constant and det P once.
 
 ``LinearForm`` is not a carrier but a record of an affine expression
 c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i in one
@@ -28,19 +31,14 @@ one plain run (c0) and one reverse sweep per constant (the c_i; see
 entries off it.
 
 A ``Domain`` object packages the carrier choice, the conversions above, and
-(for the floating carrier) the working precision.  Domain values are
-immutable and freely shareable between threads.  ``BigRealDomain`` is the
-only code that creates an mpf, and it creates one only by rounding an exact
-value once: a num/den (``ratio``, which ``coerce`` reads every input into)
-or the square root of a Fraction (``sqrt``).  It never reads or sets
-mpmath's process-global precision, which mpf arithmetic (even ``-x``)
-rounds at; so the package does no arithmetic on mpfs, and results do not
-depend on that setting.
-
-mpmath is imported on first use, by a ``BigRealDomain`` method (through
-``_mpmath``), never when this module loads: exact and residue computations
-run without it.  ``RationalDomain.coerce`` recognises an mpf only once
-mpmath is loaded, since no mpf can exist before.
+(for the real carrier) the working precision.  Domain values are immutable
+and freely shareable between threads.  ``BigRealDomain`` rounds only exact
+values and rounds each once: a num/den (``ratio``, which ``coerce`` reads
+every input into) or the square root of a Fraction (``sqrt``); its
+``to_str`` writes the decimal digits mpmath's ``to_str`` writes for the
+same binary value.  The package imports no third-party module: an mpmath
+``mpf`` that a caller passes in is read exactly as the dyadic rational it
+stores, by way of ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -51,27 +49,15 @@ import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from functools import cache
-from math import gcd, isfinite, isqrt, lcm
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from math import gcd, isfinite, isqrt, lcm, log, log10
+from typing import NamedTuple, Sequence, Union
 
 from .errors import NoResidueError, UsageError
-
-if TYPE_CHECKING:
-    import mpmath
 
 #: Unknowns are labelled by the (x-exponent, y-exponent) slot they stand for.
 UnknownId = tuple[int, int]
 
-Scalar = Union[int, Fraction, "mpmath.mpf"]
-
-
-@cache
-def _mpmath():
-    """The mpmath module, imported by the first call and kept."""
-    import mpmath
-
-    return mpmath
+Scalar = Union[int, Fraction]
 
 
 _DIGITS = r"\d+(?:_\d+)*"
@@ -211,14 +197,9 @@ def exact_str(x: Fraction | int) -> str:
     return num if x.denominator == 1 else f"{num}/{_int_to_decimal(x.denominator)}"
 
 
-def _dyadic(x) -> tuple[int, int]:
-    """(m, e) with x = m * 2^e exactly, for an mpf or an int.  ``mpf.man_exp``
-    drops the sign, so the raw (sign, man, exp, bc) tuple is read; ``int``
-    keeps the result a Python int under either mpmath backend."""
-    if isinstance(x, int):
-        return x, 0
-    sign, man, exp, _ = x._mpf_
-    return (-int(man) if sign else int(man)), exp
+def _int_str(n: int) -> str:
+    """``str(n)`` at any length (``_int_to_decimal``)."""
+    return str(_int_to_decimal(n))
 
 
 def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -226,6 +207,15 @@ def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     among them (at least 1), which loses nothing."""
     low = min([0] + [e for m, e in pairs if m])
     return [m << (e - low) for m, e in pairs], 1 << -low
+
+
+def _dyadic_fraction(m: int, e: int) -> Fraction:
+    """m * 2^e as a Fraction, put in lowest terms by stripping the trailing
+    zero bits of m against the power of two (no gcd)."""
+    if e >= 0:
+        return Fraction(m << e)
+    t = min((m & -m).bit_length() - 1, -e) if m else -e
+    return Fraction(_Lowest(m >> t, 1 << (-e - t)))
 
 
 def _round_ratio(n: int, d: int, prec: int) -> tuple[int, int]:
@@ -245,11 +235,88 @@ def _round_ratio(n: int, d: int, prec: int) -> tuple[int, int]:
     return (-q if n < 0 else q), extra - shift
 
 
+def dps_to_prec(dps: int) -> int:
+    """Bits that carry ``dps`` decimal digits: mpmath's ``dps_to_prec``."""
+    return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
+
+
+#: Above this magnitude of the binary exponent of the leading bit, mpmath's
+#: ``to_str`` first divides by a rounded power of ten; ``_digits_exp`` scales
+#: by the exact one instead.
+_FIXED_EXP_LIMIT = 3500
+
+
+def _digits_exp(a: int, k: int, n: int) -> tuple[str, int]:
+    """Leading decimal digits of a / 2^k > 0, truncated, and the decimal
+    exponent of the first one: mpmath's ``to_digits_exp`` with n digits.
+    Up to ``_FIXED_EXP_LIMIT`` it is copied step for step (a fixed-point
+    value of bitprec bits, its decimal fixed point by one multiplication,
+    each truncated), which gives at least n digits.  Beyond it the digits
+    are floor(a / 2^k * 10^(n-1-E)) for the exact leading exponent E: n
+    digits, each one exact."""
+    top = a.bit_length() - k  # the binary exponent just above the leading bit
+    if abs(top) <= _FIXED_EXP_LIMIT:
+        bitprec = int(n * log(10, 2)) + 10
+        fixprec = max(bitprec - top, 0)
+        fixdps = int(fixprec / log(10, 2) + 0.5)
+        shift = fixprec - k
+        fixed = a << shift if shift >= 0 else a >> -shift
+        digits = _int_str(fixed * 10**fixdps >> fixprec)
+        return digits, len(digits) - fixdps - 1
+
+    def scaled(s: int) -> int:  # floor(a / 2^k * 10^s)
+        return a * 10**s >> k if s >= 0 else a // (10**-s << k)
+
+    exp = int((top - 1) * log10(2))
+    while True:
+        q = scaled(n - 1 - exp)
+        if q >= 10**n:
+            exp += 1
+        elif q < 10 ** (n - 1):
+            exp -= 1
+        else:
+            return _int_str(q), exp
+
+
+def _decimal_str(x: Fraction, dps: int) -> str:
+    """A dyadic Fraction with ``dps`` significant digits, as mpmath's
+    ``libmp.to_str(s, dps)`` writes the binary value s: dps + 3 truncated
+    digits rounded half up to dps, fixed-point layout for a leading decimal
+    exponent strictly between min(-(dps // 3), -5) and dps, scientific
+    otherwise, trailing zeros stripped."""
+    if not x:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    digits, exp = _digits_exp(abs(x.numerator), x.denominator.bit_length() - 1, dps + 3)
+    if len(digits) > dps and digits[dps] >= "5":
+        head = digits[:dps].rstrip("9")
+        if head:
+            digits = head[:-1] + str(int(head[-1]) + 1) + "0" * (dps - len(head))
+        else:
+            digits, exp = "1" + "0" * (dps - 1), exp + 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exp < dps:
+        if exp < 0:
+            digits = "0" * -exp + digits
+        else:
+            split = exp + 1
+        exp = 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    if exp == 0:
+        return sign + text
+    return f"{sign}{text}e{'+' if exp > 0 else ''}{exp}"
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """Affine expression ``const + sum coeffs[u] * u`` over formal unknowns,
-    with the constant and the coefficients in one carrier (Fraction or
-    mpf).  ``coeffs`` holds every unknown of its series, zeros included."""
+    with the constant and the coefficients in one carrier (exact or
+    rounded Fractions).  ``coeffs`` holds every unknown of its series,
+    zeros included."""
 
     const: Scalar
     coeffs: dict[UnknownId, Scalar]
@@ -261,7 +328,7 @@ class RationalDomain:
 
     exact = True
 
-    def coerce(self, x) -> Scalar:
+    def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
@@ -270,8 +337,8 @@ class RationalDomain:
             return parse_rational(x)
         mp = sys.modules.get("mpmath")  # no mpf exists before mpmath is loaded
         if mp is not None and isinstance(x, mp.mpf) and mp.isfinite(x):
-            m, e = _dyadic(x)
-            return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+            sign, man, exp, _ = x._mpf_  # int(): man may be a gmpy2 mpz
+            return _dyadic_fraction(-int(man) if sign else int(man), exp)
         raise UsageError(f"cannot coerce {x!r} into rational domain")
 
     def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -303,7 +370,8 @@ class RationalDomain:
 
 @dataclass(frozen=True)
 class BigRealDomain:
-    """Extended-precision reals carrying ``dps`` (>= 30) decimal digits."""
+    """Extended-precision reals carrying ``dps`` (>= 30) decimal digits: each
+    value is a Fraction m * 2^e with m of at most ``dps_to_prec(dps)`` bits."""
 
     dps: int = 60
     exact = False
@@ -312,7 +380,7 @@ class BigRealDomain:
         if self.dps < 30:
             raise UsageError("extended-precision domain needs at least 30 digits")
 
-    def coerce(self, x) -> mpmath.mpf:
+    def coerce(self, x) -> Fraction:
         """The exact value of x rounded once by ``ratio``: text is read by
         ``parse_rational`` (any number of digits), an mpf or a finite Python
         float as the dyadic rational it stores.  Non-finite values and zero
@@ -322,44 +390,41 @@ class BigRealDomain:
         x = RATIONAL.coerce(x)
         return self.ratio(x.numerator, x.denominator)
 
-    def read_ints(self, values) -> tuple[list[int], int]:
-        """The dyadic rationals the values store (mpfs, or ints) as integer
-        numerators over one power of two, exactly."""
-        return _aligned([_dyadic(x) for x in values])
+    def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+        """The values as integer numerators over their least common
+        denominator, exactly: the largest of them, a power of two."""
+        return RATIONAL.read_ints(values)
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
         """Each exact value nums[i]/den rounded once, as ``ratio`` rounds it,
         and stored as dyadic numerators over one power of two."""
-        prec = _mpmath().libmp.dps_to_prec(self.dps)
+        prec = dps_to_prec(self.dps)
         return _aligned([_round_ratio(n, den, prec) for n in nums])
 
-    def ratio(self, num: int, den: int) -> mpmath.mpf:
-        """The mpf nearest to num/den (den > 0) at this precision, ties to
-        even: the exact value rounded once, whatever the global precision."""
-        mp = _mpmath()
-        rounded = _round_ratio(num, den, mp.libmp.dps_to_prec(self.dps))
-        return mp.make_mpf(mp.libmp.from_man_exp(*rounded))
+    def ratio(self, num: int, den: int) -> Fraction:
+        """The value nearest to num/den (den > 0) at this precision, ties to
+        even: the exact value rounded once."""
+        return _dyadic_fraction(*_round_ratio(num, den, dps_to_prec(self.dps)))
 
-    def sqrt(self, x: Fraction) -> mpmath.mpf:
-        """The mpf nearest to the square root of x >= 0, ties to even.  With
-        q = floor(x 4^k) and s = isqrt(q) of at least prec + 2 bits,
+    def sqrt(self, x: Fraction) -> Fraction:
+        """The value nearest to the square root of x >= 0, ties to even.
+        With q = floor(x 4^k) and s = isqrt(q) of at least prec + 2 bits,
         sqrt(x) 2^k is s or lies strictly between s and s + 1, where no
         rounding boundary of the grid falls (they are integers at that
         size); so it rounds as s, or as s + 1/2."""
         n, d = x.numerator, x.denominator
         if n < 0:
             raise UsageError(f"square root of a negative number: {x}")
-        mp = _mpmath()
-        prec = mp.libmp.dps_to_prec(self.dps)
+        prec = dps_to_prec(self.dps)
         k = (2 * prec + 6 - n.bit_length() + d.bit_length()) // 2
         q, r = divmod(n << 2 * k, d) if k >= 0 else divmod(n, d << -2 * k)
         s = isqrt(q)
         m, e = _round_ratio(2 * s + (r != 0 or s * s != q), 2, prec)
-        return mp.make_mpf(mp.libmp.from_man_exp(m, e - k))
+        return _dyadic_fraction(m, e - k)
 
     def to_str(self, x) -> str:
         """x rounded once (``coerce``), written with ``dps`` significant digits."""
-        return _mpmath().libmp.to_str(self.coerce(x)._mpf_, self.dps)
+        return _decimal_str(self.coerce(x), self.dps)
 
 
 @dataclass(frozen=True)

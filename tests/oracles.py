@@ -7,15 +7,20 @@ monomial rule, not from the parity chains of ``engine.rotational_solve``;
 generators build in.  ``det_cofactor`` is the determinant by cofactor
 expansion on Fractions, the oracle of the fraction-free elimination.  Sums are taken over the coefficient tuples: the
 package's polynomials have no addition.  ``gcd_reduced`` is the one-gcd
-reduction that ``RationalDomain.store_ints`` is checked against.
+reduction that ``RationalDomain.store_ints`` is checked against, and
+``mp_round`` (mpmath's correctly rounded division) the rounding of
+``BigRealDomain``.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import mpmath
+
 from bautin_lab.engine import LyapunovSeries, accumulate_rhs
 from bautin_lab.fields import VectorField
 from bautin_lab.hpoly import HomogPoly, circle_power
+from bautin_lab.scalars import RATIONAL
 
 
 def poly_sum(*polys: HomogPoly) -> HomogPoly:
@@ -101,17 +106,26 @@ def apply_p(P, values) -> list:
     return [sum(e * v for e, v in zip(row, values)) for row in P.entries]
 
 
-def stored_value(x) -> Fraction:
-    """The dyadic rational an mpf stores, exactly; an int as itself."""
-    if isinstance(x, int):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
-    return (-1 if sign else 1) * Fraction(int(man)) * Fraction(2) ** exp
-
-
 def stored_field(vf: VectorField) -> VectorField:
-    """The exact field of the dyadic rationals a float field stores."""
-    def exact(parts):
-        return {k: p.map_coeffs(stored_value) for k, p in parts.items()}
+    """The exact field of the values a float field stores: the same dyadic
+    Fractions, in the exact domain."""
+    return VectorField(vf.degree, vf.F, vf.G)
 
-    return VectorField(vf.degree, exact(vf.F), exact(vf.G))
+
+def mp_round(x, dps: int) -> Fraction:
+    """The rational x rounded to nearest at ``dps`` digits by mpmath's own
+    division, read back as the dyadic Fraction the mpf stores: the float
+    mode's rounding oracle."""
+    x = Fraction(x)
+    return RATIONAL.coerce(mpmath.fdiv(x.numerator, x.denominator, dps=dps))
+
+
+def dyadic(x: Fraction) -> tuple[int, int]:
+    """(m, e) with x = m * 2^e and m odd ((0, 0) for zero): the mantissa and
+    exponent a binary float with the value x stores."""
+    if not x:
+        return 0, 0
+    assert x.denominator & (x.denominator - 1) == 0, "not a dyadic rational"
+    m, e = x.numerator, 1 - x.denominator.bit_length()
+    t = (m & -m).bit_length() - 1
+    return m >> t, e + t

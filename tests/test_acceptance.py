@@ -6,8 +6,6 @@ summary lines alongside pytest's own verdicts.
 
 from fractions import Fraction
 
-import mpmath as mp
-
 from bautin_lab.cubic_family import (
     REPORT_COLUMN_ORDER,
     family_vector_field,
@@ -33,6 +31,7 @@ from bautin_lab.structure import (
     gap_profile,
     verify_gaps,
 )
+from bautin_lab.scalars import BigRealDomain, parse_rational
 from oracles import apply_p, scaled_field
 
 SIGMA1_PRINTED = "-6.866628200554238820434952526434021955"
@@ -171,9 +170,8 @@ def test_criterion_6_center_number_bounds():
 def test_criterion_7_cubic_example_quantitative():
     precision = 60
     sigma1, sigma2 = find_sigma_roots(precision)
-    with mp.workdps(precision + 10):
-        assert abs(sigma1 - mp.mpf(SIGMA1_PRINTED)) < mp.mpf(10) ** -30
-        assert abs(sigma2 - mp.mpf(SIGMA2_PRINTED)) < mp.mpf(10) ** -30
+    assert abs(sigma1 - parse_rational(SIGMA1_PRINTED)) < Fraction(1, 10**30)
+    assert abs(sigma2 - parse_rational(SIGMA2_PRINTED)) < Fraction(1, 10**30)
 
     stretch_notes = []
     for root, sigma, l8_ref, det_ref, p_ref in (
@@ -183,41 +181,40 @@ def test_criterion_7_cubic_example_quantitative():
         params = substitution_chain(Fraction(-1), sigma, precision)
         vf = family_vector_field(params, precision)
         series = compute_series(vf, 8)
-        with mp.workdps(precision):
-            for j in range(1, 8):
-                assert abs(series.L[j]) < mp.mpf(10) ** -40, (root, j)
-            b4 = mp.mpf(-1)
-            l8_scaled = series.L[8] / b4**8
-            ref = mp.mpf(l8_ref)
-            assert abs((l8_scaled - ref) / ref) < mp.mpf(10) ** -6, root
+        for j in range(1, 8):
+            assert abs(series.L[j]) < Fraction(1, 10**40), (root, j)
+        b4 = Fraction(-1)
+        l8_scaled = series.L[8] / b4**8
+        ref = parse_rational(l8_ref)
+        assert abs((l8_scaled - ref) / ref) < Fraction(1, 10**6), root
 
-            P = build_p_matrix(vf, column_order=REPORT_COLUMN_ORDER)
-            det = P.determinant()
-            assert abs(det) > 0, root  # hard target: nonsingular
+        P = build_p_matrix(vf, column_order=REPORT_COLUMN_ORDER)
+        det = P.determinant()
+        assert abs(det) > 0, root  # hard target: nonsingular
 
-            # Stretch: entrywise agreement with the published table, which
-            # attributes each column to the full V-term coefficients.
-            b2 = mp.sqrt(-b4)
-            worst = mp.mpf(0)
-            for m in range(8):
-                for c in range(8):
-                    scale = b2 ** (2 * m + 1) if c in ODD_BLOCK_COLUMNS else b4**m
-                    ref_entry = mp.mpf(p_ref[m][c]) * scale
-                    ours = P.entries[m][c]
-                    if ref_entry == 0:
-                        assert abs(ours) < mp.mpf(10) ** -30, (root, m, c)
-                    else:
-                        worst = max(worst, abs((ours - ref_entry) / ref_entry))
-            assert worst < mp.mpf("1e-3"), (root, worst)  # 3 significant figures
+        # Stretch: entrywise agreement with the published table, which
+        # attributes each column to the full V-term coefficients.
+        b2 = BigRealDomain(dps=precision).sqrt(-b4)
+        worst = Fraction(0)
+        for m in range(8):
+            for c in range(8):
+                scale = b2 ** (2 * m + 1) if c in ODD_BLOCK_COLUMNS else b4**m
+                ref_entry = Fraction(p_ref[m][c]) * scale
+                ours = P.entries[m][c]
+                if ref_entry == 0:
+                    assert abs(ours) < Fraction(1, 10**30), (root, m, c)
+                else:
+                    worst = max(worst, abs((ours - ref_entry) / ref_entry))
+        assert worst < Fraction(1, 1000), (root, worst)  # 3 significant figures
 
-            det_scaled = abs(det / b4**30)
-            ratio = det_scaled / det_ref
-            stretch_notes.append(
-                f"root {root}: entrywise worst rel dev {mp.nstr(worst, 3)}; "
-                f"|det P|/b4^30 = {mp.nstr(det_scaled, 9)} vs published "
-                f"{det_ref:.5e} (ratio {mp.nstr(ratio, 3)}, det normalization "
-                f"not reproducible from the published table itself)"
-            )
+        det_scaled = abs(det / b4**30)
+        ratio = det_scaled / Fraction(det_ref)
+        stretch_notes.append(
+            f"root {root}: entrywise worst rel dev {float(worst):.3g}; "
+            f"|det P|/b4^30 = {float(det_scaled):.9g} vs published "
+            f"{det_ref:.5e} (ratio {float(ratio):.3g}, det normalization "
+            f"not reproducible from the published table itself)"
+        )
 
     print("ACCEPTANCE 7 PASS: sigma to 1e-30, L_1..L_7 < 1e-40, L_8 to 1e-6, det P != 0;")
     print("  stretch: entrywise P matches the published tables to 3 significant figures")

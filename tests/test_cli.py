@@ -22,7 +22,6 @@ from bautin_lab.fields import (
 )
 from bautin_lab.scalars import RATIONAL, BigRealDomain, ResidueDomain, parse_rational
 from bautin_lab.structure import center_check
-from oracles import stored_value
 
 
 def run(capsys, *argv):
@@ -306,8 +305,8 @@ def test_example_jl_prints_each_parameter_as_its_stage_formula_rounded_once(caps
     code, out, _ = run(capsys, "example-jl", "--root", "2", "--b4=-3/7", "--output", "json")
     assert code == 0
     dom, b4 = BigRealDomain(dps=60), Fraction(-3, 7)
-    a9 = stored_value(find_sigma_roots(60)[1]) * b4
-    b6 = -stored_value(dom.sqrt(b6_squared_value(a9, b4)))
+    a9 = find_sigma_roots(60)[1] * b4
+    b6 = -dom.sqrt(b6_squared_value(a9, b4))
     a8 = (13 * a9 * b6 + 60 * b4 * b6) / (20 * (a9 + 4 * b4))
     b8 = (-601 * a9**3 - 7240 * a9**2 * b4 - 30480 * a9 * b4**2 - 43200 * b4**3) / (
         48 * (2 * a9**2 + 23 * a9 * b4 + 60 * b4**2)
@@ -332,7 +331,7 @@ def test_float_results_do_not_depend_on_the_global_precision(capsys):
             reproduce_example(root=1, b4="-3/7"),
             run(capsys, "lyapunov", "random:3", "--mode", "float", "-J", "6"),
             run(capsys, "center-check", cubic, "--mode", "float", "--output", "json"),
-            [(dom.coerce(v)._mpf_, dom.to_str(v)) for v in values],
+            [(dom.coerce(v), dom.to_str(v)) for v in values],
         )
 
     with mp.workdps(15):
@@ -389,13 +388,7 @@ print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded, "runs": 
 
 def test_exact_work_loads_neither_mpmath_nor_the_cubic_family(tmp_path, capsys):
     path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
-    src = str(Path(bautin_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", _LAZY_PROBE, path],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    probe = json.loads(done.stdout)
+    probe = _probe(_LAZY_PROBE, path)
     assert probe["missing"] == []
     assert probe["codes"] == [0, 0, 5]
     assert probe["loaded"] == []
@@ -404,6 +397,43 @@ def test_exact_work_loads_neither_mpmath_nor_the_cubic_family(tmp_path, capsys):
         list(run(capsys, "example-jl", "--root", "1")[:2]),
     ]
     assert probe["runs"] == expected
+
+
+def _probe(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports the package from this
+    checkout; return the JSON it prints."""
+    src = str(Path(bautin_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+#: Run in a fresh interpreter: every float command, then the loaded modules.
+_FLOAT_PROBE = """
+import contextlib, io, json, sys
+from bautin_lab import cli
+
+path = sys.argv[1]
+codes = []
+for argv in (
+    ["lyapunov", path, "--mode", "float", "-J", "4"],
+    ["center-check", path, "--mode", "float"],
+    ["example-jl", "--root", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def test_float_work_never_loads_mpmath(tmp_path):
+    # float values are dyadic Fractions printed by the package itself, so no
+    # float command imports mpmath
+    path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
+    assert _probe(_FLOAT_PROBE, path) == {"codes": [0, 5, 0], "mpmath": False}
 
 
 def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
@@ -488,7 +518,7 @@ def test_center_check_float_rounds_its_input_once(tmp_path, capsys, monkeypatch)
     assert f"L_1 = {dom.to_str(once)}" in out
     cert = center_check(vf, dom)
     assert cert.first_nonzero == (1, once)
-    assert once._mpf_ != compute_series(coerce_field(vf, dom), 1).L[1]._mpf_
+    assert once != compute_series(coerce_field(vf, dom), 1).L[1]
 
 
 def test_center_check_float_confirms_only_a_weak_focus(capsys, monkeypatch):

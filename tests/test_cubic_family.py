@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import dps_to_prec
 
 from bautin_lab.cubic_family import (
     DEFAULT_B6_SIGN,
@@ -23,8 +22,8 @@ from bautin_lab.engine import compute_series
 from bautin_lab.errors import SolverInternalError, StageDomainError, UsageError
 from bautin_lab.fields import VectorField
 from bautin_lab.hpoly import HomogPoly
-from bautin_lab.scalars import BigRealDomain
-from oracles import stored_field
+from bautin_lab.scalars import BigRealDomain, dps_to_prec, parse_rational
+from oracles import dyadic, stored_field
 
 SIGMA1_PRINTED = "-6.866628200554238820434952526434021955"
 SIGMA2_PRINTED = "-2.267138125538741369528826715285454145"
@@ -67,21 +66,18 @@ def test_only_two_roots_are_admissible():
 
 def test_sigma_roots_match_published_digits():
     s1, s2 = find_sigma_roots(60)
-    with mp.workdps(70):
-        assert abs(s1 - mp.mpf(SIGMA1_PRINTED)) < mp.mpf(10) ** -30
-        assert abs(s2 - mp.mpf(SIGMA2_PRINTED)) < mp.mpf(10) ** -30
-        for s, bracket in ((s1, SIGMA1_BRACKET), (s2, SIGMA2_BRACKET)):
-            lo, hi = (mp.mpf(b.numerator) / b.denominator for b in bracket)
-            assert lo < s < hi
+    assert abs(s1 - parse_rational(SIGMA1_PRINTED)) < Fraction(1, 10**30)
+    assert abs(s2 - parse_rational(SIGMA2_PRINTED)) < Fraction(1, 10**30)
+    for s, (lo, hi) in ((s1, SIGMA1_BRACKET), (s2, SIGMA2_BRACKET)):
+        assert lo < s < hi
 
 
 def test_sigma_roots_residual_criterion():
     for precision in (40, 60, 100):
         s1, s2 = find_sigma_roots(precision)
-        with mp.workdps(precision):
-            for s in (s1, s2):
-                bound = mp.mpf(10) ** (20 - precision) * abs(s) * abs(_q_prime(s))
-                assert abs(_q(s)) < bound
+        for s in (s1, s2):
+            bound = Fraction(10) ** (20 - precision) * abs(s) * abs(_q_prime(s))
+            assert abs(_q(s)) < bound
     with pytest.raises(UsageError):
         find_sigma_roots(29)
 
@@ -102,13 +98,12 @@ def _q_prime(x):
 
 def test_sigma_roots_are_correctly_rounded():
     # the Sturm oracle finds exactly one root of Q within half an ulp of
-    # each returned value, read exactly as the dyadic rational it stores
+    # each returned value, the dyadic rational it stores
     for precision in (40, 60, 120):
-        for s in find_sigma_roots(precision):
-            sign, man, exp, bc = s._mpf_
-            x = (-1) ** sign * int(man) * Fraction(2) ** exp
-            half_ulp = Fraction(2) ** (exp + bc - dps_to_prec(precision)) / 2
-            assert count_sign_changes_between(x - half_ulp, x + half_ulp) == 1, (precision, s)
+        for x in find_sigma_roots(precision):
+            man, exp = dyadic(x)
+            half_ulp = Fraction(2) ** (exp + abs(man).bit_length() - dps_to_prec(precision)) / 2
+            assert count_sign_changes_between(x - half_ulp, x + half_ulp) == 1, (precision, x)
 
 
 def test_bracket_without_sign_change_is_refused():
@@ -145,94 +140,91 @@ def test_stage_two_kills_l3_exactly():
     assert series.L[4] != 0
 
 
+def _b8_stage(a9: Fraction, b4: Fraction) -> Fraction:
+    """The b8 that kills L_5, in exact arithmetic."""
+    return (-601 * a9**3 - 7240 * a9**2 * b4 - 30480 * a9 * b4**2 - 43200 * b4**3) / (
+        48 * (2 * a9**2 + 23 * a9 * b4 + 60 * b4**2)
+    )
+
+
 def _bigreal_member(b8, a9, b4, b6, dps=60):
     """Resolve a1, b1, a5, a7, a8 from the change of variables, leaving
-    (b8, a9, b4, b6) free; returns None when a radicand goes negative."""
-    with mp.workdps(dps):
-        b8, a9, b4, b6 = (mp.mpf(v) for v in (b8, a9, b4, b6))
-        a8 = (13 * a9 * b6 + 60 * b4 * b6) / (20 * (a9 + 4 * b4))
-        if b8 - a8 < 0 or b8 + a8 < 0:
-            return None
-        params = CubicFamilyParams(
-            a1=mp.sqrt((b8 - a8) / 2),
-            b1=mp.sqrt((b8 + a8) / 2),
-            a5=-b4 - a9 + b6 / 2,
-            a7=-b4,
-            a8=a8,
-            a9=a9,
-            b4=b4,
-            b6=b6,
-            b8=b8,
-        )
-        return family_vector_field(params, dps)
+    (b8, a9, b4, b6) free, exactly but for the square roots a1 and b1;
+    returns None when a radicand goes negative."""
+    dom = BigRealDomain(dps=dps)
+    b8, a9, b4, b6 = (Fraction(v) for v in (b8, a9, b4, b6))
+    a8 = (13 * a9 * b6 + 60 * b4 * b6) / (20 * (a9 + 4 * b4))
+    if b8 - a8 < 0 or b8 + a8 < 0:
+        return None
+    params = CubicFamilyParams(
+        a1=dom.sqrt((b8 - a8) / 2),
+        b1=dom.sqrt((b8 + a8) / 2),
+        a5=-b4 - a9 + b6 / 2,
+        a7=-b4,
+        a8=a8,
+        a9=a9,
+        b4=b4,
+        b6=b6,
+        b8=b8,
+    )
+    return family_vector_field(params, dps)
 
 
 def test_stage_a8_kills_l4():
-    tol = mp.mpf(10) ** -45
+    tol = Fraction(1, 10**45)
     cases = [("40", "3", "-1", "-9"), ("55", "2", "-2", "7"), ("30", "1", "-1", "5")]
     for b8, a9, b4, b6 in cases:
         vf = _bigreal_member(b8, a9, b4, b6)
         assert vf is not None, (b8, a9, b4, b6)
         series = compute_series(vf, 5)
-        with mp.workdps(60):
-            assert all(abs(series.L[j]) < tol for j in (1, 2, 3, 4))
-            assert abs(series.L[5]) > tol  # b8 is unconstrained here
+        assert all(abs(series.L[j]) < tol for j in (1, 2, 3, 4))
+        assert abs(series.L[5]) > tol  # b8 is unconstrained here
 
 
 def test_stage_b8_kills_l5():
-    with mp.workdps(60):
-        for a9, b4, b6 in (("3", "-1", "1"), ("2", "-2", "11")):
-            a9f, b4f, b6f = mp.mpf(a9), mp.mpf(b4), mp.mpf(b6)
-            b8 = (-601 * a9f**3 - 7240 * a9f**2 * b4f - 30480 * a9f * b4f**2 - 43200 * b4f**3) / (
-                48 * (2 * a9f**2 + 23 * a9f * b4f + 60 * b4f**2)
-            )
-            vf = _bigreal_member(b8, a9f, b4f, b6f)
-            assert vf is not None
-            series = compute_series(vf, 6)
-            tol = mp.mpf(10) ** -45
-            assert all(abs(series.L[j]) < tol for j in range(1, 6))
-            assert abs(series.L[6]) > tol
+    for a9, b4, b6 in ((3, -1, 1), (2, -2, 11)):
+        vf = _bigreal_member(_b8_stage(Fraction(a9), Fraction(b4)), a9, b4, b6)
+        assert vf is not None
+        series = compute_series(vf, 6)
+        tol = Fraction(1, 10**45)
+        assert all(abs(series.L[j]) < tol for j in range(1, 6))
+        assert abs(series.L[6]) > tol
 
 
 def test_stage_b6_kills_l6():
-    with mp.workdps(60):
-        for a9, b4 in (("2.1", "-1"), ("13.8", "-2")):
-            a9f, b4f = mp.mpf(a9), mp.mpf(b4)
-            b6f = -mp.sqrt(b6_squared_value(a9f, b4f))
-            b8 = (-601 * a9f**3 - 7240 * a9f**2 * b4f - 30480 * a9f * b4f**2 - 43200 * b4f**3) / (
-                48 * (2 * a9f**2 + 23 * a9f * b4f + 60 * b4f**2)
-            )
-            vf = _bigreal_member(b8, a9f, b4f, b6f)
-            assert vf is not None
-            series = compute_series(vf, 7)
-            tol = mp.mpf(10) ** -40
-            assert all(abs(series.L[j]) < tol for j in range(1, 7))
-            assert abs(series.L[7]) > tol
+    dom = BigRealDomain(dps=60)
+    for a9, b4 in (("2.1", "-1"), ("13.8", "-2")):
+        a9, b4 = Fraction(a9), Fraction(b4)
+        b6 = -dom.sqrt(b6_squared_value(a9, b4))
+        vf = _bigreal_member(_b8_stage(a9, b4), a9, b4, b6)
+        assert vf is not None
+        series = compute_series(vf, 7)
+        tol = Fraction(1, 10**40)
+        assert all(abs(series.L[j]) < tol for j in range(1, 7))
+        assert abs(series.L[7]) > tol
 
 
 def test_full_chain_kills_l7_at_both_roots():
     s1, s2 = find_sigma_roots(60)
-    tol = mp.mpf(10) ** -40
+    tol = Fraction(1, 10**40)
     for sigma in (s1, s2):
         params = substitution_chain(Fraction(-1), sigma, 60)
         vf = family_vector_field(params, 60)
         series = compute_series(vf, 8)
-        with mp.workdps(60):
-            assert all(abs(series.L[j]) < tol for j in range(1, 8))
-            assert abs(series.L[8]) > 1
+        assert all(abs(series.L[j]) < tol for j in range(1, 8))
+        assert abs(series.L[8]) > 1
 
 
 def test_non_root_sigma_leaves_l7_alive():
     # Q(sigma) != 0 while the chain stays in its real domain
     _, s2 = find_sigma_roots(60)
-    with mp.workdps(60):
-        sigma = s2 + mp.mpf("0.001")
-        assert abs(_q(sigma)) > 1
-        params = substitution_chain(Fraction(-1), sigma, 60)
-        vf = family_vector_field(params, 60)
-        series = compute_series(vf, 7)
-        assert all(abs(series.L[j]) < mp.mpf(10) ** -45 for j in range(1, 7))
-        assert abs(series.L[7]) > mp.mpf(10) ** -6
+    sigma = s2 + Fraction(1, 1000)
+    assert abs(_q(sigma)) > 1
+    params = substitution_chain(Fraction(-1), sigma, 60)
+    vf = family_vector_field(params, 60)
+    series = compute_series(vf, 7)
+    assert all(abs(series.L[j]) < Fraction(1, 10**45) for j in range(1, 7))
+    assert abs(series.L[7]) > Fraction(1, 10**6)
 
 
 def test_chain_domain_errors_name_their_stage():
@@ -251,16 +243,15 @@ def test_chain_domain_errors_name_their_stage():
 def test_chain_output_satisfies_parameter_relations():
     s1, _ = find_sigma_roots(60)
     p = substitution_chain(Fraction(-1), s1, 60)
-    with mp.workdps(60):
-        tol = mp.mpf(10) ** -50
-        assert p.a3 == 0 and p.b5 == 0
-        assert abs(p.a7 + p.b4) < tol
-        assert abs(p.a1**2 - (p.b8 - p.a8) / 2) < tol
-        assert abs(p.b1**2 - (p.b8 + p.a8) / 2) < tol
-        assert abs(p.b6**2 - b6_squared_value(p.a9, p.b4)) < mp.mpf(10) ** -45
-        assert abs(p.a5 - (p.a7 - p.a9 + p.b6 / 2)) < tol
-        assert abs(p.a9 - p.sigma * p.b4) < tol
-        assert p.b4 < 0
+    tol = Fraction(1, 10**50)
+    assert p.a3 == 0 and p.b5 == 0
+    assert abs(p.a7 + p.b4) < tol
+    assert abs(p.a1**2 - (p.b8 - p.a8) / 2) < tol
+    assert abs(p.b1**2 - (p.b8 + p.a8) / 2) < tol
+    assert abs(p.b6**2 - b6_squared_value(p.a9, p.b4)) < Fraction(1, 10**45)
+    assert abs(p.a5 - (p.a7 - p.a9 + p.b6 / 2)) < tol
+    assert abs(p.a9 - p.sigma * p.b4) < tol
+    assert p.b4 < 0
 
 
 def test_both_b6_branches_kill_the_chain_and_flip_l8():
@@ -269,12 +260,10 @@ def test_both_b6_branches_kill_the_chain_and_flip_l8():
     for sign in (1, -1):
         params = substitution_chain(Fraction(-1), s1, 60, b6_sign=sign)
         series = compute_series(family_vector_field(params, 60), 8)
-        with mp.workdps(60):
-            assert all(abs(series.L[j]) < mp.mpf(10) ** -40 for j in range(1, 8))
+        assert all(abs(series.L[j]) < Fraction(1, 10**40) for j in range(1, 8))
         results[sign] = series.L[8]
-    with mp.workdps(60):
-        assert results[DEFAULT_B6_SIGN] < 0  # published sign convention
-        assert abs(results[1] + results[-1]) < mp.mpf(10) ** -25  # equal magnitude
+    assert results[DEFAULT_B6_SIGN] < 0  # published sign convention
+    assert abs(results[1] + results[-1]) < Fraction(1, 10**25)  # equal magnitude
 
 
 # -- field construction -------------------------------------------------------

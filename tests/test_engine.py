@@ -4,7 +4,6 @@ import operator
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from bautin_lab import engine
@@ -31,7 +30,7 @@ from bautin_lab.fields import (
 from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
 from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm, ResidueDomain, exact_str
 from bautin_lab.structure import build_p_matrix, gap_profile
-from oracles import poly_sum, residual, scaled_field, stored_field, stored_value
+from oracles import mp_round, poly_sum, residual, scaled_field, stored_field
 
 
 def F(*args):
@@ -86,27 +85,16 @@ def _reference_rhs(series, k):
     return total
 
 
-def _stored_series(series):
-    """A plain series holding, as exact rationals, the field and V values a
-    float series stores."""
-    return LyapunovSeries(
-        stored_field(series.field),
-        V={m: p.map_coeffs(stored_value) for m, p in series.V.items()},
-    )
-
-
-def _assert_rhs(series, k, num, den, reference=None):
+def _assert_rhs(series, k, num, den):
     """``(num, den)`` is R_k of ``series`` as ``accumulate_rhs`` promises:
-    integer numerators over a positive int, equal to the HomogPoly-product
-    formula on ``reference`` (by default the series, or in float mode the
-    values it stores, with ``den`` a power of two)."""
+    integer numerators over a positive int (a power of two in float mode),
+    equal to the HomogPoly-product formula on the exact values the series
+    stores."""
     assert isinstance(den, int) and den > 0
     assert all(isinstance(c, int) for c in num.coeffs)
     if not series.domain.exact:
         assert den & (den - 1) == 0
-    if reference is None:
-        reference = series if series.domain.exact else _stored_series(series)
-    want = _reference_rhs(reference, k).coeffs
+    want = _reference_rhs(series, k).coeffs
     assert [F(c, den) for c in num.coeffs] == list(want), (series.field, k)
 
 
@@ -157,12 +145,11 @@ def test_accumulate_homogeneous_cubic():
         J = vf.degree + 3
         exact = compute_series(vf, J)
         inexact = compute_series(coerce_field(vf, float_domain), J)
-        stored = _stored_series(inexact)
         for k in range(3, 2 * J + 4):
             _assert_rhs(exact, k, *accumulate_rhs(exact, k))
             # float R_k: the exact source term of the stored values, over a
             # power of two
-            _assert_rhs(inexact, k, *accumulate_rhs(inexact, k), reference=stored)
+            _assert_rhs(inexact, k, *accumulate_rhs(inexact, k))
 
 
 #: Fields with one part of a degree zero: F_2 = 0 != G_2 with G_3 = 0 != F_3,
@@ -221,10 +208,9 @@ def test_float_series_wide_exponent_range():
     domain = BigRealDomain(dps=60)
     exact = compute_series(parse_vector_field(text), 20)
     inexact = compute_series(parse_vector_field(text, domain), 20)
-    with mp.workdps(domain.dps):
-        for j in range(1, 21):
-            want = mp.fdiv(exact.L[j].numerator, exact.L[j].denominator)
-            assert want != 0 and abs(inexact.L[j] - want) <= mp.mpf("1e-50") * abs(want), j
+    for j in range(1, 21):
+        want = mp_round(exact.L[j], domain.dps)
+        assert want != 0 and abs(inexact.L[j] - want) <= Fraction(1, 10**50) * abs(want), j
 
 
 def test_series_divergence_free_quadratic():
@@ -434,7 +420,7 @@ def _fraction_chain_series(vf, J):
 
 def _dense_checked(monkeypatch, domain=RATIONAL):
     """Check every solve of the per-degree loop against the dense oracle on
-    the same exact source term, its solution rounded once with ``mp.fdiv``
+    the same exact source term, its solution rounded once by ``mp_round``
     in float mode; returns the list of solved degrees."""
     solves = []
     solve = engine.rotational_solve
@@ -444,10 +430,9 @@ def _dense_checked(monkeypatch, domain=RATIONAL):
         V, L = solve(k, R, d)
         dense_V, dense_L = dense_rotational_solve(k, R)
         if not domain.exact:
-            with mp.workdps(domain.dps):
-                dense_V = dense_V.map_coeffs(lambda c: mp.fdiv(c.numerator, c.denominator))
-                if dense_L is not None:
-                    dense_L = mp.fdiv(dense_L.numerator, dense_L.denominator)
+            dense_V = dense_V.map_coeffs(lambda c: mp_round(c, domain.dps))
+            if dense_L is not None:
+                dense_L = mp_round(dense_L, domain.dps)
         assert V.coeffs == dense_V.coeffs and L == dense_L, k
         solves.append(k)
         return V, L
@@ -650,8 +635,8 @@ def test_series_values_are_built_once_on_read():
 
 
 def test_float_blocks_read_back_bit_for_bit(monkeypatch):
-    # a float V_k is stored as dyadic numerators; read back at any working
-    # precision, it gives the very mpf values the 60-digit solve rounded to
+    # a float V_k is stored as dyadic numerators; read back, it gives the
+    # very values the 60-digit solve rounded to, with no second rounding
     solved = {}
     solve = engine.rotational_solve
 
@@ -664,13 +649,11 @@ def test_float_blocks_read_back_bit_for_bit(monkeypatch):
     monkeypatch.setattr(engine, "rotational_solve", capture)
     series = compute_series(coerce_field(random_field(4, seed=3), BigRealDomain(dps=60)), 6)
     assert len(solved) == 12 and not any("coeffs" in vars(series.V[k]) for k in solved)
-    with mp.workdps(200):  # a fresh copy, read above the solve's precision
-        for k, want in solved.items():
-            fresh = ScaledPoly(k, series.V[k].nums, series.V[k].den, BigRealDomain(dps=60).ratio)
-            assert [c._mpf_ for c in fresh.coeffs] == [c._mpf_ for c in want], k
-    with mp.workdps(15):  # the stored blocks themselves, first read below it
-        for k, want in solved.items():
-            assert [c._mpf_ for c in series.V[k].coeffs] == [c._mpf_ for c in want], k
+    for k, want in solved.items():
+        V = series.V[k]
+        fresh = ScaledPoly(k, V.nums, V.den, BigRealDomain(dps=60).ratio)
+        assert fresh.coeffs == want == tuple(F(n, V.den) for n in V.nums), k
+        assert V.coeffs == want, k  # the stored block itself, first read here
 
 
 def test_float_solve_is_the_exact_solve_rounded_once(monkeypatch):
@@ -694,25 +677,19 @@ def test_float_unknown_coefficients_are_rounded_once():
         ):
             inexact = coerce_field(vf, domain)
             series = compute_series_unknown(inexact, levels, n + 3)
-            stored = _stored_series(LyapunovSeries(inexact)).field
-            columns = _pinned_columns(stored, levels, n + 3)
-            with mp.workdps(domain.dps):
-                for j, form in series.L.items():
-                    exact = [columns[s][j] for s in series.unknowns]
-                    want = [mp.fdiv(c.numerator, c.denominator)._mpf_ for c in exact]
-                    assert [c._mpf_ for c in form.coeffs.values()] == want, (n, j)
+            columns = _pinned_columns(stored_field(inexact), levels, n + 3)
+            for j, form in series.L.items():
+                want = [mp_round(columns[s][j], domain.dps) for s in series.unknowns]
+                assert list(form.coeffs.values()) == want, (n, j)
             assert any(c != 0 for form in series.L.values() for c in form.coeffs.values())
 
 
 def test_float_solve_of_a_float_homog_poly():
-    # the public call with mpf coefficients reads them as the dyadic
-    # rationals they store and rounds at the domain's precision
+    # the public call with rounded coefficients reads them as the dyadic
+    # rationals they are and rounds at the domain's precision
     domain = BigRealDomain(dps=40)
-    with mp.workdps(domain.dps):
-        R = HomogPoly(6, [mp.mpf(1) / 3, 0, mp.mpf(-2), mp.mpf(5) / 7, 0, 1, mp.mpf(2) ** -90])
-        exact_R = HomogPoly(6, [stored_value(c) for c in R.coeffs])
+    R = HomogPoly(6, [domain.coerce(c) for c in (F(1, 3), 0, -2, F(5, 7), 0, 1, F(1, 2**90))])
     V, L = rotational_solve(6, R, domain)
-    exact_V, exact_L = dense_rotational_solve(6, exact_R)
-    with mp.workdps(domain.dps):
-        assert V.coeffs == tuple(mp.fdiv(c.numerator, c.denominator) for c in exact_V.coeffs)
-        assert L == mp.fdiv(exact_L.numerator, exact_L.denominator)
+    exact_V, exact_L = dense_rotational_solve(6, R)
+    assert V.coeffs == tuple(mp_round(c, domain.dps) for c in exact_V.coeffs)
+    assert L == mp_round(exact_L, domain.dps)

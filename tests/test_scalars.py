@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from mpmath.libmp import dps_to_prec
+from mpmath import libmp
 
 from bautin_lab.errors import NoResidueError, UsageError
 from bautin_lab.scalars import (
@@ -17,11 +17,12 @@ from bautin_lab.scalars import (
     _STR_CHUNK_BITS,
     ResidueDomain,
     _round_ratio,
+    dps_to_prec,
     exact_str,
     parse_rational,
     scalar_to_str,
 )
-from oracles import gcd_reduced, stored_value
+from oracles import dyadic, gcd_reduced, mp_round
 
 
 def test_parse_rational_forms():
@@ -44,13 +45,19 @@ def test_parse_rational_forms():
 def test_rational_domain_coerce():
     assert RATIONAL.coerce(3) == Fraction(3)
     assert RATIONAL.coerce("2/5") == Fraction(2, 5)
-    # an mpf is read as the dyadic rational it stores
+    # a float value is the dyadic rational it stores, and so is an mpf
     third = BigRealDomain(dps=40).coerce("1/3")
-    assert RATIONAL.coerce(third) == stored_value(third) != Fraction(1, 3)
+    assert RATIONAL.coerce(third) is third != Fraction(1, 3)
+    assert RATIONAL.coerce(_mpf(third)) == third
     assert RATIONAL.coerce(mp.mpf(-12)) == -12 and RATIONAL.coerce(mp.mpf(0)) == 0
     for value in (mp.inf, mp.nan, 2.5):
         with pytest.raises(UsageError):
             RATIONAL.coerce(value)
+
+
+def _mpf(x: Fraction):
+    """The mpf that stores the dyadic rational x exactly."""
+    return mp.make_mpf(libmp.from_man_exp(*dyadic(x)))
 
 
 #: A prime above 2^61 (the Mersenne prime 2^89 - 1).
@@ -96,8 +103,7 @@ def test_rational_store_ints_when_every_entry_shrinks_the_gcd():
 def test_bigreal_domain():
     dom = BigRealDomain(dps=40)
     x = dom.coerce("1/3")
-    with mp.workdps(dom.dps):
-        assert abs(x * 3 - 1) < mp.mpf(10) ** -38
+    assert abs(x * 3 - 1) < Fraction(1, 10**38)
     with pytest.raises(UsageError):
         BigRealDomain(dps=10)
 
@@ -115,10 +121,10 @@ def test_bigreal_sqrt_is_correctly_rounded(x, dps):
     if x == 0:
         assert y == 0
         return
-    sign, man, exp, bc = y._mpf_
-    half_ulp = Fraction(2) ** (exp + bc - dps_to_prec(dps)) / 2
-    assert not sign
-    assert (stored_value(y) - half_ulp) ** 2 <= x <= (stored_value(y) + half_ulp) ** 2
+    man, exp = dyadic(y)
+    half_ulp = Fraction(2) ** (exp + man.bit_length() - dps_to_prec(dps)) / 2
+    assert man > 0
+    assert (y - half_ulp) ** 2 <= x <= (y + half_ulp) ** 2
     with pytest.raises(UsageError):
         BigRealDomain(dps=dps).sqrt(-x)
 
@@ -130,9 +136,10 @@ def test_residue_domain():
     assert dom.coerce(-1) == p - 1
     assert dom.coerce(Fraction(2, 3)) * 3 % p == 2
     assert dom.coerce("-0.125") * 8 % p == p - 1
-    # an mpf is read as the dyadic rational it stores, not rounded again
+    # a float value, or an mpf, is read as the dyadic rational it stores,
+    # not rounded again
     third = BigRealDomain(dps=40).coerce("1/3")
-    assert dom.coerce(third) == dom.coerce(stored_value(third)) != dom.coerce(Fraction(1, 3))
+    assert dom.coerce(_mpf(third)) == dom.coerce(third) != dom.coerce(Fraction(1, 3))
     for value in (mp.inf, mp.nan, 2.5):
         with pytest.raises(UsageError):
             dom.coerce(value)
@@ -170,8 +177,37 @@ def test_scalar_to_str_lossless():
     assert scalar_to_str(Fraction(3, 8), RATIONAL) == "3/8"
     dom = BigRealDomain(dps=40)
     s = scalar_to_str(dom.coerce("0.1"), dom)
-    with mp.workdps(dom.dps):
-        assert abs(mp.mpf(s) - dom.coerce("0.1")) < mp.mpf(10) ** -38
+    assert abs(parse_rational(s) - dom.coerce("0.1")) < Fraction(1, 10**38)
+
+
+def test_dps_to_prec_is_mpmaths():
+    assert all(dps_to_prec(dps) == libmp.dps_to_prec(dps) for dps in range(30, 2001))
+
+
+def test_to_str_writes_mpmaths_digits():
+    # the decimal text of a dyadic value is mpmath's to_str of the same
+    # binary value: random mantissas of up to prec bits, runs of nines and
+    # exact decimal ties, with the leading bit's exponent up to 3400 either
+    # way, on both sides of the 3500 where mpmath switches to a rounded power
+    # of ten (here an exact one), and near decimal exponents of +-10^5
+    rng = random.Random(25)
+    for dps in (30, 60, 120):
+        dom, prec = BigRealDomain(dps=dps), dps_to_prec(dps)
+        tops = [rng.randint(-3400, 3400) for _ in range(2000)]
+        tops += [rng.choice((-1, 1)) * rng.randint(3490, 3510) for _ in range(400)]
+        tops += [rng.choice((-1, 1)) * 332193 + rng.randint(-20, 20) for _ in range(40)]
+        for top in tops:
+            bits = rng.choice((prec, rng.randint(1, prec)))
+            man = rng.choice((rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 5**bits))
+            man >>= max(0, man.bit_length() - prec)
+            m, e = rng.choice((1, -1)) * man, top - man.bit_length()
+            x = Fraction(m) * Fraction(2) ** e
+            assert dom.to_str(x) == libmp.to_str(libmp.from_man_exp(m, e), dps), (dps, m, e)
+        assert dom.to_str(0) == libmp.to_str(libmp.fzero, dps) == "0.0"
+    # more digits than one int-to-text conversion takes (4300)
+    dom = BigRealDomain(dps=5000)
+    x = dom.coerce(Fraction(-1, 3))
+    assert dom.to_str(x) == libmp.to_str(_mpf(x)._mpf_, 5000) == "-0." + "3" * 5000
 
 
 def test_round_ratio_matches_mpf_division():
@@ -197,20 +233,16 @@ def test_round_ratio_matches_mpf_division():
         assert type(m) is int and type(e) is int
         assert from_man_exp(m, e) == mpf_div(from_int(n), from_int(d), prec, "n"), (n, d, prec)
         if prec in dps_of_prec:
-            # coerce(Fraction) rounds through the same routine: bit-identical
-            # to mp.fdiv at the working precision, whatever the global one
-            dom = BigRealDomain(dps=dps_of_prec[prec])
-            with mp.workdps(dom.dps):
-                want = mp.fdiv(n, d)
-            assert dom.coerce(Fraction(n, d))._mpf_ == want._mpf_, (n, d, prec)
+            # coerce(Fraction) rounds through the same routine: the value
+            # mp.fdiv rounds to at the working precision
+            dps = dps_of_prec[prec]
+            assert BigRealDomain(dps=dps).coerce(Fraction(n, d)) == mp_round(Fraction(n, d), dps)
 
 
 def test_huge_decimal_exponents_parse_fast_and_round_once():
     # the largest power of ten the exponent bound accepts (as text) and a
     # million-digit one (as a Fraction) are read exactly and rounded once,
     # without an mpf division on the big int (about 18 s at a million digits)
-    from mpmath.libmp import dps_to_prec
-
     dom = BigRealDomain(dps=60)
     prec = dps_to_prec(dom.dps)
     N, ten_m = MAX_DECIMAL_EXPONENT, 10 ** 10**6
@@ -219,13 +251,15 @@ def test_huge_decimal_exponents_parse_fast_and_round_once():
         big, small = map(dom.coerce, pair)
         assert time.process_time() - start < 5
         # x = man * 2^exp within half an ulp 2^(exp + bc - prec - 1), in ints
-        sign, man, exp, bc = big._mpf_
-        assert sign == 0 and 0 < bc <= prec and exp > 0
-        assert 2 * abs((int(man) << exp) - ten_n) <= 1 << (exp + bc - prec)
+        man, exp = dyadic(big)
+        bc = man.bit_length()
+        assert man > 0 and bc <= prec and exp > 0
+        assert 2 * abs((man << exp) - ten_n) <= 1 << (exp + bc - prec)
         # the same inequality for 10^-N, multiplied by 10^N * 2^-exp
-        sign, man, exp, bc = small._mpf_
-        assert sign == 0 and 0 < bc <= prec and exp < 0
-        assert abs(int(man) * ten_n - (1 << -exp)) << (prec - bc + 1) <= ten_n
+        man, exp = dyadic(small)
+        bc = man.bit_length()
+        assert man > 0 and bc <= prec and exp < 0
+        assert abs(man * ten_n - (1 << -exp)) << (prec - bc + 1) <= ten_n
 
 
 def test_parse_rational_matches_the_decimal_reading():

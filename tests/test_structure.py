@@ -2,7 +2,6 @@ import dataclasses
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -31,7 +30,7 @@ from bautin_lab.structure import (
     gap_profile,
     verify_gaps,
 )
-from oracles import apply_p, det_cofactor, poly_sum, stored_field, stored_value
+from oracles import apply_p, det_cofactor, mp_round, poly_sum, stored_field
 
 
 def F(*args):
@@ -156,13 +155,12 @@ def test_p_matrix_float_agrees_with_exact():
         exact = build_p_matrix(vf)
         approx = build_p_matrix(coerce_field(vf, dom))
         assert approx.col_labels == exact.col_labels
-        with mp.workdps(dom.dps):
-            for row_f, row_q in zip(approx.entries, exact.entries):
-                scale = max(abs(x) for x in row_q)
-                for x, q in zip(row_f, row_q):
-                    assert abs(x - dom.coerce(q)) <= scale * mp.mpf(10) ** -50
-            det_q = exact.determinant()
-            assert abs(approx.determinant() - dom.coerce(det_q)) <= abs(det_q) * mp.mpf(10) ** -45
+        for row_f, row_q in zip(approx.entries, exact.entries):
+            scale = max(abs(x) for x in row_q)
+            for x, q in zip(row_f, row_q):
+                assert abs(x - dom.coerce(q)) <= scale * F(1, 10**50)
+        det_q = exact.determinant()
+        assert abs(approx.determinant() - dom.coerce(det_q)) <= abs(det_q) * F(1, 10**45)
 
 
 def test_p_matrix_residues_reduce_the_exact_matrix():
@@ -337,12 +335,9 @@ def test_center_check_sweeps_p_up_to_the_first_dependent_row(monkeypatch):
 
 
 def test_det_bigreal_mode():
-    import mpmath as mp
-
     dom = BigRealDomain(dps=40)
-    with mp.workdps(dom.dps):
-        m = [[mp.mpf(1), mp.mpf(2)], [mp.mpf(3), mp.mpf(4)]]
-        assert abs(det_exact(m, dom) + 2) < mp.mpf(10) ** -35
+    m = [[dom.coerce(1), dom.coerce(2)], [dom.coerce(3), dom.coerce(4)]]
+    assert abs(det_exact(m, dom) + 2) < F(1, 10**35)
 
 
 def test_float_det_is_the_exact_det_of_the_stored_entries_rounded_once():
@@ -350,18 +345,15 @@ def test_float_det_is_the_exact_det_of_the_stored_entries_rounded_once():
     for dps in (30, 60, 120):
         dom = BigRealDomain(dps=dps)
         matrices = [build_p_matrix(coerce_field(random_field(3, seed=dps), dom)).entries]
-        with mp.workdps(dom.dps):
-            for size in (1, 2, 5, 8):
-                matrices.append([
-                    [mp.mpf(rng.randint(-10**9, 10**9)) / rng.randint(1, 10**9)
-                     * mp.mpf(2) ** rng.randint(-90, 90) for _ in range(size)]
-                    for _ in range(size)
-                ])
+        for size in (1, 2, 5, 8):
+            matrices.append([
+                [dom.coerce(F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+                            * F(2) ** rng.randint(-90, 90)) for _ in range(size)]
+                for _ in range(size)
+            ])
         for m in matrices:
-            want = det_exact([[stored_value(x) for x in row] for row in m], RATIONAL)
-            with mp.workdps(dom.dps):
-                want = mp.fdiv(want.numerator, want.denominator)
-            assert want != 0 and det_exact(m, dom)._mpf_ == want._mpf_, (dps, len(m))
+            want = mp_round(det_exact(m, RATIONAL), dps)
+            assert want != 0 and det_exact(m, dom) == want, (dps, len(m))
 
 
 def test_float_det_of_exactly_dependent_rows_is_zero():
@@ -369,16 +361,14 @@ def test_float_det_of_exactly_dependent_rows_is_zero():
     # the entries are not small integers, so rounded elimination leaves noise
     rng = random.Random(6)
     dom = BigRealDomain(dps=60)
-    with mp.workdps(dom.dps):
-        rows = [
-            [mp.mpf(rng.getrandbits(150)) / 2 ** rng.randint(0, 10) for _ in range(4)]
-            for _ in range(3)
-        ]
-        rows.insert(2, [3 * a - 5 * b for a, b in zip(rows[0], rows[1])])
-    stored = [[stored_value(x) for x in row] for row in rows]
-    assert stored[2] == [3 * a - 5 * b for a, b in zip(stored[0], stored[1])]
+    rows = [
+        [dom.coerce(F(rng.getrandbits(150), 2 ** rng.randint(0, 10))) for _ in range(4)]
+        for _ in range(3)
+    ]
+    rows.insert(2, [dom.coerce(3 * a - 5 * b) for a, b in zip(rows[0], rows[1])])
+    assert rows[2] == [3 * a - 5 * b for a, b in zip(rows[0], rows[1])]
     det = det_exact(rows, dom)
-    assert det == 0 and det._mpf_ == mp.mpf(0)._mpf_
+    assert det == 0 and type(det) is Fraction
 
 
 # -- certificates ------------------------------------------------------------
@@ -507,8 +497,7 @@ def test_float_weak_focus_order_equals_the_exact_order():
         assert exact.weak_focus_order == cert.weak_focus_order == 1
         (j, got), (_, want) = cert.first_nonzero, exact.first_nonzero
         assert j == 1 and got == dom.ratio(want.numerator, want.denominator)
-        with mp.workdps(dom.dps):
-            assert got < -1e-46
+        assert got < -F(1, 10**46)
 
 
 def test_float_center_check_raises_on_a_non_finite_coefficient():
@@ -516,7 +505,7 @@ def test_float_center_check_raises_on_a_non_finite_coefficient():
     # a library float field holding nan is an error, not a verdict
     dom = BigRealDomain(dps=60)
     vf = coerce_field(random_field(2, 0), dom)
-    bad = dataclasses.replace(vf, F={**vf.F, 2: HomogPoly.monomial(2, 0, mp.nan)})
+    bad = dataclasses.replace(vf, F={**vf.F, 2: HomogPoly.monomial(2, 0, float("nan"))})
     with pytest.raises(UsageError, match="nan") as info:
         center_check(bad, dom)
     assert not isinstance(info.value, NoResidueError)
