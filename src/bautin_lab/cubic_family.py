@@ -23,9 +23,9 @@ a1 and b1 take the positive square root.
 
 The stages run on exact Fractions of the stored sigma, the given b4 and the
 square roots b6, a1, b1 correctly rounded by ``BigRealDomain.sqrt``: every
-stage refusal is an exact decision, every parameter is its exact stage
-value rounded once, and so is every field coefficient in the stored
-parameters and every scaled report value.
+stage refusal is an exact decision, and the resolved parameters are the
+exact stage values.  Every field coefficient, printed parameter and scaled
+report value is its exact value in them rounded once.
 
 Both b6 branches give valid family members with the same seven vanishing
 constants; the default branch is the one whose L_8 is negative for b4 < 0
@@ -230,8 +230,9 @@ def substitution_chain(
     """Resolve the full parameter set from (b4, sigma), exact rationals (an
     int, Fraction, ``p/q`` text, or an mpf read as the value it stores).
 
-    Each stage is computed exactly; b6, a1 and b1 are square roots rounded
-    once, and each returned parameter is its stage value rounded once.
+    Each stage is computed exactly, and each returned parameter is its exact
+    stage value: b6, a1 and b1 are square roots rounded once, and sigma and
+    b4 are returned as given.
     Raises StageDomainError naming the stage whose denominator vanishes or
     whose radicand goes negative.  ``b6_sign`` selects the square-root branch
     for b6 (``DEFAULT_B6_SIGN`` = -1 by default; both branches are legitimate
@@ -268,11 +269,9 @@ def substitution_chain(
         raise StageDomainError("b1", f"negative radicand {domain.to_str(rb)}")
 
     a7 = -b4
-    a5 = a7 - a9 + b6 / 2
-    c = domain.coerce
     return CubicFamilyParams(
-        a1=domain.sqrt(ra), b1=domain.sqrt(rb), a5=c(a5), a7=c(a7), a8=c(a8), a9=c(a9),
-        b4=c(b4), b6=c(b6), b8=c(b8), sigma=c(sigma),
+        a1=domain.sqrt(ra), b1=domain.sqrt(rb), a5=a7 - a9 + b6 / 2, a7=a7, a8=a8, a9=a9,
+        b4=b4, b6=b6, b8=b8, sigma=sigma,
     )
 
 

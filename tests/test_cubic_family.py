@@ -287,6 +287,18 @@ def test_family_field_cubic_reading():
     assert [float(c) for c in vf.g_part(3).coeffs] == [1.0, 0.0, 0.0, 0.0]  # x^3
 
 
+def test_resolved_field_rounds_the_xy2_coefficient_once():
+    # the x y^2 coefficient of G_3 is -(b6 - a5) = -(b6/2 + b4 + sigma b4)
+    # for the exact stage value a5: that value rounded once, not b6 minus
+    # an a5 rounded before
+    dom = BigRealDomain(dps=60)
+    for sigma in find_sigma_roots(60):
+        for b4 in (Fraction(-1), Fraction(-3, 7), Fraction(-7, 4), Fraction(-5, 9)):
+            params = substitution_chain(b4, sigma, 60)
+            want = dom.coerce(-(params.b6 / 2 + b4 + sigma * b4))
+            assert family_vector_field(params, 60).g_part(3).coeff(1, 2) == want, (sigma, b4)
+
+
 def test_family_field_rejects_positive_b4():
     with pytest.raises(UsageError):
         family_vector_field(CubicFamilyParams(b4=1), 60)
