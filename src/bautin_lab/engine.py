@@ -24,9 +24,8 @@ on plain ints, so no per-coefficient gcd is taken.  In exact mode the
 denominators are those of the stored blocks and lcms of the field's.
 In float mode every stored value is a dyadic Fraction, so the denominators
 are powers of two and R_K is the exact source term of the stored values; it
-is not rounded.  The domain does every conversion
-between its values and ints (``scalars``), so nothing here branches on the
-mode.
+is not rounded.  The domain does every conversion between its values and
+ints (``scalars``), so nothing here branches on the mode.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:

@@ -127,7 +127,8 @@ class ScaledPoly(HomogPoly):
     """Coefficient a is ``nums[a] / den``: integer numerators over one
     positive denominator.  The coefficients read are ``value(nums[a], den)``,
     exact Fractions by default; a series passes its domain's ``ratio``,
-    which for a float block gives back the stored value unchanged.  They are built on the first read of ``coeffs`` and kept."""
+    which for a float block gives back the stored value unchanged.  They
+    are built on the first read of ``coeffs`` and kept."""
 
     def __init__(
         self,

@@ -197,11 +197,6 @@ def exact_str(x: Fraction | int) -> str:
     return num if x.denominator == 1 else f"{num}/{_int_to_decimal(x.denominator)}"
 
 
-def _int_str(n: int) -> str:
-    """``str(n)`` at any length (``_int_to_decimal``)."""
-    return str(_int_to_decimal(n))
-
-
 def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     """Dyadic values m * 2^e as integer numerators over the largest 2^-e
     among them (at least 1), which loses nothing."""
@@ -261,7 +256,7 @@ def _digits_exp(a: int, k: int, n: int) -> tuple[str, int]:
         fixdps = int(fixprec / log(10, 2) + 0.5)
         shift = fixprec - k
         fixed = a << shift if shift >= 0 else a >> -shift
-        digits = _int_str(fixed * 10**fixdps >> fixprec)
+        digits = str(_int_to_decimal(fixed * 10**fixdps >> fixprec))
         return digits, len(digits) - fixdps - 1
 
     def scaled(s: int) -> int:  # floor(a / 2^k * 10^s)
@@ -275,7 +270,7 @@ def _digits_exp(a: int, k: int, n: int) -> tuple[str, int]:
         elif q < 10 ** (n - 1):
             exp -= 1
         else:
-            return _int_str(q), exp
+            return str(_int_to_decimal(q)), exp
 
 
 def _decimal_str(x: Fraction, dps: int) -> str:

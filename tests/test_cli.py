@@ -365,7 +365,8 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.strip() == "L_1 = 3/8"
 
 
-#: Run in a fresh interpreter: exact work first, then the float commands.
+#: Run in a fresh interpreter: exact work first, then the float commands,
+#: which store dyadic Fractions and print them without mpmath.
 _LAZY_PROBE = """
 import contextlib, io, json, sys
 import bautin_lab
@@ -379,61 +380,37 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main([cmd, path]) for cmd in ("lyapunov", "gaps", "center-check")]
 loaded = [m for m in ("mpmath", "bautin_lab.cubic_family") if m in sys.modules]
 runs = []
-for argv in (["lyapunov", path, "--mode", "float", "-J", "2"], ["example-jl", "--root", "1"]):
+for argv in (
+    ["lyapunov", path, "--mode", "float", "-J", "2"],
+    ["center-check", path, "--mode", "float"],
+    ["example-jl", "--root", "1"],
+):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         runs.append([cli.main(argv), out.getvalue()])
-print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded, "runs": runs}))
+float_loaded = "mpmath" in sys.modules
+print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded, "runs": runs,
+                  "float_loaded": float_loaded}))
 """
 
 
 def test_exact_work_loads_neither_mpmath_nor_the_cubic_family(tmp_path, capsys):
     path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
-    probe = _probe(_LAZY_PROBE, path)
-    assert probe["missing"] == []
-    assert probe["codes"] == [0, 0, 5]
-    assert probe["loaded"] == []
-    expected = [
-        list(run(capsys, "lyapunov", path, "--mode", "float", "-J", "2")[:2]),
-        list(run(capsys, "example-jl", "--root", "1")[:2]),
-    ]
-    assert probe["runs"] == expected
-
-
-def _probe(code: str, *args: str) -> dict:
-    """Run ``code`` in a fresh interpreter that imports the package from this
-    checkout; return the JSON it prints."""
     src = str(Path(bautin_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-c", _LAZY_PROBE, path],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    return json.loads(done.stdout)
-
-
-#: Run in a fresh interpreter: every float command, then the loaded modules.
-_FLOAT_PROBE = """
-import contextlib, io, json, sys
-from bautin_lab import cli
-
-path = sys.argv[1]
-codes = []
-for argv in (
-    ["lyapunov", path, "--mode", "float", "-J", "4"],
-    ["center-check", path, "--mode", "float"],
-    ["example-jl", "--root", "1"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(argv))
-print(json.dumps({"codes": codes, "mpmath": "mpmath" in sys.modules}))
-"""
-
-
-def test_float_work_never_loads_mpmath(tmp_path):
-    # float values are dyadic Fractions printed by the package itself, so no
-    # float command imports mpmath
-    path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
-    assert _probe(_FLOAT_PROBE, path) == {"codes": [0, 5, 0], "mpmath": False}
+    probe = json.loads(done.stdout)
+    assert probe["missing"] == []
+    assert probe["codes"] == [0, 0, 5]
+    assert probe["loaded"] == [] and probe["float_loaded"] is False
+    expected = [
+        list(run(capsys, "lyapunov", path, "--mode", "float", "-J", "2")[:2]),
+        list(run(capsys, "center-check", path, "--mode", "float")[:2]),
+        list(run(capsys, "example-jl", "--root", "1")[:2]),
+    ]
+    assert probe["runs"] == expected
 
 
 def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
