@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import gcd, isfinite, isqrt, lcm, log, log10
+from math import gcd, isfinite, isqrt, lcm, log10
 from typing import NamedTuple, Sequence, Union
 
 from .errors import NoResidueError, UsageError
@@ -205,12 +205,8 @@ def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
 
 
 def _dyadic_fraction(m: int, e: int) -> Fraction:
-    """m * 2^e as a Fraction, put in lowest terms by stripping the trailing
-    zero bits of m against the power of two (no gcd)."""
-    if e >= 0:
-        return Fraction(m << e)
-    t = min((m & -m).bit_length() - 1, -e) if m else -e
-    return Fraction(_Lowest(m >> t, 1 << (-e - t)))
+    """m * 2^e as a Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _round_ratio(n: int, d: int, prec: int) -> tuple[int, int]:
@@ -235,34 +231,15 @@ def dps_to_prec(dps: int) -> int:
     return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
-#: Above this magnitude of the binary exponent of the leading bit, mpmath's
-#: ``to_str`` first divides by a rounded power of ten; ``_digits_exp`` scales
-#: by the exact one instead.
-_FIXED_EXP_LIMIT = 3500
-
-
 def _digits_exp(a: int, k: int, n: int) -> tuple[str, int]:
-    """Leading decimal digits of a / 2^k > 0, truncated, and the decimal
-    exponent of the first one: mpmath's ``to_digits_exp`` with n digits.
-    Up to ``_FIXED_EXP_LIMIT`` it is copied step for step (a fixed-point
-    value of bitprec bits, its decimal fixed point by one multiplication,
-    each truncated), which gives at least n digits.  Beyond it the digits
-    are floor(a / 2^k * 10^(n-1-E)) for the exact leading exponent E: n
-    digits, each one exact."""
-    top = a.bit_length() - k  # the binary exponent just above the leading bit
-    if abs(top) <= _FIXED_EXP_LIMIT:
-        bitprec = int(n * log(10, 2)) + 10
-        fixprec = max(bitprec - top, 0)
-        fixdps = int(fixprec / log(10, 2) + 0.5)
-        shift = fixprec - k
-        fixed = a << shift if shift >= 0 else a >> -shift
-        digits = str(_int_to_decimal(fixed * 10**fixdps >> fixprec))
-        return digits, len(digits) - fixdps - 1
+    """The first n decimal digits of a / 2^k > 0, truncated, and the decimal
+    exponent E of the first one: floor(a / 2^k * 10^(n-1-E)), every digit
+    exact."""
 
     def scaled(s: int) -> int:  # floor(a / 2^k * 10^s)
         return a * 10**s >> k if s >= 0 else a // (10**-s << k)
 
-    exp = int((top - 1) * log10(2))
+    exp = int((a.bit_length() - k - 1) * log10(2))
     while True:
         q = scaled(n - 1 - exp)
         if q >= 10**n:
@@ -275,15 +252,15 @@ def _digits_exp(a: int, k: int, n: int) -> tuple[str, int]:
 
 def _decimal_str(x: Fraction, dps: int) -> str:
     """A dyadic Fraction with ``dps`` significant digits, as mpmath's
-    ``libmp.to_str(s, dps)`` writes the binary value s: dps + 3 truncated
-    digits rounded half up to dps, fixed-point layout for a leading decimal
-    exponent strictly between min(-(dps // 3), -5) and dps, scientific
-    otherwise, trailing zeros stripped."""
+    ``libmp.to_str(s, dps)`` writes the binary value s: the first dps + 1
+    digits, truncated, rounded half up to dps, fixed-point layout for a
+    leading decimal exponent strictly between min(-(dps // 3), -5) and dps,
+    scientific otherwise, trailing zeros stripped."""
     if not x:
         return "0.0"
     sign = "-" if x < 0 else ""
-    digits, exp = _digits_exp(abs(x.numerator), x.denominator.bit_length() - 1, dps + 3)
-    if len(digits) > dps and digits[dps] >= "5":
+    digits, exp = _digits_exp(abs(x.numerator), x.denominator.bit_length() - 1, dps + 1)
+    if digits[dps] >= "5":
         head = digits[:dps].rstrip("9")
         if head:
             digits = head[:-1] + str(int(head[-1]) + 1) + "0" * (dps - len(head))
