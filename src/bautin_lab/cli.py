@@ -78,9 +78,11 @@ def _emit_pairs(output: str, pairs: list[tuple[str, str]], payload: dict) -> Non
     if output == "json":
         print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
     elif output == "csv":
-        print("key,value")
-        for key, val in pairs:
-            print(f"{key},{val}")
+        import csv  # only CSV output loads the module (about 130 KB of RSS)
+
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(("key", "value"))
+        rows.writerows(pairs)
     else:
         for key, val in pairs:
             print(f"{key} = {val}")

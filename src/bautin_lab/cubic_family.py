@@ -45,7 +45,7 @@ from .engine import compute_series
 from .errors import SolverInternalError, StageDomainError, UsageError
 from .fields import VectorField
 from .hpoly import HomogPoly
-from .scalars import RATIONAL, BigRealDomain, Scalar, parse_rational
+from .scalars import RATIONAL, BigRealDomain, Scalar, exact_str
 from .structure import build_p_matrix
 
 #: Coefficients of Q(sigma), constant term first, leading coefficient last.
@@ -228,7 +228,7 @@ def substitution_chain(
     b4: Scalar, sigma: Scalar, precision: int = 60, b6_sign: int = DEFAULT_B6_SIGN
 ) -> CubicFamilyParams:
     """Resolve the full parameter set from (b4, sigma), exact rationals (an
-    int, Fraction, ``p/q`` text, or an mpf read as the value it stores).
+    int, Fraction or ``p/q`` text).
 
     Each stage is computed exactly, and each returned parameter is its exact
     stage value: b6, a1 and b1 are square roots rounded once, and sigma and
@@ -315,14 +315,7 @@ def reproduce_example(
     """
     if root not in (1, 2):
         raise UsageError("root must be 1 or 2")
-    if isinstance(b4, str):
-        b4 = parse_rational(b4)
-    elif isinstance(b4, (int, Fraction)):
-        b4 = Fraction(b4)
-    else:
-        raise UsageError(
-            f"b4 must be rational (int, 'p/q' text or Fraction), not {type(b4).__name__}"
-        )
+    b4 = RATIONAL.coerce(b4)
 
     sigma = find_sigma_roots(precision)[root - 1]
     second_b4 = b4 / 2
@@ -340,7 +333,7 @@ def reproduce_example(
         "precision": precision,
         "b6_sign": DEFAULT_B6_SIGN,
         "sigma": domain.to_str(sigma),
-        "b4": str(b4),
+        "b4": exact_str(b4),
         "params": {k: domain.to_str(v) for k, v in params.as_dict().items()},
         "L": {str(j): domain.to_str(v) for j, v in series.l_values()},
         "L8_over_b4_8": domain.to_str(L8 / b4**8),
@@ -353,7 +346,7 @@ def reproduce_example(
             "row_offsets": [domain.to_str(o) for o in P.row_offsets],
         },
         "scaling_check": {
-            "second_b4": str(second_b4),
+            "second_b4": exact_str(second_b4),
             "l8_exponent": 8,
             "l8_relative_deviation": domain.to_str(l8_dev),
             "det_exponent": 30,

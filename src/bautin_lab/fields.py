@@ -124,7 +124,7 @@ def serialize_vector_field(vf: VectorField) -> str:
     for side, parts in (("F", vf.F), ("G", vf.G)):
         for k in sorted(parts):
             for i, j, c in parts[k].terms():
-                lines.append(f"{side} {i} {j} {exact_str(RATIONAL.coerce(c))}")
+                lines.append(f"{side} {i} {j} {exact_str(c)}")
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import UsageError
-from .scalars import RATIONAL, Scalar, exact_str
+from .scalars import Scalar, exact_str
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class HomogPoly:
                 yield (self.degree - a, a, c)
 
     def __str__(self) -> str:
-        return terms_str((i, j, exact_str(RATIONAL.coerce(c))) for i, j, c in self.terms())
+        return terms_str((i, j, exact_str(c)) for i, j, c in self.terms())
 
 
 class ScaledPoly(HomogPoly):

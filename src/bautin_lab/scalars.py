@@ -36,20 +36,23 @@ and freely shareable between threads.  ``BigRealDomain`` rounds only exact
 values and rounds each once: a num/den (``ratio``, which ``coerce`` reads
 every input into) or the square root of a Fraction (``sqrt``); its
 ``to_str`` writes the decimal digits mpmath's ``to_str`` writes for the
-same binary value.  The package imports no third-party module: an mpmath
-``mpf`` that a caller passes in is read exactly as the dyadic rational it
-stores, by way of ``sys.modules``.
+same binary value.
+
+Values enter the package one way: every domain's ``coerce`` reads an int, a
+``Fraction`` or text (``parse_rational``) and refuses anything else, binary
+floats included, with UsageError.  A real-mode value is already its dyadic
+Fraction, so it is read back as that Fraction.  The package imports no
+third-party module.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
-import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import gcd, isfinite, isqrt, lcm, log10
+from math import gcd, isqrt, lcm, log10
 from typing import NamedTuple, Sequence, Union
 
 from .errors import NoResidueError, UsageError
@@ -307,10 +310,6 @@ class RationalDomain:
             return Fraction(x)
         if isinstance(x, str):
             return parse_rational(x)
-        mp = sys.modules.get("mpmath")  # no mpf exists before mpmath is loaded
-        if mp is not None and isinstance(x, mp.mpf) and mp.isfinite(x):
-            sign, man, exp, _ = x._mpf_  # int(): man may be a gmpy2 mpz
-            return _dyadic_fraction(-int(man) if sign else int(man), exp)
         raise UsageError(f"cannot coerce {x!r} into rational domain")
 
     def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -353,12 +352,8 @@ class BigRealDomain:
             raise UsageError("extended-precision domain needs at least 30 digits")
 
     def coerce(self, x) -> Fraction:
-        """The exact value of x rounded once by ``ratio``: text is read by
-        ``parse_rational`` (any number of digits), an mpf or a finite Python
-        float as the dyadic rational it stores.  Non-finite values and zero
-        denominators raise UsageError, as they do in exact mode."""
-        if isinstance(x, float) and isfinite(x):
-            x = Fraction(x)
+        """The exact value of x (``RATIONAL.coerce``) rounded once by
+        ``ratio``."""
         x = RATIONAL.coerce(x)
         return self.ratio(x.numerator, x.denominator)
 
@@ -410,7 +405,7 @@ class ResidueDomain:
     exact = False
 
     def coerce(self, x) -> int:
-        """The residue of an int, Fraction, text, or an mpf's dyadic value."""
+        """The residue of an int, Fraction or text (``RATIONAL.coerce``)."""
         x = RATIONAL.coerce(x)
         return self.ratio(x.numerator, x.denominator)
 
@@ -443,6 +438,4 @@ def scalar_is_zero(x) -> bool:
 def scalar_to_str(x, domain: Domain) -> str:
     """Text for a scalar: exact 'p/q' in rational mode, the value rounded to
     the working precision in floating mode."""
-    if isinstance(x, int):
-        return exact_str(x)
     return domain.to_str(x)

@@ -40,7 +40,7 @@ from .engine import (
 )
 from .errors import NoResidueError, SolverInternalError, UsageError
 from .fields import VectorField, coerce_field
-from .scalars import RATIONAL, Domain, ResidueDomain, Scalar, UnknownId, scalar_is_zero
+from .scalars import RATIONAL, Domain, ResidueDomain, Scalar, UnknownId, exact_str, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def verify_gaps(series: LyapunovSeries) -> GapReport:
             violations.append(GapViolation("V", k, str(series.V[k])))
     for j, L in series.l_values():
         if not profile.l_index_expected_nonzero(j) and L != 0:
-            violations.append(GapViolation("L", j, str(L)))
+            violations.append(GapViolation("L", j, exact_str(L)))
     all_zero = all(L == 0 for _, L in series.l_values())
     return GapReport(violations, all_zero)
 

@@ -20,7 +20,6 @@ import mpmath
 from bautin_lab.engine import LyapunovSeries, accumulate_rhs
 from bautin_lab.fields import VectorField
 from bautin_lab.hpoly import HomogPoly, circle_power
-from bautin_lab.scalars import RATIONAL
 
 
 def poly_sum(*polys: HomogPoly) -> HomogPoly:
@@ -114,10 +113,12 @@ def stored_field(vf: VectorField) -> VectorField:
 
 def mp_round(x, dps: int) -> Fraction:
     """The rational x rounded to nearest at ``dps`` digits by mpmath's own
-    division, read back as the dyadic Fraction the mpf stores: the float
-    mode's rounding oracle."""
+    division, read back as the dyadic Fraction the mpf stores (its
+    ``man_exp``, which carries no sign): the float mode's rounding oracle."""
     x = Fraction(x)
-    return RATIONAL.coerce(mpmath.fdiv(x.numerator, x.denominator, dps=dps))
+    value = mpmath.fdiv(x.numerator, x.denominator, dps=dps)
+    man, exp = value.man_exp
+    return (-1 if value < 0 else 1) * Fraction(int(man)) * Fraction(2) ** exp
 
 
 def dyadic(x: Fraction) -> tuple[int, int]:

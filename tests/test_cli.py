@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -324,7 +325,7 @@ def test_float_results_do_not_depend_on_the_global_precision(capsys):
 
     cubic = str(Path(__file__).resolve().parents[1] / "sample_fields" / "cubic_f30.vf")
     dom = BigRealDomain(dps=60)
-    values = ["1/3", "-2.5e-70", Fraction(10**70 + 1, 7), 0.1, BigRealDomain(dps=120).ratio(1, 7)]
+    values = ["1/3", "-2.5e-70", Fraction(10**70 + 1, 7), Fraction(0.1), BigRealDomain(dps=120).ratio(1, 7)]
 
     def results():
         return (
@@ -589,9 +590,38 @@ def test_gaps_default_budget_follows_degree(capsys):
     assert "predicted_L_indices = [5, 10, 15]" in out
 
 
+def test_csv_quotes_values_that_hold_a_comma(capsys):
+    # the index lists of gaps and an inconclusive reason hold commas: they
+    # are quoted, so every row reads back as one key and one value
+    hamiltonian = str(Path(__file__).resolve().parents[1] / "sample_fields" / "hamiltonian.vf")
+    for argv, key, value in (
+        (("gaps", "random-homogeneous:3"), "predicted_L_indices", str(list(range(1, 11)))),
+        (("center-check", hamiltonian), "reason",
+         "degenerate: det P = 0, the generic certificate does not apply"),
+    ):
+        _, out, _ = run(capsys, *argv, "--output", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows), argv
+        assert dict(rows)[key] == value
+
+
+def test_example_jl_prints_a_long_b4_exactly(capsys):
+    # b4 = -(10^4301 + 1) / 10^4301: more digits than one int-to-text
+    # conversion takes (4300)
+    ones = "1" + "0" * 4300 + "1"
+    code, out, _ = run(
+        capsys, "example-jl", "--root", "1", f"--b4=-{ones}/1{'0' * 4301}", "--output", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["b4"] == f"-{ones}/1{'0' * 4301}"
+    assert report["scaling_check"]["second_b4"] == f"-{ones}/2{'0' * 4301}"
+
+
 def test_example_jl_csv(capsys):
     code, out, _ = run(capsys, "example-jl", "--root", "1", "--output", "csv")
     assert code == 0
+    assert all(len(row) == 2 for row in csv.reader(io.StringIO(out)))
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("L8_over_b4_8_root1,-479335120.00617674649") for line in lines)

@@ -231,13 +231,13 @@ def test_chain_domain_errors_name_their_stage():
     # sigma = 0 leaves a negative radicand in the change of variables,
     # so it cannot serve as a non-root probe of the chain
     with pytest.raises(StageDomainError) as err:
-        substitution_chain(Fraction(-1), mp.mpf(0), 60)
+        substitution_chain(Fraction(-1), Fraction(0), 60)
     assert err.value.stage in ("a1", "b1")
     with pytest.raises(StageDomainError) as err:
-        substitution_chain(Fraction(1), mp.mpf(-1), 60)
+        substitution_chain(Fraction(1), Fraction(-1), 60)
     assert err.value.stage == "b4"
     with pytest.raises(UsageError):
-        substitution_chain(Fraction(-1), mp.mpf(-1), 60, b6_sign=2)
+        substitution_chain(Fraction(-1), Fraction(-1), 60, b6_sign=2)
 
 
 def test_chain_output_satisfies_parameter_relations():

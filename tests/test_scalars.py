@@ -45,14 +45,25 @@ def test_parse_rational_forms():
 def test_rational_domain_coerce():
     assert RATIONAL.coerce(3) == Fraction(3)
     assert RATIONAL.coerce("2/5") == Fraction(2, 5)
-    # a float value is the dyadic rational it stores, and so is an mpf
+    # a float value is the dyadic rational it stores
     third = BigRealDomain(dps=40).coerce("1/3")
     assert RATIONAL.coerce(third) is third != Fraction(1, 3)
-    assert RATIONAL.coerce(_mpf(third)) == third
-    assert RATIONAL.coerce(mp.mpf(-12)) == -12 and RATIONAL.coerce(mp.mpf(0)) == 0
-    for value in (mp.inf, mp.nan, 2.5):
+
+
+@pytest.mark.parametrize(
+    "dom", [RATIONAL, BigRealDomain(dps=40), ResidueDomain()], ids=["rational", "real", "residue"]
+)
+def test_coerce_reads_int_fraction_and_text_only(dom):
+    # one reading rule in every domain: the exact value of an int, a
+    # Fraction or text, built by ``ratio``; a binary float of any kind is
+    # refused, not read as the dyadic rational it stores
+    for x in (-12, Fraction(-12), "-12", "-24/2", "-1.2e1"):
+        assert dom.coerce(x) == dom.ratio(-12, 1)
+    for x in (Fraction(2, 5), "2/5", "0.4"):
+        assert dom.coerce(x) == dom.ratio(2, 5)
+    for value in (mp.mpf(1), 2.5, mp.mpf(0), 0.0, mp.inf, mp.nan, float("inf"), float("nan")):
         with pytest.raises(UsageError):
-            RATIONAL.coerce(value)
+            dom.coerce(value)
 
 
 def _mpf(x: Fraction):
@@ -136,13 +147,11 @@ def test_residue_domain():
     assert dom.coerce(-1) == p - 1
     assert dom.coerce(Fraction(2, 3)) * 3 % p == 2
     assert dom.coerce("-0.125") * 8 % p == p - 1
-    # a float value, or an mpf, is read as the dyadic rational it stores,
-    # not rounded again
+    # a float value is read as the dyadic rational it stores, not rounded
+    # again
     third = BigRealDomain(dps=40).coerce("1/3")
-    assert dom.coerce(_mpf(third)) == dom.coerce(third) != dom.coerce(Fraction(1, 3))
-    for value in (mp.inf, mp.nan, 2.5):
-        with pytest.raises(UsageError):
-            dom.coerce(value)
+    assert dom.coerce(third) == dom.ratio(third.numerator, third.denominator)
+    assert dom.coerce(third) != dom.coerce(Fraction(1, 3))
     assert dom.read_ints([5, 0, p - 1]) == ([5, 0, p - 1], 1)
     assert dom.store_ints([3, 6 * p + 9], 3) == ([1, 3], 1)
     assert dom.ratio(-1, 2) == (p - 1) // 2

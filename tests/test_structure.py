@@ -23,6 +23,7 @@ from bautin_lab.scalars import RATIONAL, BigRealDomain, ResidueDomain
 from bautin_lab.structure import (
     _certificate_det,
     _det_rows,
+    GapViolation,
     build_p_matrix,
     center_check,
     center_number_bound,
@@ -68,6 +69,17 @@ def test_verify_gaps_divergence_free_note():
     report = verify_gaps(compute_series(vf, 8))
     assert report.passed and report.all_constants_zero
     assert "partial center condition" in report.note
+
+
+def test_verify_gaps_reports_a_long_off_pattern_constant():
+    # a 5000-digit L_1 where the quartic pattern has none: the violation
+    # carries every digit, past the interpreter's 4300-digit limit on
+    # int-to-text conversion
+    series = compute_series(random_homogeneous_field(4, seed=3), 4)
+    assert gap_profile(4).l_indices_upto(4) == [3] and series.L[1] == 0
+    series.L[1] = Fraction(10**4999 + 1, 3)
+    [violation] = verify_gaps(series).violations
+    assert violation == GapViolation("L", 1, "1" + "0" * 4998 + "1/3")
 
 
 def test_verify_gaps_rejects_bad_input():
