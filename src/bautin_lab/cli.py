@@ -7,9 +7,9 @@ Subcommands:
     example-jl    reproduce the eight-cycle cubic family report
 
 Exit codes: 0 success (or certified center), 1 bad input, 3 internal solver
-or precision failure, 4 gap mismatch, 5 weak focus, 6 inconclusive (the
-center-check verdict codes come from ``CenterCertificate.exit_code``).
-Results go to stdout, diagnostics to stderr.  JSON output carries a top-level
+error, 4 gap mismatch, 5 weak focus, 6 inconclusive (the center-check
+verdict codes come from ``CenterCertificate.exit_code``).  Results go to
+stdout, diagnostics to stderr.  JSON output carries a top-level
 ``"schema": "bautin-lab/1"`` key and renders every number as an exact string
 ('p/q' or a full-precision decimal), never a binary float.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -110,7 +111,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
     vf = _load_field(args, RATIONAL)  # gap verification needs exact arithmetic
     if not vf.is_homogeneous():
         raise UsageError("gap analysis requires a homogeneous field")
-    J = args.max_index or 2 * (vf.degree + 2)  # default budget: the gap-law audit range
+    J = 2 * (vf.degree + 2) if args.max_index is None else args.max_index  # the audit range
     series = compute_series(vf, J)
     report = verify_gaps(series)
     profile = gap_profile(vf.degree)
@@ -235,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaps", help="verify the homogeneous sparsity pattern")
     common(p, modes=False)
-    # 0 = choose the audit budget from the degree
-    p.add_argument("-J", "--max-index", type=int, default=0, help="highest Lyapunov index")
+    p.add_argument("-J", "--max-index", type=int, help="highest Lyapunov index (default 2(n + 2))")
 
     p = sub.add_parser("center-check", help="weak-focus / center certificate")
     common(p)
@@ -249,9 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_b4(argv: list[str]) -> list[str]:
+    """argv with "--b4 -1/2" (or its abbreviation "--b -1/2") written
+    "--b4=-1/2": argparse reads a separate value that starts with "-" as an
+    option unless it is a plain decimal ("-1", "-0.5"), and no option starts
+    with "-" then a digit or "."."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--b", "--b4") and re.match(r"-\.?\d", arg):
+            out[-1] = f"--b4={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_b4(sys.argv[1:] if argv is None else argv))
     handlers = {
         "lyapunov": cmd_lyapunov,
         "gaps": cmd_gaps,

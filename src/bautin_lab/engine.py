@@ -17,15 +17,16 @@ Every V_m of a series is stored as integer numerators over one positive
 denominator (``hpoly.ScaledPoly``), and R_K is built in the same form,
 R_K = num/den, in one pass per field degree d.  With m = K+1-d, the two
 products of degree d are one stencil over the slots of V_m whose weights are
-affine in the slot (``accumulate_rhs``); F_d and G_d are put over one common
-denominator e_d once per series.  den is the lcm of V_m.den * e_d over the
-terms present, each V_m's numerators are scaled to it once, and the sums run
-on plain ints, so no per-coefficient gcd is taken.  In exact mode the
+affine in the slot (``accumulate_rhs``); F_d and G_d are read over one
+common denominator e_d once per series.  den is the lcm of V_m.den * e_d
+over the terms present, each V_m's numerators are scaled to it once, and the
+sums run on plain ints, so no per-coefficient gcd is taken.  In exact mode the
 denominators are those of the stored blocks and lcms of the field's.
 In float mode every stored value is a dyadic Fraction, so the denominators
 are powers of two and R_K is the exact source term of the stored values; it
-is not rounded.  The domain does every conversion between its values and
-ints (``scalars``), so nothing here branches on the mode.
+is not rounded.  Every value is read into ints by the one exact reader
+``read_ints``, and the domain keeps only its rounding rule (``store_ints``,
+``ratio``), so nothing here branches on the mode.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:
@@ -94,7 +95,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
 from .hpoly import HomogPoly, ScaledPoly, circle_power
-from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId
+from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId, read_ints
 
 
 def tiebreak_slot(degree: int) -> tuple[int, int]:
@@ -113,7 +114,7 @@ class LyapunovSeries:
     ``V`` maps degree k -> HomogPoly (V_2 included), ``L`` maps index j -> the
     constant solved at degree 2j+2.  A series built by this module stores
     each V_k as a ``ScaledPoly``: integer numerators over one denominator,
-    with the coefficients in the carrier built on first read.  The
+    with the coefficients built as Fractions on first read.  The
     certificate series of ``compute_series_unknown`` holds no V terms; its
     L entries are linear forms over the registered unknowns, and
     ``unknowns`` lists their slots (x-exp, y-exp) in registration order
@@ -136,18 +137,15 @@ class LyapunovSeries:
     def _field_terms(self) -> dict[int, tuple[list[tuple[int, int, int]], int]]:
         """Per field degree d with F_d or G_d nonzero: the stencil of the
         source term over one denominator e_d, as (stencil, e_d).  With
-        f[j], g[j] the numerators of F_d and G_d over e_d = lcm of the two
-        parts' denominators (zero outside 0..d), each nonzero weight of
-        ``accumulate_rhs`` is a triple (j, f[j], g[j+1] - f[j]) for
-        j = -1..d.  Converted once per series."""
-        read = self.domain.read_ints
+        f[j], g[j] the numerators of F_d and G_d over their common
+        denominator e_d (``read_ints``; zero outside 0..d), each nonzero
+        weight of ``accumulate_rhs`` is a triple (j, f[j], g[j+1] - f[j])
+        for j = -1..d.  Converted once per series."""
         out = {}
         for d in range(2, self.field.degree + 1):
-            f, f_den = read(self.field.f_part(d).coeffs)
-            g, g_den = read(self.field.g_part(d).coeffs)
-            e = lcm(f_den, g_den)
-            f = [0] + [c * (e // f_den) for c in f]  # f[j] at index j + 1
-            g = [c * (e // g_den) for c in g] + [0]  # g[j + 1] at index j + 1
+            nums, e = read_ints(self.field.f_part(d).coeffs + self.field.g_part(d).coeffs)
+            f = [0] + nums[: d + 1]  # f[j] at index j + 1
+            g = nums[d + 1 :] + [0]  # g[j + 1] at index j + 1
             stencil = [(j, fj, gj - fj) for j, fj, gj in zip(range(-1, d + 1), f, g) if fj or gj]
             if stencil:
                 out[d] = (stencil, e)
@@ -177,7 +175,7 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     for d, (stencil, e) in series._field_terms.items():
         Vm = series.V.get(k + 1 - d)
         if Vm is not None and not Vm.is_zero():
-            Vm = _scaled(Vm, series.domain)
+            Vm = _scaled(Vm)
             live.append((stencil, Vm.nums, Vm.den * e))
     den = lcm(*(t[2] for t in live))
     out = [0] * (k + 3)  # slots -1..k+1; the two ends only ever get zeros
@@ -192,12 +190,11 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     return HomogPoly(k, out[1:-1]), den
 
 
-def _scaled(p: HomogPoly, domain: Domain) -> ScaledPoly:
-    """``p`` in stored form (``domain.read_ints``), or ``p`` if it already
-    is.  Values at the domain's precision read back unchanged (``ratio``)."""
+def _scaled(p: HomogPoly) -> ScaledPoly:
+    """``p`` in stored form (``read_ints``), or ``p`` if it already is."""
     if isinstance(p, ScaledPoly):
         return p
-    return ScaledPoly(p.degree, *domain.read_ints(p.coeffs), domain.ratio)
+    return ScaledPoly(p.degree, *read_ints(p.coeffs))
 
 
 def rotational_solve(
@@ -219,9 +216,9 @@ def rotational_solve(
         raise UsageError("rotational solve needs degree >= 3")
     if R.degree != k:
         raise UsageError(f"source term has degree {R.degree}, expected {k}")
-    R = _scaled(R, domain)
+    R = _scaled(R)
     v, L, den = _solve_ints(k, R.nums, R.den)
-    V = ScaledPoly(k, *domain.store_ints(v, den), domain.ratio)
+    V = ScaledPoly(k, *domain.store_ints(v, den))
     return V, (None if L is None else domain.ratio(L, den))
 
 
@@ -422,7 +419,7 @@ def _extend(
             Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
         else:
             Vk, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), domain)
-        series.V[k] = _scaled(pins.get(k, Vk), domain)
+        series.V[k] = _scaled(pins.get(k, Vk))
         if L is not None:
             series.L[k // 2 - 1] = L
     return series
@@ -431,7 +428,7 @@ def _extend(
 def _start(vf: VectorField) -> LyapunovSeries:
     """A plain series holding only V_2 = (x^2+y^2)/2."""
     half = vf.domain.coerce(Fraction(1, 2))
-    return LyapunovSeries(vf, V={2: _scaled(HomogPoly(2, [half, 0, half]), vf.domain)})
+    return LyapunovSeries(vf, V={2: _scaled(HomogPoly(2, [half, 0, half]))})
 
 
 def compute_series_unknown(

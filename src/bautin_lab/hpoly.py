@@ -18,10 +18,10 @@ integer numerators (see ``engine.accumulate_rhs``).
 
 ``ScaledPoly`` stores integer numerators over one positive denominator,
 ``nums[a] / den``.  Every V_k of a series is held this way, and the engine
-computes on ``nums``/``den`` alone; the coefficients (exact Fractions, or the
-rounded Fractions a float block's dyadic numerators stand for) are built on
-the first read of ``coeffs`` and kept, so reading them again returns the
-same objects.
+computes on ``nums``/``den`` alone; coefficient a is ``Fraction(nums[a],
+den)`` in every domain (a float block's dyadic value, an integral Fraction
+for a residue), built on the first read of ``coeffs`` and kept, so reading
+them again returns the same objects.
 """
 
 from __future__ import annotations
@@ -124,19 +124,11 @@ class HomogPoly:
 
 
 class ScaledPoly(HomogPoly):
-    """Coefficient a is ``nums[a] / den``: integer numerators over one
-    positive denominator.  The coefficients read are ``value(nums[a], den)``,
-    exact Fractions by default; a series passes its domain's ``ratio``,
-    which for a float block gives back the stored value unchanged.  They
-    are built on the first read of ``coeffs`` and kept."""
+    """Coefficient a is ``Fraction(nums[a], den)``: integer numerators over
+    one positive denominator, built on the first read of ``coeffs`` and
+    kept."""
 
-    def __init__(
-        self,
-        degree: int,
-        nums: Sequence[int],
-        den: int,
-        value: Callable[[int, int], Scalar] = Fraction,
-    ):
+    def __init__(self, degree: int, nums: Sequence[int], den: int):
         nums = tuple(nums)
         if len(nums) != degree + 1 or den <= 0:
             raise UsageError(
@@ -145,11 +137,10 @@ class ScaledPoly(HomogPoly):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_value", value)
 
     @cached_property
     def coeffs(self) -> tuple:
-        return tuple(self._value(n, self.den) for n in self.nums)
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
         return not any(self.nums)

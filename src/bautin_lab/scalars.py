@@ -11,16 +11,17 @@ meaningful zero test.  Two carriers satisfy it:
 A real-mode value is the dyadic rational m * 2^e with at most ``prec`` bits
 in m that rounding left, stored as an exact Fraction (in lowest terms, its
 denominator a power of two); it prints with ``dps`` significant digits only
-through ``scalar_to_str`` or the domain's ``to_str``.  Every conversion
-between carrier values and exact integers belongs to the domain.  Each
-domain reads values as integer numerators over one denominator
-(``read_ints``: the lcm of the denominators, a power of two in real mode),
-turns an exactly solved num/den into stored form (``store_ints``: one
-division pass in exact mode, each coefficient rounded once in real mode)
-and builds one value from num/den (``ratio``: the Fraction, or the
-correctly rounded dyadic one).  The engine's per-degree loop and the
-certificate determinant compute on those ints in both modes, so real mode
-rounds each solved coefficient, each Lyapunov constant and det P once.
+through ``scalar_to_str`` or the domain's ``to_str``.  Every value of
+every domain is read as integer numerators over one denominator by the one
+module function ``read_ints`` (the lcm of the denominators: a power of two
+in real mode, 1 for residues), which is exact.  A domain keeps only its
+rounding rule: it turns an exactly solved num/den into stored form
+(``store_ints``: one division pass in exact mode, each coefficient rounded
+once in real mode, den inverted once mod p) and builds one value from
+num/den (``ratio``: the Fraction, the correctly rounded dyadic one, or the
+residue).  The engine's per-degree loop and the certificate determinant
+compute on those ints in every mode, so real mode rounds each solved
+coefficient, each Lyapunov constant and det P once.
 
 ``LinearForm`` is not a carrier but a record of an affine expression
 c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i in one
@@ -30,7 +31,7 @@ one plain run (c0) and one reverse sweep per constant (the c_i; see
 ``engine.compute_series_unknown``), and the certificate matrix reads its
 entries off it.
 
-A ``Domain`` object packages the carrier choice, the conversions above, and
+A ``Domain`` object packages the carrier choice, its rounding rule above, and
 (for the real carrier) the working precision.  Domain values are immutable
 and freely shareable between threads.  ``BigRealDomain`` rounds only exact
 values and rounds each once: a num/den (``ratio``, which ``coerce`` reads
@@ -38,11 +39,12 @@ every input into) or the square root of a Fraction (``sqrt``); its
 ``to_str`` writes the decimal digits mpmath's ``to_str`` writes for the
 same binary value.
 
-Values enter the package one way: every domain's ``coerce`` reads an int, a
-``Fraction`` or text (``parse_rational``) and refuses anything else, binary
-floats included, with UsageError.  A real-mode value is already its dyadic
-Fraction, so it is read back as that Fraction.  The package imports no
-third-party module.
+Values enter the package one way: every domain has the same ``coerce``,
+which reads an int, a ``Fraction`` or text (``parse_rational``) exactly and
+refuses anything else, binary floats included, with UsageError.  The exact
+domain keeps that Fraction; the others build it once with ``ratio``.  A
+real-mode value is already its dyadic Fraction, so it is read back as that
+Fraction.  The package imports no third-party module.
 """
 
 from __future__ import annotations
@@ -297,26 +299,35 @@ class LinearForm:
     coeffs: dict[UnknownId, Scalar]
 
 
+def read_ints(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Values of any domain as integer numerators over their least common
+    denominator, exactly and with no gcd per value: a power of two for
+    float values, 1 for residues (ints, read back unchanged)."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+class _Reader:
+    """The one ``coerce`` of every domain."""
+
+    def coerce(self, x) -> Scalar:
+        """The exact value of an int, a Fraction or text (``parse_rational``),
+        kept as it is by the exact domain and built once by ``ratio`` in the
+        others; anything else raises UsageError."""
+        if isinstance(x, int):
+            x = Fraction(x)
+        elif isinstance(x, str):
+            x = parse_rational(x)
+        elif not isinstance(x, Fraction):
+            raise UsageError(f"cannot coerce {x!r} into a coefficient domain")
+        return x if self.exact else self.ratio(x.numerator, x.denominator)
+
+
 @dataclass(frozen=True)
-class RationalDomain:
+class RationalDomain(_Reader):
     """Exact rational coefficients (fractions.Fraction)."""
 
     exact = True
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return parse_rational(x)
-        raise UsageError(f"cannot coerce {x!r} into rational domain")
-
-    def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-        """Values as integer numerators over their least common denominator
-        (no gcd per value)."""
-        den = lcm(*(x.denominator for x in values))
-        return [x.numerator * (den // x.denominator) for x in values], den
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
         """nums[i]/den (den > 0) in lowest terms, in one division pass:
@@ -340,7 +351,7 @@ class RationalDomain:
 
 
 @dataclass(frozen=True)
-class BigRealDomain:
+class BigRealDomain(_Reader):
     """Extended-precision reals carrying ``dps`` (>= 30) decimal digits: each
     value is a Fraction m * 2^e with m of at most ``dps_to_prec(dps)`` bits."""
 
@@ -350,17 +361,6 @@ class BigRealDomain:
     def __post_init__(self):
         if self.dps < 30:
             raise UsageError("extended-precision domain needs at least 30 digits")
-
-    def coerce(self, x) -> Fraction:
-        """The exact value of x (``RATIONAL.coerce``) rounded once by
-        ``ratio``."""
-        x = RATIONAL.coerce(x)
-        return self.ratio(x.numerator, x.denominator)
-
-    def read_ints(self, values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-        """The values as integer numerators over their least common
-        denominator, exactly: the largest of them, a power of two."""
-        return RATIONAL.read_ints(values)
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
         """Each exact value nums[i]/den rounded once, as ``ratio`` rounds it,
@@ -395,7 +395,7 @@ class BigRealDomain:
 
 
 @dataclass(frozen=True)
-class ResidueDomain:
+class ResidueDomain(_Reader):
     """Residues modulo the prime p (a/b is a * b^-1 mod p).  A nonzero residue
     proves a rational nonzero, a zero one proves nothing: ``exact`` is False.
     The engine's chain steps divide exactly for any integer source, so its
@@ -403,14 +403,6 @@ class ResidueDomain:
 
     p = 2**61 - 1
     exact = False
-
-    def coerce(self, x) -> int:
-        """The residue of an int, Fraction or text (``RATIONAL.coerce``)."""
-        x = RATIONAL.coerce(x)
-        return self.ratio(x.numerator, x.denominator)
-
-    def read_ints(self, values: Sequence[int]) -> tuple[list[int], int]:
-        return list(values), 1
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
         """Each nums[i]/den as ``ratio`` builds it, with den inverted once."""

@@ -40,7 +40,9 @@ from .engine import (
 )
 from .errors import NoResidueError, SolverInternalError, UsageError
 from .fields import VectorField, coerce_field
-from .scalars import RATIONAL, Domain, ResidueDomain, Scalar, UnknownId, exact_str, scalar_is_zero
+from .scalars import (
+    RATIONAL, Domain, ResidueDomain, Scalar, UnknownId, exact_str, read_ints, scalar_is_zero,
+)
 
 
 @dataclass(frozen=True)
@@ -226,14 +228,14 @@ def det_exact(matrix: Sequence[Sequence[Scalar]], domain: Domain) -> Scalar:
     extended-precision mode (exactly zero when the stored rows are exactly
     dependent).
 
-    Each row is cleared to integers (``domain.read_ints``) when the
+    Each row is cleared to integers (``read_ints``) when the
     row-by-row fraction-free elimination (``_det_rows``) reaches it; every
     intermediate entry is an exact minor, and no row after the first one
     that reduces to zero is read."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise UsageError("determinant needs a square matrix")
-    return domain.ratio(*_det_rows(map(domain.read_ints, matrix)))
+    return domain.ratio(*_det_rows(map(read_ints, matrix)))
 
 
 def _det_rows(rows: Iterable[tuple[list[int], int]]) -> tuple[int, int]:

@@ -271,6 +271,19 @@ def test_example_jl_rejects_nonnegative_b4(capsys):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+def test_example_jl_reads_a_separate_negative_b4(capsys):
+    # argparse took "-1/2" and "-1e-3" for options ("expected one argument",
+    # exit 2); only the attached form "--b4=-1/2" used to work
+    seen = {}
+    forms = (("--b4", "-1/2"), ("--b4=-1/2",), ("--b", "-1/2"), ("--b4", "-0.5"), ("--b4", "-1e-3"))
+    for argv in forms:
+        code, out, err = run(capsys, "example-jl", "--root", "1", *argv, "--output", "json")
+        assert code == 0 and err == "", argv
+        seen[argv] = json.loads(out)["b4"]
+    assert seen.pop(("--b4", "-1e-3")) == "-1/1000"
+    assert set(seen.values()) == {"-1/2"}
+
+
 def test_example_jl_single_root_json(capsys):
     code, out, _ = run(capsys, "example-jl", "--root", "2", "--precision", "60", "--output", "json")
     assert code == 0
@@ -588,6 +601,14 @@ def test_gaps_default_budget_follows_degree(capsys):
     code, out, _ = run(capsys, "gaps", "random-homogeneous:6", "--seed", "2")
     assert code == 0
     assert "predicted_L_indices = [5, 10, 15]" in out
+
+
+def test_gaps_refuses_a_budget_below_one(capsys):
+    # -J 0 used to run the default budget 2(n+2); it is refused as
+    # lyapunov refuses it
+    for command in ("gaps", "lyapunov"):
+        code, out, err = run(capsys, command, "random-homogeneous:3", "-J", "0")
+        assert code == 1 and out == "" and "J >= 1" in err, command
 
 
 def test_csv_quotes_values_that_hold_a_comma(capsys):

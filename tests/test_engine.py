@@ -643,7 +643,7 @@ def test_float_blocks_read_back_bit_for_bit(monkeypatch):
     def capture(k, R, domain=RATIONAL):
         V, L = solve(k, R, domain)
         # read a copy, so the stored block is left unread
-        solved[k] = ScaledPoly(k, V.nums, V.den, BigRealDomain(dps=60).ratio).coeffs
+        solved[k] = ScaledPoly(k, V.nums, V.den).coeffs
         return V, L
 
     monkeypatch.setattr(engine, "rotational_solve", capture)
@@ -651,8 +651,10 @@ def test_float_blocks_read_back_bit_for_bit(monkeypatch):
     assert len(solved) == 12 and not any("coeffs" in vars(series.V[k]) for k in solved)
     for k, want in solved.items():
         V = series.V[k]
-        fresh = ScaledPoly(k, V.nums, V.den, BigRealDomain(dps=60).ratio)
+        fresh = ScaledPoly(k, V.nums, V.den)
         assert fresh.coeffs == want == tuple(F(n, V.den) for n in V.nums), k
+        # each value is on the 60-digit grid: rounding it again changes nothing
+        assert want == tuple(BigRealDomain(dps=60).ratio(n, V.den) for n in V.nums), k
         assert V.coeffs == want, k  # the stored block itself, first read here
 
 

@@ -94,9 +94,10 @@ def test_scaled_poly_builds_fractions_once():
     assert p.coeffs == (Fraction(1, 2), 0, Fraction(-3, 4))
     assert p.coeffs is p.coeffs and p.coeff(2, 0) is p.coeffs[0]
     assert ScaledPoly(2, [0, 0, 0], 5).is_zero()
-    # the carrier of the values read is the caller's
-    q = ScaledPoly(1, [1, 2], 4, value=lambda n, d: n / d)
-    assert q.coeffs == (0.25, 0.5) and (q.nums, q.den) == ((1, 2), 4)
+    # every value read is the Fraction nums[a] / den, whatever the domain
+    q = ScaledPoly(1, [1, 2], 4)
+    assert q.coeffs == (Fraction(1, 4), Fraction(1, 2)) and (q.nums, q.den) == ((1, 2), 4)
+    assert all(type(c) is Fraction for c in q.coeffs)
     with pytest.raises(UsageError):
         ScaledPoly(2, [1, 2], 3)
     with pytest.raises(UsageError):

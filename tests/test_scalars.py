@@ -20,6 +20,7 @@ from bautin_lab.scalars import (
     dps_to_prec,
     exact_str,
     parse_rational,
+    read_ints,
     scalar_to_str,
 )
 from oracles import dyadic, gcd_reduced, mp_round
@@ -64,6 +65,22 @@ def test_coerce_reads_int_fraction_and_text_only(dom):
     for value in (mp.mpf(1), 2.5, mp.mpf(0), 0.0, mp.inf, mp.nan, float("inf"), float("nan")):
         with pytest.raises(UsageError):
             dom.coerce(value)
+
+
+def test_read_ints_reads_every_domain_exactly():
+    # one reader for every domain: exact values over the lcm of their
+    # denominators, float values over the largest of their powers of two,
+    # residues unchanged over 1, and nothing over 1
+    assert read_ints([Fraction(1, 6), Fraction(-3, 4), 0, Fraction(5)]) == ([2, -9, 0, 60], 12)
+    dom = BigRealDomain(dps=40)
+    values = [dom.coerce(x) for x in ("1/3", "-2.5e-7", 0, "12")]
+    nums, den = read_ints(values)
+    assert den == max(x.denominator for x in values) and den & (den - 1) == 0
+    assert [Fraction(n, den) for n in nums] == values
+    p = ResidueDomain.p
+    nums, den = read_ints([5, 0, p - 1])
+    assert (nums, den) == ([5, 0, p - 1], 1) and all(type(n) is int for n in nums)
+    assert read_ints([]) == ([], 1)
 
 
 def _mpf(x: Fraction):
@@ -152,7 +169,7 @@ def test_residue_domain():
     third = BigRealDomain(dps=40).coerce("1/3")
     assert dom.coerce(third) == dom.ratio(third.numerator, third.denominator)
     assert dom.coerce(third) != dom.coerce(Fraction(1, 3))
-    assert dom.read_ints([5, 0, p - 1]) == ([5, 0, p - 1], 1)
+    assert read_ints([5, 0, p - 1]) == ([5, 0, p - 1], 1)
     assert dom.store_ints([3, 6 * p + 9], 3) == ([1, 3], 1)
     assert dom.ratio(-1, 2) == (p - 1) // 2
     # a denominator divisible by p has no residue: refused, naming p
