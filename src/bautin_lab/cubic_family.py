@@ -36,7 +36,6 @@ be recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -80,28 +79,24 @@ REPORT_COLUMN_ORDER: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CubicFamilyParams:
-    """One member of the family."""
+#: The parameters of a family member, in report order.
+_PARAM_NAMES = ("a1", "b1", "a3", "a5", "a7", "a8", "a9", "b4", "b5", "b6", "b8")
 
-    a1: Scalar = 0
-    b1: Scalar = 0
-    a3: Scalar = 0
-    a5: Scalar = 0
-    a7: Scalar = 0
-    a8: Scalar = 0
-    a9: Scalar = 0
-    b4: Scalar = 0
-    b5: Scalar = 0
-    b6: Scalar = 0
-    b8: Scalar = 0
-    sigma: Scalar | None = None
+
+class CubicFamilyParams:
+    """One member of the family: each parameter of ``_PARAM_NAMES`` by
+    keyword (0 if not given), and the root sigma it was resolved at (None if
+    not given)."""
+
+    def __init__(self, *, sigma: Scalar | None = None, **params: Scalar):
+        if not params.keys() <= set(_PARAM_NAMES):
+            raise TypeError(f"unknown parameters {sorted(params.keys() - set(_PARAM_NAMES))}")
+        for name in _PARAM_NAMES:
+            setattr(self, name, params.get(name, 0))
+        self.sigma = sigma
 
     def as_dict(self) -> dict[str, Scalar]:
-        return {
-            name: getattr(self, name)
-            for name in ("a1", "b1", "a3", "a5", "a7", "a8", "a9", "b4", "b5", "b6", "b8")
-        }
+        return {name: getattr(self, name) for name in _PARAM_NAMES}
 
 
 def count_real_roots() -> int:

@@ -84,13 +84,12 @@ exact or rounded once in float mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
 from math import gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
@@ -107,7 +106,6 @@ def tiebreak_slot(degree: int) -> tuple[int, int]:
     return (h, h) if h % 2 == 0 else (h - 1, h + 1)
 
 
-@dataclass
 class LyapunovSeries:
     """Computed Lyapunov-function terms V_k and constants L_j.
 
@@ -120,10 +118,17 @@ class LyapunovSeries:
     ``unknowns`` lists their slots (x-exp, y-exp) in registration order
     (ascending degree, then descending x-power)."""
 
-    field: VectorField
-    V: dict[int, HomogPoly] = dataclass_field(default_factory=dict)
-    L: dict[int, Scalar] = dataclass_field(default_factory=dict)
-    unknowns: list[UnknownId] = dataclass_field(default_factory=list)
+    def __init__(
+        self,
+        field: VectorField,
+        V: dict[int, HomogPoly] | None = None,
+        L: dict[int, Scalar] | None = None,
+        unknowns: list[UnknownId] | None = None,
+    ):
+        self.field = field
+        self.V = {} if V is None else V
+        self.L = {} if L is None else L
+        self.unknowns = [] if unknowns is None else unknowns
 
     @property
     def domain(self) -> Domain:
@@ -140,10 +145,11 @@ class LyapunovSeries:
         f[j], g[j] the numerators of F_d and G_d over their common
         denominator e_d (``read_ints``; zero outside 0..d), each nonzero
         weight of ``accumulate_rhs`` is a triple (j, f[j], g[j+1] - f[j])
-        for j = -1..d.  Converted once per series."""
-        out = {}
-        for d in range(2, self.field.degree + 1):
-            nums, e = read_ints(self.field.f_part(d).coeffs + self.field.g_part(d).coeffs)
+        for j = -1..d.  Converted once per series, reading only the degrees
+        stored in F or G, so the cost does not grow with the field's degree."""
+        vf, out = self.field, {}
+        for d in sorted(vf.F.keys() | vf.G.keys()):
+            nums, e = read_ints(vf.f_part(d).coeffs + vf.g_part(d).coeffs)
             f = [0] + nums[: d + 1]  # f[j] at index j + 1
             g = nums[d + 1 :] + [0]  # g[j + 1] at index j + 1
             stencil = [(j, fj, gj - fj) for j, fj, gj in zip(range(-1, d + 1), f, g) if fj or gj]

@@ -18,33 +18,33 @@ magnitude), or ``p/q``.  ``#`` starts a comment and unlisted terms are zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import FieldParseError, UsageError
 from .hpoly import HomogPoly
 from .scalars import RATIONAL, Domain, Scalar, exact_str
 
 
-@dataclass(frozen=True)
 class VectorField:
     """The nonlinear parts of a planar system with a linear center."""
 
-    degree: int
-    F: Mapping[int, HomogPoly]
-    G: Mapping[int, HomogPoly]
-    domain: Domain = RATIONAL
-
-    def __post_init__(self):
-        if self.degree < 2:
+    def __init__(
+        self,
+        degree: int,
+        F: Mapping[int, HomogPoly],
+        G: Mapping[int, HomogPoly],
+        domain: Domain = RATIONAL,
+    ):
+        if degree < 2:
             raise UsageError("vector field degree must be >= 2")
-        for name, parts in (("F", self.F), ("G", self.G)):
+        for name, parts in (("F", F), ("G", G)):
             for k, p in parts.items():
-                if not 2 <= k <= self.degree:
-                    raise UsageError(f"{name}_{k} outside the degree range 2..{self.degree}")
+                if not 2 <= k <= degree:
+                    raise UsageError(f"{name}_{k} outside the degree range 2..{degree}")
                 if p.degree != k:
                     raise UsageError(f"{name}_{k} has polynomial degree {p.degree}")
+        self.degree, self.F, self.G, self.domain = degree, F, G, domain
 
     def f_part(self, k: int) -> HomogPoly:
         return self.F.get(k, HomogPoly.zero(k))
@@ -53,9 +53,10 @@ class VectorField:
         return self.G.get(k, HomogPoly.zero(k))
 
     def is_homogeneous(self) -> bool:
-        """True when only the top-degree nonlinearity is present."""
+        """True when only the top-degree nonlinearity is present.  Reads only
+        the parts stored, so the cost does not grow with the degree."""
         return all(
-            self.f_part(k).is_zero() and self.g_part(k).is_zero() for k in range(2, self.degree)
+            p.is_zero() for parts in (self.F, self.G) for k, p in parts.items() if k < self.degree
         )
 
 

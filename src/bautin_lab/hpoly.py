@@ -26,22 +26,17 @@ them again returns the same objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Callable, Iterable, Sequence
 
 from .errors import UsageError
 from .scalars import Scalar, exact_str
 
 
-@dataclass(frozen=True)
 class HomogPoly:
     """Homogeneous polynomial of fixed degree in x and y."""
-
-    degree: int
-    coeffs: tuple
 
     def __init__(self, degree: int, coeffs: Sequence[Scalar]):
         if degree < 0:
@@ -51,8 +46,7 @@ class HomogPoly:
             raise UsageError(
                 f"degree-{degree} polynomial needs {degree + 1} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        self.degree, self.coeffs = degree, coeffs
 
     @classmethod
     def zero(cls, degree: int) -> "HomogPoly":
@@ -134,9 +128,7 @@ class ScaledPoly(HomogPoly):
             raise UsageError(
                 f"degree-{degree} polynomial needs {degree + 1} numerators over a positive den"
             )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        self.degree, self.nums, self.den = degree, nums, den
 
     @cached_property
     def coeffs(self) -> tuple:

@@ -51,18 +51,17 @@ from __future__ import annotations
 
 import numbers
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm, log10
-from typing import NamedTuple, Sequence, Union
 
 from .errors import NoResidueError, UsageError
 
 #: Unknowns are labelled by the (x-exponent, y-exponent) slot they stand for.
 UnknownId = tuple[int, int]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 _DIGITS = r"\d+(?:_\d+)*"
@@ -83,15 +82,15 @@ MAX_DECIMAL_EXPONENT = 10**5
 _INT_CHUNK = 4000
 
 
-class _Lowest(NamedTuple):
+class _Lowest:
     """A numerator and a positive denominator known to be coprime.
     ``Fraction`` takes any ``numbers.Rational``'s numerator and denominator
     as they are (the ABC asks for lowest terms), so ``Fraction(_Lowest(n,
     d))`` skips the gcd that ``Fraction(n, d)`` takes, which is quadratic in
     their length."""
 
-    numerator: int
-    denominator: int
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
 
 
 numbers.Rational.register(_Lowest)
@@ -288,15 +287,14 @@ def _decimal_str(x: Fraction, dps: int) -> str:
     return f"{sign}{text}e{'+' if exp > 0 else ''}{exp}"
 
 
-@dataclass(frozen=True)
 class LinearForm:
     """Affine expression ``const + sum coeffs[u] * u`` over formal unknowns,
     with the constant and the coefficients in one carrier (exact or
     rounded Fractions).  ``coeffs`` holds every unknown of its series,
     zeros included."""
 
-    const: Scalar
-    coeffs: dict[UnknownId, Scalar]
+    def __init__(self, const: Scalar, coeffs: dict[UnknownId, Scalar]):
+        self.const, self.coeffs = const, coeffs
 
 
 def read_ints(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -323,7 +321,6 @@ class _Reader:
         return x if self.exact else self.ratio(x.numerator, x.denominator)
 
 
-@dataclass(frozen=True)
 class RationalDomain(_Reader):
     """Exact rational coefficients (fractions.Fraction)."""
 
@@ -350,17 +347,16 @@ class RationalDomain(_Reader):
         return exact_str(x)
 
 
-@dataclass(frozen=True)
 class BigRealDomain(_Reader):
     """Extended-precision reals carrying ``dps`` (>= 30) decimal digits: each
     value is a Fraction m * 2^e with m of at most ``dps_to_prec(dps)`` bits."""
 
-    dps: int = 60
     exact = False
 
-    def __post_init__(self):
-        if self.dps < 30:
+    def __init__(self, dps: int = 60):
+        if dps < 30:
             raise UsageError("extended-precision domain needs at least 30 digits")
+        self.dps = dps
 
     def store_ints(self, nums: Sequence[int], den: int) -> tuple[list[int], int]:
         """Each exact value nums[i]/den rounded once, as ``ratio`` rounds it,
@@ -394,7 +390,6 @@ class BigRealDomain(_Reader):
         return _decimal_str(self.coerce(x), self.dps)
 
 
-@dataclass(frozen=True)
 class ResidueDomain(_Reader):
     """Residues modulo the prime p (a/b is a * b^-1 mod p).  A nonzero residue
     proves a rational nonzero, a zero one proves nothing: ``exact`` is False.
@@ -417,7 +412,7 @@ class ResidueDomain(_Reader):
         return num * pow(den, -1, self.p) % self.p
 
 
-Domain = Union[RationalDomain, BigRealDomain, ResidueDomain]
+Domain = RationalDomain | BigRealDomain | ResidueDomain
 
 RATIONAL = RationalDomain()
 

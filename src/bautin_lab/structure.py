@@ -27,9 +27,8 @@ quartic) the costliest rows, those of the highest constants, are never swept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .engine import (
     LyapunovSeries,
@@ -45,11 +44,11 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
 class GapProfile:
     """Predicted sparsity pattern for a homogeneous field of a given degree."""
 
-    degree: int
+    def __init__(self, degree: int):
+        self.degree = degree
 
     @property
     def step(self) -> int:
@@ -83,17 +82,20 @@ def gap_profile(n: int) -> GapProfile:
     return GapProfile(n)
 
 
-@dataclass(frozen=True)
 class GapViolation:
-    kind: str  # "V" | "L"
-    key: int   # degree for V, index for L
-    value: str
+    """An off-pattern term: kind "V" with its degree or "L" with its index,
+    and its value as text.  Violations compare equal field by field."""
+
+    def __init__(self, kind: str, key: int, value: str):
+        self.kind, self.key, self.value = kind, key, value
+
+    def __eq__(self, other):
+        return isinstance(other, GapViolation) and vars(self) == vars(other)
 
 
-@dataclass
 class GapReport:
-    violations: list[GapViolation]
-    all_constants_zero: bool
+    def __init__(self, violations: list[GapViolation], all_constants_zero: bool):
+        self.violations, self.all_constants_zero = violations, all_constants_zero
 
     @property
     def passed(self) -> bool:
@@ -152,7 +154,6 @@ def _leading_indices(n: int, homogeneous: bool) -> list[int]:
     return [m * step for m in range(1, center_number_bound(n, homogeneous) + 1)]
 
 
-@dataclass
 class PMatrix:
     """Square matrix sending the replaced V_k coefficients to the leading
     nontrivial Lyapunov constants.
@@ -164,11 +165,16 @@ class PMatrix:
     P * v + offsets = L with v the V_k coefficients of the plain series.
     """
 
-    entries: list[list[Scalar]]
-    row_labels: list[int]
-    col_labels: list[UnknownId]
-    row_offsets: list[Scalar]
-    domain: Domain
+    def __init__(
+        self,
+        entries: list[list[Scalar]],
+        row_labels: list[int],
+        col_labels: list[UnknownId],
+        row_offsets: list[Scalar],
+        domain: Domain,
+    ):
+        self.entries, self.row_labels, self.col_labels = entries, row_labels, col_labels
+        self.row_offsets, self.domain = row_offsets, domain
 
     @property
     def size(self) -> int:
@@ -274,7 +280,6 @@ def _det_rows(rows: Iterable[tuple[list[int], int]]) -> tuple[int, int]:
     return sign * det, scale
 
 
-@dataclass
 class CenterCertificate:
     """Outcome of the center test.
 
@@ -285,12 +290,18 @@ class CenterCertificate:
     general.  The weak-focus order is the exact one in both modes.
     """
 
-    verdict: str
-    center_bound: int
-    weak_focus_order: int | None = None
-    first_nonzero: tuple[int, Scalar] | None = None
-    det_p: Scalar | None = None
-    reason: str | None = None
+    def __init__(
+        self,
+        verdict: str,
+        center_bound: int,
+        weak_focus_order: int | None = None,
+        first_nonzero: tuple[int, Scalar] | None = None,
+        det_p: Scalar | None = None,
+        reason: str | None = None,
+    ):
+        self.verdict, self.center_bound = verdict, center_bound
+        self.weak_focus_order, self.first_nonzero = weak_focus_order, first_nonzero
+        self.det_p, self.reason = det_p, reason
 
     @property
     def exit_code(self) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -386,12 +387,17 @@ import contextlib, io, json, sys
 import bautin_lab
 from bautin_lab import cli, parse_vector_field
 
+def stdlib():
+    return [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]
+
 path = sys.argv[1]
+stages = {"import": stdlib()}
 missing = sorted(set(bautin_lab.__all__) - set(dir(bautin_lab)))
 with open(path, encoding="utf-8") as f:
     parse_vector_field(f.read())
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main([cmd, path]) for cmd in ("lyapunov", "gaps", "center-check")]
+stages["exact"] = stdlib()
 loaded = [m for m in ("mpmath", "bautin_lab.cubic_family") if m in sys.modules]
 runs = []
 for argv in (
@@ -401,30 +407,37 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         runs.append([cli.main(argv), out.getvalue()])
+    stages[argv[0] if argv[0] == "example-jl" else "float"] = stdlib()
 float_loaded = "mpmath" in sys.modules
 print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded, "runs": runs,
-                  "float_loaded": float_loaded}))
+                  "float_loaded": float_loaded, "stages": stages}))
 """
 
 
 def test_exact_work_loads_neither_mpmath_nor_the_cubic_family(tmp_path, capsys):
+    # nor dataclasses or inspect, at any stage; and under -S, where no site
+    # hook imports typing first, the package does not import typing either
     path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
     src = str(Path(bautin_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", _LAZY_PROBE, path],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    probe = json.loads(done.stdout)
-    assert probe["missing"] == []
-    assert probe["codes"] == [0, 0, 5]
-    assert probe["loaded"] == [] and probe["float_loaded"] is False
     expected = [
         list(run(capsys, "lyapunov", path, "--mode", "float", "-J", "2")[:2]),
         list(run(capsys, "center-check", path, "--mode", "float")[:2]),
         list(run(capsys, "example-jl", "--root", "1")[:2]),
     ]
-    assert probe["runs"] == expected
+    for flags, absent in (([], ["dataclasses", "inspect"]), (["-S"], ["dataclasses", "inspect", "typing"])):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _LAZY_PROBE, path],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        probe = json.loads(done.stdout)
+        assert probe["missing"] == []
+        assert probe["codes"] == [0, 0, 5]
+        assert probe["loaded"] == [] and probe["float_loaded"] is False
+        assert probe["runs"] == expected
+        assert list(probe["stages"]) == ["import", "exact", "float", "example-jl"]
+        for stage, loaded in probe["stages"].items():
+            assert not set(absent) & set(loaded), (flags, stage, loaded)
 
 
 def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):
@@ -624,6 +637,24 @@ def test_csv_quotes_values_that_hold_a_comma(capsys):
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows), argv
         assert dict(rows)[key] == value
+
+
+def test_cost_follows_the_parts_present_not_the_declared_degree(tmp_path, capsys):
+    # a quadratic declared of degree 20000 prints the quadratic's constants,
+    # and a field whose only part is F_20000 is homogeneous with L_1 = L_2 =
+    # 0.  Reading every absent degree 2..n as a zero polynomial made both
+    # quadratic in n: the first took 0.72 s at n = 2000 and over 60 s at
+    # n = 20000
+    quadratic = "F 2 0 1\nG 0 2 1\n"
+    want = run(capsys, "lyapunov", write_field(tmp_path, "q2.vf", "n 2\n" + quadratic), "-J", "2")
+    path = write_field(tmp_path, "q20000.vf", "n 20000\n" + quadratic)
+    t0 = time.process_time()
+    assert run(capsys, "lyapunov", path, "-J", "2") == want
+    assert time.process_time() - t0 < 2
+    vf = parse_vector_field("n 20000\nF 20000 0 1\n")
+    t0 = time.process_time()
+    assert vf.is_homogeneous() and compute_series(vf, 2).L == {1: 0, 2: 0}
+    assert time.process_time() - t0 < 2
 
 
 def test_example_jl_prints_a_long_b4_exactly(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ from bautin_lab import engine
 from bautin_lab.engine import compute_series, compute_series_unknown
 from bautin_lab.errors import NoResidueError, UsageError
 from bautin_lab.fields import (
+    VectorField,
     coerce_field,
     parse_vector_field,
     random_divergence_free_field,
@@ -460,7 +460,7 @@ def _near_centers():
     for n in (3, 4):
         vf = random_divergence_free_field(n, 1)
         bump = HomogPoly.monomial(2, 0, F(1, 10**45))
-        out.append(dataclasses.replace(vf, F={**vf.F, 2: poly_sum(vf.f_part(2), bump)}))
+        out.append(VectorField(n, {**vf.F, 2: poly_sum(vf.f_part(2), bump)}, vf.G))
     return out
 
 
@@ -517,7 +517,7 @@ def test_float_center_check_raises_on_a_non_finite_coefficient():
     # a library float field holding nan is an error, not a verdict
     dom = BigRealDomain(dps=60)
     vf = coerce_field(random_field(2, 0), dom)
-    bad = dataclasses.replace(vf, F={**vf.F, 2: HomogPoly.monomial(2, 0, float("nan"))})
+    bad = VectorField(2, {**vf.F, 2: HomogPoly.monomial(2, 0, float("nan"))}, vf.G, dom)
     with pytest.raises(UsageError, match="nan") as info:
         center_check(bad, dom)
     assert not isinstance(info.value, NoResidueError)
