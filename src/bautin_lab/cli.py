@@ -20,8 +20,7 @@ import argparse
 import json
 import re
 import sys
-import traceback
-from pathlib import Path
+from functools import cache
 
 from .engine import compute_series
 from .errors import SolverInternalError, UsageError
@@ -69,7 +68,11 @@ def _load_field(args: argparse.Namespace, domain: Domain) -> VectorField:
     if args.seed is not None:
         raise UsageError("--seed applies only to random:<n> sources")
     try:
-        text = sys.stdin.read() if src == "-" else Path(src).read_text(encoding="utf-8")
+        if src == "-":
+            text = sys.stdin.read()
+        else:
+            with open(src, encoding="utf-8") as fh:
+                text = fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{src}: not UTF-8 text ({exc.reason})") from None
     return parse_vector_field(text, domain)
@@ -213,6 +216,7 @@ def cmd_example_jl(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process (about 1 ms each): parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bautin-lab",
@@ -264,8 +268,7 @@ def _attach_negative_b4(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_b4(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_negative_b4(sys.argv[1:] if argv is None else argv))
     handlers = {
         "lyapunov": cmd_lyapunov,
         "gaps": cmd_gaps,
@@ -282,6 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except Exception:
         # any other failure is a defect of the program, not of its input
+        import traceback  # loaded by this branch only
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -71,20 +71,20 @@ coefficients (the linear parts of the Lyapunov constants).
 the per-degree loop with every pinned block at zero, and the linear part of
 each L_j from one reverse sweep: the covector that reads L_j off R_(2j+2)
 is carried down the degrees through the transposes of the solve and of the
-stencil, and at each pinned block it is that block's coefficients.  A
-column then stands for one full V_k coefficient, the attribution of the
-published tables.  The sweep for L_j stops at the lowest pinned degree, so
-it pays only for the degrees up to 2j+2, and it computes on ints with one
-gcd per degree.  ``covector_rows`` yields these linear parts one row, and
-one sweep, at a time as integer rows, so a caller that needs only det P
-sweeps no row it does not draw and makes no offset run;
-``compute_series_unknown`` stores each coefficient once by the domain,
-exact or rounded once in float mode.
+stencils, gathered in one pass per degree, and at each pinned block it is
+that block's coefficients.  A column then stands for one full V_k
+coefficient, the attribution of the published tables.  The sweep for L_j
+stops at the lowest pinned degree, so it pays only for the degrees up to
+2j+2, and it computes on ints with one gcd per degree.  ``covector_rows``
+yields these linear parts one row, and one sweep, at a time as integer
+rows, so a caller that needs only det P sweeps no row it does not draw and
+makes no offset run; ``compute_series_unknown`` stores each coefficient
+once by the domain, exact or rounded once in float mode.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
@@ -509,70 +509,64 @@ def _covectors(
     blocks: per degree k in ``replaced``, the covector (w, den) with
     L = <w, V_k> / den + (terms in the other blocks and the offset).
 
-    One reverse sweep from the covector that reads L off R_K: at each degree
-    the transpose of the solve (``_solve_transpose``) gives the covector on
-    R_k, and the transpose of the stencil (``_stencil_transpose``) hands it
-    down to the V_m that R_k is built from.  A replaced block is pinned, so
-    its covector is read off and not handed further down; the sweep stops at
-    the lowest replaced degree."""
+    One reverse sweep from the covector that reads L off R_K.  The covector
+    r on the numerators of each R_k, reduced by one gcd and padded with a
+    zero at each end, is kept until the last degree that reads it, k + 1 -
+    (top field degree).  The covector on each lower V_m is gathered in one
+    list from the taps of every kept R_(m+d-1) (``_gather``), each scaled
+    to the lcm of their denominators and, at a solved degree, by the chain
+    scale that ``_solve_transpose`` expects.  A replaced block is pinned, so
+    its covector is read off and not handed further down; the sweep stops
+    at the lowest replaced degree."""
     low = min(replaced)
     terms = series._field_terms
-    pending: dict[int, list[tuple[list[int], int]]] = {}
+    top = max(terms, default=0)  # a field with no nonlinear part reads nothing
     out = {k: ([0] * (k + 1), 1) for k in replaced}
+    kept: dict[int, tuple[list[int], int]] = {}  # k -> ([0, *r, 0], den) on R_k
     for k in range(K, low - 1, -1):
+        kept.pop(k + top, None)  # read last at degree k + 1
         if k == K:
             r, den = _solve_transpose(k, [0] * (k + 1), 1), _chain_constants(k)[0]
         else:
-            parts = pending.pop(k, None)
-            if not parts:
+            taps = [(st, *kept[k + d - 1], e) for d, (st, e) in terms.items() if k + d - 1 in kept]
+            if not taps:
                 continue
-            den = lcm(*(d for _, d in parts))
-            w = [0] * (k + 1)
-            for part, d in parts:
-                if d != den:
-                    part = [c * (den // d) for c in part]
-                w = list(map(add, w, part))
+            den = lcm(*(dr * e for _, _, dr, e in taps))
+            s0 = 1 if k in replaced else _chain_constants(k)[0]
+            w = _gather(k, [(st, r, s0 * den // (dr * e)) for st, r, dr, e in taps])
             if k in replaced:
                 out[k] = (w, den)
                 continue
             if not any(w):
                 continue
-            r, den = _solve_transpose(k, w), den * _chain_constants(k)[0]
+            r, den = _solve_transpose(k, w), den * s0
         red = gcd(*r, den)
-        if red > 1:
-            r, den = [x // red for x in r], den // red
-        for d, (stencil, e) in terms.items():
-            m = k + 1 - d
-            if m >= low:
-                pending.setdefault(m, []).append((_stencil_transpose(r, stencil, m), den * e))
+        kept[k] = ([0, *r, 0], den) if red == 1 else ([0, *(x // red for x in r), 0], den // red)
     return out
 
 
-def _stencil_transpose(r: list[int], stencil: list[tuple[int, int, int]], m: int) -> list[int]:
-    """The covector on V_m that ``accumulate_rhs``'s stencil of one field
-    degree d hands back from the covector r on the numerators of R_k
-    (k = m + d - 1): the correlation
-
-        w[a] = sum over j of r[a+j] * (m f[j] + a (g[j+1] - f[j])),
-
-    with r zero outside 0..k, so <r, stencil(v)> = <w, v> exactly."""
-    r = [0, *r, 0]  # slots -1..k+1
-    w = [0] * (m + 1)
-    for j, fj, step in stencil:
-        w = list(map(add, w, map(mul, r[j + 1 : j + m + 2], count(m * fj, step))))
-    return w
+def _gather(m: int, taps: list[tuple[list[tuple[int, int, int]], list[int], int]]) -> list[int]:
+    """The covector w on V_m that ``accumulate_rhs``'s stencils hand back
+    from the covectors r (padded with a zero at each end) on the R_k it
+    enters, one tap (stencil of field degree d = k + 1 - m, r, scale s) each:
+    w[a] = sum over taps of s * sum over j of r[a+j] (m f[j] + a (g[j+1] - f[j])),
+    so <w, v> = sum over taps of s * <r, stencil(v)> exactly."""
+    # a list, not a generator, unpacked into zip: the generator left the
+    # peak RSS of repeated center checks about 2 MB higher (measured)
+    products = [map(mul, r[j + 1 : j + m + 2], count(s * m * fj, s * step))
+                for stencil, r, s in taps for j, fj, step in stencil]
+    return list(map(sum, zip(*products)))
 
 
-def _solve_transpose(k: int, w: Sequence[int], t: int = 0) -> list[int]:
+def _solve_transpose(k: int, w: list[int], t: int = 0) -> list[int]:
     """The transpose of ``_solve_ints``: for V, L the rotational solve of R,
-    the covector g on R with <g, R> = scale * (<w, V> + t * L), where scale
-    is that of ``_chain_constants(k)``.  The forward steps of the parity
-    chains are undone in reverse order; w is scaled by ``scale`` first.
-    Each source numerator enters one forward step, so each quotient is, up
-    to sign, one entry of the integer covector g, and every step is an
-    exact floor division, as in the forward solve."""
+    the covector g on R with <g, R> = <w, V> + scale * t * L, where scale
+    is that of ``_chain_constants(k)``; w comes multiplied by scale and is
+    overwritten.  The forward steps of the parity chains are undone in
+    reverse order.  Each source numerator enters one forward step, so each
+    quotient is, up to sign, one entry of the integer covector g, and every
+    step is an exact floor division, as in the forward solve."""
     scale, odd, unit, close = _chain_constants(k)
-    w = [scale * x for x in w]
     g = [0] * (k + 1)
 
     def up(slots):  # undo v[b+1] = ((k-b+1) v[b-1] - c[b]) / (b+1)

@@ -17,7 +17,6 @@ magnitude), or ``p/q``.  ``#`` starts a comment and unlisted terms are zero.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -132,11 +131,14 @@ def serialize_vector_field(vf: VectorField) -> str:
 # -- random families for tests and the CLI's seeded inputs ------------------
 
 
+def _rng(seed: int) -> random.Random:
+    import random  # loaded by the seeded generators only
+    return random.Random(seed)
+
+
 def _random_fraction(rng: random.Random) -> Fraction:
     """p/q with |p| <= 9 and 1 <= q <= 9."""
-    num = rng.randint(-9, 9)
-    den = rng.randint(1, 9)
-    return Fraction(num, den)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 def _random_part(k: int, rng: random.Random) -> HomogPoly:
@@ -146,13 +148,13 @@ def _random_part(k: int, rng: random.Random) -> HomogPoly:
 def random_homogeneous_field(n: int, seed: int) -> VectorField:
     """Degree-n field with only the top-degree parts populated, small random
     rational coefficients."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     return VectorField(n, {n: _random_part(n, rng)}, {n: _random_part(n, rng)})
 
 
 def random_field(n: int, seed: int) -> VectorField:
     """Degree-n field with every level 2..n populated."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     F = {k: _random_part(k, rng) for k in range(2, n + 1)}
     G = {k: _random_part(k, rng) for k in range(2, n + 1)}
     return VectorField(n, F, G)
@@ -161,7 +163,7 @@ def random_field(n: int, seed: int) -> VectorField:
 def random_divergence_free_field(n: int, seed: int, homogeneous: bool = False) -> VectorField:
     """Hamiltonian construction: F_k = dH/dy, G_k = -dH/dx for random
     homogeneous H of each degree k+1, which forces dF/dx + dG/dy == 0."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     levels = [n] if homogeneous else range(2, n + 1)
     F: dict[int, HomogPoly] = {}
     G: dict[int, HomogPoly] = {}
@@ -175,7 +177,7 @@ def random_divergence_free_field(n: int, seed: int, homogeneous: bool = False) -
 def random_reversible_field(n: int, seed: int, homogeneous: bool = False) -> VectorField:
     """Field symmetric under (x, t) -> (-x, -t): F keeps only even x-exponents
     and G only odd ones."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     levels = [n] if homogeneous else range(2, n + 1)
     F: dict[int, HomogPoly] = {}
     G: dict[int, HomogPoly] = {}
@@ -190,7 +192,7 @@ def random_reversible_field(n: int, seed: int, homogeneous: bool = False) -> Vec
 def rotational_family_field(n: int, seed: int) -> VectorField:
     """F_n = y*Phi, G_n = -x*Phi for random homogeneous Phi of degree n-1,
     so the direct drive x*F_n + y*G_n cancels identically."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     phi = _random_part(n - 1, rng)
     y = HomogPoly.monomial(0, 1)
     x = HomogPoly.monomial(1, 0)

@@ -388,7 +388,8 @@ import bautin_lab
 from bautin_lab import cli, parse_vector_field
 
 def stdlib():
-    return [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]
+    names = ("dataclasses", "inspect", "typing", "traceback", "pathlib", "random")
+    return [m for m in names if m in sys.modules]
 
 path = sys.argv[1]
 stages = [stdlib()]  # after the import, the exact runs and each float run
@@ -416,7 +417,9 @@ print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded, "runs": 
 
 def test_exact_work_loads_neither_mpmath_nor_the_cubic_family(tmp_path, capsys):
     # nor dataclasses or inspect, at any stage; and under -S, where no site
-    # hook imports typing first, the package does not import typing either
+    # hook imports typing first, the package does not import typing either,
+    # nor, up to the end of the exact runs, traceback, pathlib or random
+    # (the internal-error branch, and the seeded generators, load them)
     path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
     src = str(Path(bautin_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -438,6 +441,40 @@ def test_exact_work_loads_neither_mpmath_nor_the_cubic_family(tmp_path, capsys):
         assert len(probe["stages"]) == 5
         for stage, loaded in enumerate(probe["stages"]):
             assert not set(absent) & set(loaded), (flags, stage, loaded)
+        if flags:
+            assert probe["stages"][:2] == [[], []]
+
+
+def test_the_parser_is_built_once_and_parses_as_a_fresh_one(tmp_path, capsys):
+    # one cached parser, after a usage error and the other commands, prints
+    # byte for byte what a freshly built one prints, with the same exit code
+    path = write_field(tmp_path, "cubic.vf", "n 3\nF 3 0 1\n")
+    calls = [
+        ["lyapunov", path, "--output", "xml"],
+        ["lyapunov", path, "--output", "csv"],
+        ["center-check", path],
+        ["example-jl", "--root", "1", "--b4", "-1/2"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    parser = cli.build_parser()
+    cached = [outcome(argv) for argv in calls]
+    assert cli.build_parser() is parser
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cli.build_parser() is not parser
+    assert [code for code, _, _ in cached] == [2, 0, 5, 0]
+    assert "invalid choice: 'xml'" in cached[0][2]
+    assert cached == fresh
 
 
 def test_center_check_float_mode_resolved_cubic(tmp_path, capsys):

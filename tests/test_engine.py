@@ -181,8 +181,11 @@ def test_accumulate_edge_stencils(monkeypatch):
 
 
 def test_stencil_transpose_against_accumulate():
-    # <r, R_k> = <stencil_transpose(r), V_m> / e_d exactly, for a series
-    # holding only V_m, whose R_k (k = m+d-1) is the one term of degree d
+    # the gather of the reverse sweep is the transpose of the stencils: for a
+    # series holding only V_m, whose R_k (k = m+d-1) is the one term of
+    # degree d, sum over d of s_d <r_d, R_k> / e_d = <w, V_m> for covectors
+    # r_d on the numerators of R_k, gathered with scales s_d one tap at a
+    # time and all together
     rng = random.Random(11)
     fields = [parse_vector_field(text) for text in EDGE_FIELDS]
     fields += [random_field(n, seed=50 + n) for n in (2, 3, 4, 5)]
@@ -192,13 +195,18 @@ def test_stencil_transpose_against_accumulate():
         for m in (2, 3, 6, 9):
             V = ScaledPoly(m, [rng.randint(-99, 99) for _ in range(m + 1)], rng.randint(1, 99))
             series = LyapunovSeries(vf, V={m: V})
+            taps, want = [], 0
             for d, (stencil, e) in series._field_terms.items():
                 k = m + d - 1
                 num, den = accumulate_rhs(series, k)
-                r = [rng.randint(-99, 99) for _ in range(k + 1)]
-                w = engine._stencil_transpose(r, stencil, m)
-                lhs = F(sum(map(operator.mul, r, num.coeffs)), den)
+                r, s = [rng.randint(-99, 99) for _ in range(k + 1)], rng.randint(1, 9)
+                taps.append((stencil, [0, *r, 0], s))
+                lhs = F(s * sum(map(operator.mul, r, num.coeffs)), den)
+                w = engine._gather(m, taps[-1:])
                 assert lhs == F(sum(map(operator.mul, w, V.nums)), V.den * e), (vf, m, d)
+                want += lhs * e
+            w = engine._gather(m, taps)
+            assert want == F(sum(map(operator.mul, w, V.nums)), V.den), (vf, m)
 
 
 def test_float_series_wide_exponent_range():
@@ -472,7 +480,7 @@ def test_solve_transpose_against_dense_solve():
         if k % 2 == 0:
             draws += [([0] * (k + 1), 1), ([rng.randint(-99, 99) for _ in range(k + 1)], -7)]
         for w, t in draws:
-            g = engine._solve_transpose(k, w, t)
+            g = engine._solve_transpose(k, [scale * x for x in w], t)
             assert all(type(x) is int for x in g)
             want = sum(map(operator.mul, w, V.coeffs)) + (t * L if t else 0)
             assert sum(map(operator.mul, g, R.coeffs)) == scale * want, (k, t)
@@ -503,7 +511,7 @@ def test_chain_solve_is_exact_at_every_degree_to_202():
             lhs = (b + 1) * padded[b + 2] - (k - b + 1) * padded[b] + scale * R[b]
             assert lhs == l * cp[b], (k, b)
         w, t = draw(k + 1), (draw(1)[0] if k % 2 == 0 else 0)
-        g = engine._solve_transpose(k, w, t)
+        g = engine._solve_transpose(k, [scale * x for x in w], t)
         assert all(type(x) is int for x in g), k
         assert sum(map(operator.mul, g, R)) == sum(map(operator.mul, w, v)) + t * l, k
 
@@ -614,6 +622,9 @@ def test_p_matrix_equals_pinned_forward_runs():
     fields = [make(n, seed) for n in range(2, 7) for seed in range(3)
               for make in (random_field, random_homogeneous_field)]
     fields += [parse_vector_field("n 3\n"), parse_vector_field("n 3\nF 2 0 1\n")]
+    # the benchmark's centers: general divergence-free and reversible fields
+    fields += [make(n, seed=n) for n in (4, 5)
+               for make in (random_divergence_free_field, random_reversible_field)]
     for vf in fields:
         P = build_p_matrix(vf)
         levels = [vf.degree] if vf.is_homogeneous() else range(2, vf.degree + 1)
