@@ -67,24 +67,24 @@ independent coefficients of the V_(k+1) blocks at selected levels k.  Each
 degree's solve is linear in R_K, and R_K is linear in the lower V terms, so
 once those blocks are pinned every later L is exactly affine in their
 coefficients (the linear parts of the Lyapunov constants).
-``compute_series_unknown`` takes the constant parts from one plain run of
-the per-degree loop with every pinned block at zero, and the linear part of
-each L_j from one reverse sweep: the covector that reads L_j off R_(2j+2)
-is carried down the degrees through the transposes of the solve and of the
-stencils, gathered in one pass per degree, and at each pinned block it is
-that block's coefficients.  A column then stands for one full V_k
-coefficient, the attribution of the published tables.  The sweep for L_j
-stops at the lowest pinned degree, so it pays only for the degrees up to
-2j+2, and it computes on ints with one gcd per degree.  ``covector_rows``
-yields these linear parts one row, and one sweep, at a time as integer
-rows, so a caller that needs only det P sweeps no row it does not draw and
-makes no offset run; ``compute_series_unknown`` stores each coefficient
-once by the domain, exact or rounded once in float mode.
+``compute_series_unknown`` takes both parts of each L_j from one reverse
+sweep: the covector that reads L_j off R_(2j+2) is carried down the degrees
+through the transposes of the solve and of the stencils, gathered in one
+pass per degree, and at each pinned block it is that block's coefficients.
+L_j is linear in V_2 and the pinned blocks together, so the sweep carries
+on to V_2 = (x^2+y^2)/2 as one more pinned input, and its covector there
+gives the constant part (every pinned block at zero), exact: no forward
+series is run.  A column stands for one full V_k coefficient, the
+attribution of the published tables.  The sweep for L_j pays only for the
+degrees up to 2j+2, on ints with one gcd per degree.  ``covector_rows``
+yields the linear parts one row, and one sweep, at a time, so a caller that
+needs only det P sweeps no row it does not draw; ``compute_series_unknown``
+stores each value once by the domain, rounded once in float mode.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
@@ -394,11 +394,13 @@ def compute_series(vf: VectorField, J: int) -> LyapunovSeries:
     """Plain series: V_3..V_(2J+2) and L_1..L_J in the field's domain."""
     if J < 1:
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
-    return extend_series(_start(vf), J)
+    half = vf.domain.coerce(Fraction(1, 2))
+    return extend_series(LyapunovSeries(vf, V={2: _scaled(HomogPoly(2, [half, 0, half]))}), J)
 
 
 def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
-    """Continue a plain series in place until L_J is solved.
+    """Continue a plain series in place until L_J is solved, one degree at a
+    time; every V_k is stored in integer form (``_scaled``).
 
     Lets callers that only need the first nonzero constant grow the budget
     one pattern index at a time instead of paying for the full run up front.
@@ -406,16 +408,6 @@ def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
     """
     if 2 not in series.V:
         raise UsageError("only plain-mode series can be extended")
-    return _extend(series, J, {})
-
-
-def _extend(
-    series: LyapunovSeries, J: int, pins: Mapping[int, HomogPoly]
-) -> LyapunovSeries:
-    """The per-degree loop behind every series.  At a degree k in ``pins``
-    the solved V_k is replaced by the pinned block ``pins[k]``; the constant
-    keeps the value solved from the full source term, which never involves
-    V_k.  Every V_k is stored in integer form (``_scaled``)."""
     domain = series.domain
     zero = domain.coerce(0)
     for k in range(series.max_degree + 1, 2 * J + 3):
@@ -425,32 +417,25 @@ def _extend(
             Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
         else:
             Vk, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), domain)
-        series.V[k] = _scaled(pins.get(k, Vk))
+        series.V[k] = _scaled(Vk)
         if L is not None:
             series.L[k // 2 - 1] = L
     return series
 
 
-def _start(vf: VectorField) -> LyapunovSeries:
-    """A plain series holding only V_2 = (x^2+y^2)/2."""
-    half = vf.domain.coerce(Fraction(1, 2))
-    return LyapunovSeries(vf, V={2: _scaled(HomogPoly(2, [half, 0, half]))})
-
-
-def compute_series_unknown(
-    vf: VectorField, levels: Iterable[int], J: int
-) -> LyapunovSeries:
+def compute_series_unknown(vf: VectorField, levels: Iterable[int], J: int) -> LyapunovSeries:
     """The certificate series: at each degree k+1 with k in ``levels`` every
     independent coefficient of the full block V_(k+1) stands for a formal
     unknown (the tie-break slot carries none), and each L_j of the result is
     the affine form ``LinearForm(c, {slot: a})`` in them, with one
     coefficient per unknown in registration order, zeros included.  ``V`` is
-    empty.
+    empty, and no forward series is run.
 
-    The constant c is the L_j of the offset run, which starts from
-    V_2 = (x^2+y^2)/2 with every replaced block pinned at zero.  The
-    coefficients of L_j are the exact row of ``covector_rows``, stored once
-    (``store_ints``).  A constant solved at a replaced even degree never
+    Both parts of L_j come from one reverse sweep (``_covectors``) with
+    V_2 = (x^2+y^2)/2 as one more replaced block: the coefficients are the
+    row of ``covector_rows``, and c = <w_2, V_2> / den_2, L_j with every
+    replaced block at zero.  Each is stored once by the domain, exact or
+    rounded once.  A constant solved at a replaced even degree never
     involves that block, so with no lower levels selected (the homogeneous
     case) its coefficients are all zero.
     """
@@ -463,13 +448,14 @@ def compute_series_unknown(
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
     domain = vf.domain
     degrees = [k + 1 for k in levels if k + 1 <= 2 * J + 2]
-    unknowns = _unknown_slots(degrees)
-    series = _extend(_start(vf), J, {k: HomogPoly.zero(k) for k in degrees})
-    forms = {}
-    for (j, c), (row, den) in zip(series.L.items(), covector_rows(series, degrees, series.L)):
-        nums, den = domain.store_ints(row, den)
-        forms[j] = LinearForm(c, {uid: domain.ratio(x, den) for uid, x in zip(unknowns, nums)})
-    return LyapunovSeries(vf, L=forms, unknowns=unknowns)
+    series = LyapunovSeries(vf, unknowns=_unknown_slots(degrees))
+    for j in range(1, J + 1):
+        blocks = _covectors(series, 2 * j + 2, [2, *degrees])
+        w2, den2 = blocks.pop(2)
+        nums, den = domain.store_ints(*_stacked(blocks, series.unknowns))
+        coeffs = {uid: domain.ratio(x, den) for uid, x in zip(series.unknowns, nums)}
+        series.L[j] = LinearForm(domain.ratio(w2[0] + w2[2], 2 * den2), coeffs)
+    return series
 
 
 def _unknown_slots(degrees: Iterable[int]) -> list[UnknownId]:
@@ -491,15 +477,21 @@ def covector_rows(
     replaced blocks V_k, k in ``degrees`` (ascending), as integer numerators
     over one positive denominator, one column per unknown of
     ``_unknown_slots(degrees)``.  Each row is one reverse sweep
-    (``_covectors``) with its blocks put over their lcm, the exact values of
-    the field ``series`` holds; a row is swept only when it is drawn.  Only
-    ``series._field_terms`` is read, so ``LyapunovSeries(vf)`` serves."""
+    (``_covectors``) with its blocks put over their lcm (``_stacked``), the
+    exact values of the field ``series`` holds; a row is swept only when it
+    is drawn.  Only ``series._field_terms`` is read, so
+    ``LyapunovSeries(vf)`` serves."""
     slots = _unknown_slots(degrees)
     for j in rows:
-        blocks = _covectors(series, 2 * j + 2, degrees)
-        den = lcm(*(d for _, d in blocks.values()))
-        scaled = {k: [x * (den // d) for x in w] for k, (w, d) in blocks.items()}
-        yield [scaled[i + a][a] for i, a in slots], den
+        yield _stacked(_covectors(series, 2 * j + 2, degrees), slots)
+
+
+def _stacked(blocks: dict, slots: list[UnknownId]) -> tuple[list[int], int]:
+    """The covectors (w, den) of the replaced blocks V_k, put over their lcm
+    and read as one row: the entry of slot (i, a) is w[a] of V_(i+a)."""
+    den = lcm(*(d for _, d in blocks.values()))
+    scaled = {k: [x * (den // d) for x in w] for k, (w, d) in blocks.items()}
+    return [scaled[i + a][a] for i, a in slots], den
 
 
 def _covectors(
@@ -507,7 +499,8 @@ def _covectors(
 ) -> dict[int, tuple[list[int], int]]:
     """The linear part of the constant solved at degree K in the replaced
     blocks: per degree k in ``replaced``, the covector (w, den) with
-    L = <w, V_k> / den + (terms in the other blocks and the offset).
+    L = <w, V_k> / den + (terms in the other blocks), V_2 among them unless
+    2 is replaced; with 2 replaced L is the sum of these terms alone.
 
     One reverse sweep from the covector that reads L off R_K.  The covector
     r on the numerators of each R_k, reduced by one gcd and padded with a
@@ -517,7 +510,9 @@ def _covectors(
     to the lcm of their denominators and, at a solved degree, by the chain
     scale that ``_solve_transpose`` expects.  A replaced block is pinned, so
     its covector is read off and not handed further down; the sweep stops
-    at the lowest replaced degree."""
+    at the lowest replaced degree.  Degree 2 is read off like any other
+    replaced degree (it has no solve), and a covector that no tap reaches
+    stays zero."""
     low = min(replaced)
     terms = series._field_terms
     top = max(terms, default=0)  # a field with no nonlinear part reads nothing

@@ -27,7 +27,7 @@ coefficient, each Lyapunov constant and det P once.
 c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i in one
 carrier.  Nothing computes with forms: Lyapunov constants are exactly affine
 in the replaced block coefficients, so the engine fills the record in from
-one plain run (c0) and one reverse sweep per constant (the c_i; see
+one reverse sweep per constant (c0 and the c_i; see
 ``engine.compute_series_unknown``), and the certificate matrix reads its
 entries off it.
 

@@ -320,8 +320,13 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     Float mode first reduces the values ``vf`` holds modulo the prime p of
     ``ResidueDomain``.  No nonzero residue, or a denominator divisible by p,
     gives "inconclusive"; a nonzero residue proves that constant nonzero, so
-    the exact search stops at it at the latest and never reaches P.
+    the exact search stops at it at the latest and never reaches P.  The
+    work follows the declared n: a field with no nonzero part at n is refused.
     """
+    top = max((k for part in (vf.F, vf.G) for k, p in part.items() if not p.is_zero()), default=0)
+    if top != vf.degree:
+        held = f"highest nonzero part has degree {top}" if top else "field has no nonzero part"
+        raise UsageError(f"the header declares degree {vf.degree} but the {held}")
     if domain is None:
         domain = vf.domain
     pattern = _leading_indices(vf.degree, vf.is_homogeneous())
@@ -352,8 +357,8 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
 def _certificate_det(vf: VectorField) -> Fraction:
     """det P of an exact field, equal to ``build_p_matrix(vf).determinant()``.
     The rows are swept (``covector_rows``) as the elimination draws them, so
-    a zero det stops at the first dependent row, and no offset run is made
-    (only the linear parts enter det P)."""
+    a zero det stops at the first dependent row, and the sweeps stop at the
+    lowest replaced block: only the linear parts enter det P, no offset."""
     rows, degrees = _certificate_shape(vf)
     return RATIONAL.ratio(*_det_rows(covector_rows(LyapunovSeries(vf), degrees, rows)))
 

@@ -9,7 +9,8 @@ expansion on Fractions, the oracle of the fraction-free elimination.  Sums are t
 package's polynomials have no addition.  ``gcd_reduced`` is the one-gcd
 reduction that ``RationalDomain.store_ints`` is checked against, and
 ``mp_round`` (mpmath's correctly rounded division) the rounding of
-``BigRealDomain``.
+``BigRealDomain``.  ``pinned_run`` is the forward loop with chosen blocks
+pinned, the oracle of the certificate series' linear parts and offsets.
 """
 
 from fractions import Fraction
@@ -17,9 +18,9 @@ from math import gcd
 
 import mpmath
 
-from bautin_lab.engine import LyapunovSeries, accumulate_rhs
+from bautin_lab.engine import LyapunovSeries, accumulate_rhs, rotational_solve
 from bautin_lab.fields import VectorField
-from bautin_lab.hpoly import HomogPoly, circle_power
+from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
 
 
 def poly_sum(*polys: HomogPoly) -> HomogPoly:
@@ -76,6 +77,24 @@ def residual(series: LyapunovSeries, k: int) -> HomogPoly:
     if L is not None:
         terms.append(circle_power(k // 2).map_coeffs(lambda b: -L * b))
     return poly_sum(*terms)
+
+
+def pinned_run(vf: VectorField, J: int, pins, v2=None) -> LyapunovSeries:
+    """The per-degree loop up to L_J from V_2 = ``v2`` (by default
+    (x^2+y^2)/2), with V_k replaced by ``pins[k]`` at each degree k in
+    ``pins``; a constant solved at a pinned degree keeps its value from the
+    full source term, which never involves that block."""
+    if v2 is None:
+        half = vf.domain.coerce(Fraction(1, 2))
+        v2 = HomogPoly(2, [half, 0, half])
+    series = LyapunovSeries(vf, V={2: v2})
+    for k in range(3, 2 * J + 3):
+        num, den = accumulate_rhs(series, k)
+        V, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), vf.domain)
+        series.V[k] = pins.get(k, V)
+        if L is not None:
+            series.L[k // 2 - 1] = L
+    return series
 
 
 def divergence_is_zero(vf: VectorField) -> bool:

@@ -16,6 +16,7 @@ import bautin_lab
 from bautin_lab import cli, structure
 from bautin_lab.cli import main
 from bautin_lab.engine import compute_series
+from bautin_lab.errors import UsageError
 from bautin_lab.fields import (
     coerce_field,
     parse_vector_field,
@@ -691,6 +692,34 @@ def test_cost_follows_the_parts_present_not_the_declared_degree(tmp_path, capsys
     t0 = time.process_time()
     assert vf.is_homogeneous() and compute_series(vf, 2).L == {1: 0, 2: 0}
     assert time.process_time() - t0 < 2
+
+
+def test_center_check_refuses_a_header_above_the_parts_present(tmp_path, capsys):
+    # center-check sizes its work by the header's n, (n^2 + 4n - 4)/2
+    # constants: at n = 20000 about 2*10^8 indices.  A header above the
+    # highest nonzero part, or a field with none, is refused before any of
+    # it is built; the child's address space is capped at 1 GiB, so building
+    # them would end in MemoryError (exit 3) or worse, not in exit 1
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(bautin_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "bautin_lab", "center-check", "-"],
+        input="n 20000\nF 2 0 1\nG 0 2 1\n", env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=cap,
+    )
+    assert (done.returncode, done.stdout) == (1, ""), done.stderr[-500:]
+    assert "Traceback" not in done.stderr
+    assert "degree 20000" in done.stderr and "degree 2\n" in done.stderr
+    for text, held in (("n 3\n", "no nonzero part"), ("n 4\nF 3 0 1\nF 4 0 0\n", "degree 3")):
+        code, out, err = run(capsys, "center-check", write_field(tmp_path, "f.vf", text))
+        assert (code, out) == (1, "") and held in err, text
+    with pytest.raises(UsageError, match="degree 5"):
+        center_check(parse_vector_field("n 5\nG 0 2 1\n"))
 
 
 def test_example_jl_prints_a_long_b4_exactly(capsys):

@@ -30,7 +30,7 @@ from bautin_lab.fields import (
 from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
 from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm, ResidueDomain, exact_str
 from bautin_lab.structure import build_p_matrix, gap_profile
-from oracles import mp_round, poly_sum, residual, scaled_field, stored_field
+from oracles import mp_round, pinned_run, poly_sum, residual, scaled_field, stored_field
 
 
 def F(*args):
@@ -358,7 +358,7 @@ def test_unknown_mode_matches_pinned_runs_at_any_assignment():
         pins = {k + 1: HomogPoly.zero(k + 1) for k in levels}
         for (i, a), c in values.items():
             pins[i + a] = poly_sum(pins[i + a], HomogPoly.monomial(i, a, c))
-        pinned = engine._extend(engine._start(vf), J, pins)
+        pinned = pinned_run(vf, J, pins)
         assert {j: _evaluate(form, values) for j, form in series.L.items()} == pinned.L, vf
 
 
@@ -377,6 +377,11 @@ def test_budget_and_validation():
     # the certificate series holds no V_2 to continue from
     with pytest.raises(UsageError):
         extend_series(compute_series_unknown(vf, [2], 3), 4)
+    # a level whose block lies above the budget leaves no unknowns, and L_1
+    # keeps its plain value
+    general = random_field(4, seed=1)
+    lone = compute_series_unknown(general, [4], 1)
+    assert lone.unknowns == [] and lone.L[1].const == compute_series(general, 1).L[1]
 
 
 FAMILIES = (
@@ -613,8 +618,7 @@ def _pinned_columns(vf, levels, J):
             if k % 2 == 0 and (k - a, a) == tiebreak_slot(k):
                 continue
             pins = {**zero_blocks, k: HomogPoly.monomial(k - a, a, vf.domain.coerce(1))}
-            zero_start = LyapunovSeries(vf, V={2: ScaledPoly(2, [0, 0, 0], 1)})
-            columns[k - a, a] = engine._extend(zero_start, J, pins).L
+            columns[k - a, a] = pinned_run(vf, J, pins, v2=HomogPoly.zero(2)).L
     return columns
 
 
@@ -680,21 +684,44 @@ def test_float_solve_is_the_exact_solve_rounded_once(monkeypatch):
 
 
 def test_float_unknown_coefficients_are_rounded_once():
-    # each coefficient is the exact value for the stored field (the pinned
-    # forward runs on exact rationals) rounded once at 60 digits
+    # each coefficient and each constant is the exact value for the stored
+    # field (the pinned forward runs on exact rationals) rounded once at 60
+    # digits, at full and at partial level sets
     domain = BigRealDomain(dps=60)
+    forms = []
     for n in (2, 3, 4):
-        for vf, levels in (
-            (random_field(n, seed=90 + n), range(2, n + 1)),
-            (random_homogeneous_field(n, seed=90 + n), [n]),
+        partial = {(k,) for k in (2, 3, n) if k <= n}
+        for vf, level_sets in (
+            (random_field(n, seed=90 + n), partial | {tuple(range(2, n + 1))}),
+            (random_homogeneous_field(n, seed=90 + n), partial),
         ):
             inexact = coerce_field(vf, domain)
-            series = compute_series_unknown(inexact, levels, n + 3)
-            columns = _pinned_columns(stored_field(inexact), levels, n + 3)
-            for j, form in series.L.items():
-                want = [mp_round(columns[s][j], domain.dps) for s in series.unknowns]
-                assert list(form.coeffs.values()) == want, (n, j)
-            assert any(c != 0 for form in series.L.values() for c in form.coeffs.values())
+            exact = stored_field(inexact)
+            for levels in sorted(level_sets):
+                series = compute_series_unknown(inexact, levels, n + 3)
+                columns = _pinned_columns(exact, levels, n + 3)
+                zero_blocks = {k + 1: HomogPoly.zero(k + 1) for k in levels}
+                offsets = pinned_run(exact, n + 3, zero_blocks).L
+                for j, form in series.L.items():
+                    want = [mp_round(columns[s][j], domain.dps) for s in series.unknowns]
+                    assert list(form.coeffs.values()) == want, (n, levels, j)
+                    assert form.const == mp_round(offsets[j], domain.dps), (n, levels, j)
+                forms += series.L.values()
+    assert any(form.const != 0 for form in forms)
+    assert any(c != 0 for form in forms for c in form.coeffs.values())
+
+
+def test_p_matrix_runs_no_forward_series(monkeypatch):
+    # P's entries and offsets are read off reverse sweeps alone: no degree
+    # is solved forward, for a general and for a homogeneous field
+    def refuse(*args):
+        raise AssertionError("rotational_solve called")
+
+    monkeypatch.setattr(engine, "rotational_solve", refuse)
+    P = build_p_matrix(random_field(4, seed=3))
+    assert any(P.row_offsets) and P.determinant() != 0
+    P = build_p_matrix(random_homogeneous_field(5, seed=3))
+    assert P.size == 6 and P.determinant() != 0
 
 
 def test_float_solve_of_a_float_homog_poly():
