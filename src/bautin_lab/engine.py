@@ -67,19 +67,18 @@ independent coefficients of the V_(k+1) blocks at selected levels k.  Each
 degree's solve is linear in R_K, and R_K is linear in the lower V terms, so
 once those blocks are pinned every later L is exactly affine in their
 coefficients (the linear parts of the Lyapunov constants).
-``compute_series_unknown`` takes both parts of each L_j from one reverse
-sweep: the covector that reads L_j off R_(2j+2) is carried down the degrees
-through the transposes of the solve and of the stencils, gathered in one
-pass per degree, and at each pinned block it is that block's coefficients.
-L_j is linear in V_2 and the pinned blocks together, so the sweep carries
-on to V_2 = (x^2+y^2)/2 as one more pinned input, and its covector there
-gives the constant part (every pinned block at zero), exact: no forward
-series is run.  A column stands for one full V_k coefficient, the
-attribution of the published tables.  The sweep for L_j pays only for the
-degrees up to 2j+2, on ints with one gcd per degree.  ``covector_rows``
-yields the linear parts one row, and one sweep, at a time, so a caller that
-needs only det P sweeps no row it does not draw; ``compute_series_unknown``
-stores each value once by the domain, rounded once in float mode.
+``compute_series_unknown`` reads both parts of each L_j off one reverse
+sweep: the covector that reads L_j off R_(2j+2) is carried down through the
+transposes of the solve and of the stencils, one gather pass per degree,
+and at each pinned block it is that block's coefficients.  L_j is linear in
+V_2 and the pinned blocks together, so the sweep goes on to V_2 as one more
+pinned input, and its covector there gives the constant part, exact: no
+forward series is run.  A column stands for one full V_k coefficient, the
+attribution of the published tables.  The sweep for L_j visits only the
+degrees up to 2j+2 whose R_k leads to a pinned block (for a homogeneous
+field of degree n, the degrees 2 + m(n-1)), on ints with one gcd per degree.
+``covector_rows`` yields the linear parts one row at a time, so a caller
+that needs only det P sweeps no row it does not draw.
 """
 
 from __future__ import annotations
@@ -95,6 +94,8 @@ from .errors import SolverInternalError, UsageError
 from .fields import VectorField
 from .hpoly import HomogPoly, ScaledPoly, circle_power
 from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId, read_ints
+
+V2_NUMS, V2_DEN = (1, 0, 1), 2  # V_2 = (x^2+y^2)/2 in integer form
 
 
 def tiebreak_slot(degree: int) -> tuple[int, int]:
@@ -394,18 +395,16 @@ def compute_series(vf: VectorField, J: int) -> LyapunovSeries:
     """Plain series: V_3..V_(2J+2) and L_1..L_J in the field's domain."""
     if J < 1:
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
-    half = vf.domain.coerce(Fraction(1, 2))
-    return extend_series(LyapunovSeries(vf, V={2: _scaled(HomogPoly(2, [half, 0, half]))}), J)
+    v2 = HomogPoly(2, [vf.domain.ratio(x, V2_DEN) for x in V2_NUMS])
+    return extend_series(LyapunovSeries(vf, V={2: _scaled(v2)}), J)
 
 
 def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
     """Continue a plain series in place until L_J is solved, one degree at a
-    time; every V_k is stored in integer form (``_scaled``).
-
-    Lets callers that only need the first nonzero constant grow the budget
-    one pattern index at a time instead of paying for the full run up front.
-    The certificate series holds no V_2 and is refused.
-    """
+    time; every V_k is stored in integer form (``_scaled``).  Lets callers
+    that only need the first nonzero constant grow the budget one pattern
+    index at a time instead of paying for the full run up front.  The
+    certificate series holds no V_2 and is refused."""
     if 2 not in series.V:
         raise UsageError("only plain-mode series can be extended")
     domain = series.domain
@@ -427,18 +426,15 @@ def compute_series_unknown(vf: VectorField, levels: Iterable[int], J: int) -> Ly
     """The certificate series: at each degree k+1 with k in ``levels`` every
     independent coefficient of the full block V_(k+1) stands for a formal
     unknown (the tie-break slot carries none), and each L_j of the result is
-    the affine form ``LinearForm(c, {slot: a})`` in them, with one
-    coefficient per unknown in registration order, zeros included.  ``V`` is
-    empty, and no forward series is run.
-
-    Both parts of L_j come from one reverse sweep (``_covectors``) with
-    V_2 = (x^2+y^2)/2 as one more replaced block: the coefficients are the
-    row of ``covector_rows``, and c = <w_2, V_2> / den_2, L_j with every
-    replaced block at zero.  Each is stored once by the domain, exact or
-    rounded once.  A constant solved at a replaced even degree never
-    involves that block, so with no lower levels selected (the homogeneous
-    case) its coefficients are all zero.
-    """
+    the affine form ``LinearForm(c, {slot: a})`` in them, one coefficient
+    per unknown in registration order, zeros included; ``V`` is empty.
+    Both parts of L_j come from one reverse sweep (``_covectors``) with V_2
+    as one more replaced block, and no forward series is run: the
+    coefficients are the row of ``covector_rows`` and c = <w_2, V_2> / den_2
+    (every replaced block at zero), each stored once by the domain.  A
+    constant solved at a replaced even degree never involves that block, so
+    with no lower levels selected (the homogeneous case) its coefficients
+    are all zero."""
     levels = sorted(set(levels))
     if not levels:
         raise UsageError("need at least one level to replace by unknowns")
@@ -454,7 +450,7 @@ def compute_series_unknown(vf: VectorField, levels: Iterable[int], J: int) -> Ly
         w2, den2 = blocks.pop(2)
         nums, den = domain.store_ints(*_stacked(blocks, series.unknowns))
         coeffs = {uid: domain.ratio(x, den) for uid, x in zip(series.unknowns, nums)}
-        series.L[j] = LinearForm(domain.ratio(w2[0] + w2[2], 2 * den2), coeffs)
+        series.L[j] = LinearForm(domain.ratio(sum(map(mul, w2, V2_NUMS)), V2_DEN * den2), coeffs)
     return series
 
 
@@ -473,14 +469,12 @@ def _unknown_slots(degrees: Iterable[int]) -> list[UnknownId]:
 def covector_rows(
     series: LyapunovSeries, degrees: list[int], rows: Iterable[int]
 ) -> Iterator[tuple[list[int], int]]:
-    """For each index j of ``rows`` in turn: the linear part of L_j in the
-    replaced blocks V_k, k in ``degrees`` (ascending), as integer numerators
-    over one positive denominator, one column per unknown of
-    ``_unknown_slots(degrees)``.  Each row is one reverse sweep
-    (``_covectors``) with its blocks put over their lcm (``_stacked``), the
-    exact values of the field ``series`` holds; a row is swept only when it
-    is drawn.  Only ``series._field_terms`` is read, so
-    ``LyapunovSeries(vf)`` serves."""
+    """For each index j of ``rows`` in turn, swept only when drawn: the
+    linear part of L_j in the replaced blocks V_k, k in ``degrees``
+    (ascending), as one row of integer numerators over a positive
+    denominator, one column per unknown of ``_unknown_slots(degrees)``
+    (``_covectors``, then ``_stacked``).  Only ``series._field_terms`` is
+    read, so ``LyapunovSeries(vf)`` serves."""
     slots = _unknown_slots(degrees)
     for j in rows:
         yield _stacked(_covectors(series, 2 * j + 2, degrees), slots)
@@ -501,7 +495,6 @@ def _covectors(
     blocks: per degree k in ``replaced``, the covector (w, den) with
     L = <w, V_k> / den + (terms in the other blocks), V_2 among them unless
     2 is replaced; with 2 replaced L is the sum of these terms alone.
-
     One reverse sweep from the covector that reads L off R_K.  The covector
     r on the numerators of each R_k, reduced by one gcd and padded with a
     zero at each end, is kept until the last degree that reads it, k + 1 -
@@ -510,18 +503,24 @@ def _covectors(
     to the lcm of their denominators and, at a solved degree, by the chain
     scale that ``_solve_transpose`` expects.  A replaced block is pinned, so
     its covector is read off and not handed further down; the sweep stops
-    at the lowest replaced degree.  Degree 2 is read off like any other
-    replaced degree (it has no solve), and a covector that no tap reaches
-    stays zero."""
+    at the lowest replaced degree, and skips a solved degree whose R_k
+    enters no degree of ``reach``.  Degree 2 is read off like any other
+    replaced one (it has no solve); a covector no tap reaches stays zero."""
     low = min(replaced)
     terms = series._field_terms
     top = max(terms, default=0)  # a field with no nonlinear part reads nothing
+    reach = set(replaced)  # and each solved degree whose R_k enters one in it
+    for k in range(low + 1, K):  # a quadratic part (d = 2) reaches every k
+        if 2 in terms or any(k + 1 - d in reach for d in terms):
+            reach.add(k)
     out = {k: ([0] * (k + 1), 1) for k in replaced}
     kept: dict[int, tuple[list[int], int]] = {}  # k -> ([0, *r, 0], den) on R_k
     for k in range(K, low - 1, -1):
         kept.pop(k + top, None)  # read last at degree k + 1
         if k == K:
             r, den = _solve_transpose(k, [0] * (k + 1), 1), _chain_constants(k)[0]
+        elif k not in reach:
+            continue
         else:
             taps = [(st, *kept[k + d - 1], e) for d, (st, e) in terms.items() if k + d - 1 in kept]
             if not taps:

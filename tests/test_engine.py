@@ -686,18 +686,19 @@ def test_float_solve_is_the_exact_solve_rounded_once(monkeypatch):
 def test_float_unknown_coefficients_are_rounded_once():
     # each coefficient and each constant is the exact value for the stored
     # field (the pinned forward runs on exact rationals) rounded once at 60
-    # digits, at full and at partial level sets
+    # digits, at each field's own level set and at partial ones; at its own
+    # set every field has a nonzero coefficient, so no check passes vacuously
     domain = BigRealDomain(dps=60)
-    forms = []
+    constants = []
     for n in (2, 3, 4):
         partial = {(k,) for k in (2, 3, n) if k <= n}
-        for vf, level_sets in (
-            (random_field(n, seed=90 + n), partial | {tuple(range(2, n + 1))}),
-            (random_homogeneous_field(n, seed=90 + n), partial),
+        for vf, own in (
+            (random_field(n, seed=90 + n), tuple(range(2, n + 1))),
+            (random_homogeneous_field(n, seed=90 + n), (n,)),
         ):
             inexact = coerce_field(vf, domain)
             exact = stored_field(inexact)
-            for levels in sorted(level_sets):
+            for levels in sorted(partial | {own}):
                 series = compute_series_unknown(inexact, levels, n + 3)
                 columns = _pinned_columns(exact, levels, n + 3)
                 zero_blocks = {k + 1: HomogPoly.zero(k + 1) for k in levels}
@@ -706,9 +707,11 @@ def test_float_unknown_coefficients_are_rounded_once():
                     want = [mp_round(columns[s][j], domain.dps) for s in series.unknowns]
                     assert list(form.coeffs.values()) == want, (n, levels, j)
                     assert form.const == mp_round(offsets[j], domain.dps), (n, levels, j)
-                forms += series.L.values()
-    assert any(form.const != 0 for form in forms)
-    assert any(c != 0 for form in forms for c in form.coeffs.values())
+                if levels == own:
+                    coeffs = [c for form in series.L.values() for c in form.coeffs.values()]
+                    assert any(c != 0 for c in coeffs), (n, levels)
+                constants += [form.const for form in series.L.values()]
+    assert any(c != 0 for c in constants)
 
 
 def test_p_matrix_runs_no_forward_series(monkeypatch):
@@ -722,6 +725,26 @@ def test_p_matrix_runs_no_forward_series(monkeypatch):
     assert any(P.row_offsets) and P.determinant() != 0
     P = build_p_matrix(random_homogeneous_field(5, seed=3))
     assert P.size == 6 and P.determinant() != 0
+
+
+def test_homogeneous_sweeps_visit_only_the_pattern_degrees(monkeypatch):
+    # a homogeneous R_k enters only V_(k+1-n), so a row's sweep gathers only
+    # at the degrees 2 + m(n-1) that lead to V_(n+1) or V_2, with or
+    # without V_2 replaced (P itself is checked against pinned forward runs
+    # in test_p_matrix_equals_pinned_forward_runs)
+    gathered = []
+    gather = engine._gather
+    monkeypatch.setattr(engine, "_gather", lambda m, taps: gathered.append(m) or gather(m, taps))
+    for n in (3, 4, 6):
+        vf = random_homogeneous_field(n, seed=5)
+        gathered.clear()
+        P = build_p_matrix(vf)
+        assert gathered and {(m - 2) % (n - 1) for m in gathered} == {0}, n
+        assert P.determinant() != 0
+        gathered.clear()
+        rows = list(engine.covector_rows(LyapunovSeries(vf), [n + 1], range(1, 3 * n)))
+        assert gathered and {(m - 2) % (n - 1) for m in gathered} == {0}, n
+        assert any(any(row) for row, _ in rows)
 
 
 def test_float_solve_of_a_float_homog_poly():
