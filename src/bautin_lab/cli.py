@@ -33,7 +33,7 @@ from .fields import (
 )
 from .hpoly import terms_str
 from .scalars import RATIONAL, BigRealDomain, Domain, parse_rational, scalar_to_str
-from .structure import center_check, gap_profile, verify_gaps
+from .structure import center_check, check_declared_degree, gap_profile, verify_gaps
 
 SCHEMA = "bautin-lab/1"
 
@@ -112,6 +112,7 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
 
 def cmd_gaps(args: argparse.Namespace) -> int:
     vf = _load_field(args, RATIONAL)  # gap verification needs exact arithmetic
+    check_declared_degree(vf)  # the audit range below grows with n
     if not vf.is_homogeneous():
         raise UsageError("gap analysis requires a homogeneous field")
     J = 2 * (vf.degree + 2) if args.max_index is None else args.max_index  # the audit range

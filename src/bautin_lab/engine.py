@@ -13,9 +13,9 @@ where R_K collects the already-known lower terms
 
 terms with K+1-d < 2 omitted (V_2 contributes x F_(K-1) + y G_(K-1)).
 
-Every V_m of a series is stored as integer numerators over one positive
-denominator (``hpoly.ScaledPoly``), and R_K is built in the same form,
-R_K = num/den, in one pass per field degree d.  With m = K+1-d, the two
+Every polynomial is integer numerators over one positive denominator
+(``HomogPoly.nums``/``den``); each V_m of a series and each R_K are built
+in that form, R_K in one pass per field degree d.  With m = K+1-d, the two
 products of degree d are one stencil over the slots of V_m whose weights are
 affine in the slot (``accumulate_rhs``); F_d and G_d are read over one
 common denominator e_d once per series.  den is the lcm of V_m.den * e_d
@@ -24,9 +24,10 @@ sums run on plain ints, so no per-coefficient gcd is taken.  In exact mode the
 denominators are those of the stored blocks and lcms of the field's.
 In float mode every stored value is a dyadic Fraction, so the denominators
 are powers of two and R_K is the exact source term of the stored values; it
-is not rounded.  Every value is read into ints by the one exact reader
-``read_ints``, and the domain keeps only its rounding rule (``store_ints``,
-``ratio``), so nothing here branches on the mode.
+is not rounded.  The engine reads only those ints (a field's values are
+read once, when its polynomials are built), and the domain keeps only its
+rounding rule (``store_ints``, ``ratio``), so nothing here branches on the
+mode.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
 a+1, the K+1 equations decouple by slot parity into two chains:
@@ -92,7 +93,7 @@ from operator import add, mul
 
 from .errors import SolverInternalError, UsageError
 from .fields import VectorField
-from .hpoly import HomogPoly, ScaledPoly, circle_power
+from .hpoly import HomogPoly, circle_power
 from .scalars import RATIONAL, Domain, LinearForm, Scalar, UnknownId, read_ints
 
 V2_NUMS, V2_DEN = (1, 0, 1), 2  # V_2 = (x^2+y^2)/2 in integer form
@@ -112,9 +113,8 @@ class LyapunovSeries:
 
     ``V`` maps degree k -> HomogPoly (V_2 included), ``L`` maps index j -> the
     constant solved at degree 2j+2.  A series built by this module stores
-    each V_k as a ``ScaledPoly``: integer numerators over one denominator,
-    with the coefficients built as Fractions on first read.  The
-    certificate series of ``compute_series_unknown`` holds no V terms; its
+    each V_k by ``HomogPoly.from_ints``, its coefficients built as Fractions
+    on first read.  The certificate series of ``compute_series_unknown`` holds no V terms; its
     L entries are linear forms over the registered unknowns, and
     ``unknowns`` lists their slots (x-exp, y-exp) in registration order
     (ascending degree, then descending x-power)."""
@@ -144,15 +144,16 @@ class LyapunovSeries:
         """Per field degree d with F_d or G_d nonzero: the stencil of the
         source term over one denominator e_d, as (stencil, e_d).  With
         f[j], g[j] the numerators of F_d and G_d over their common
-        denominator e_d (``read_ints``; zero outside 0..d), each nonzero
+        denominator e_d, the lcm of theirs (zero outside 0..d), each nonzero
         weight of ``accumulate_rhs`` is a triple (j, f[j], g[j+1] - f[j])
         for j = -1..d.  Converted once per series, reading only the degrees
         stored in F or G, so the cost does not grow with the field's degree."""
         vf, out = self.field, {}
         for d in sorted(vf.F.keys() | vf.G.keys()):
-            nums, e = read_ints(vf.f_part(d).coeffs + vf.g_part(d).coeffs)
-            f = [0] + nums[: d + 1]  # f[j] at index j + 1
-            g = nums[d + 1 :] + [0]  # g[j + 1] at index j + 1
+            Fd, Gd = vf.f_part(d), vf.g_part(d)
+            e = lcm(Fd.den, Gd.den)
+            f = [0, *(x * (e // Fd.den) for x in Fd.nums)]  # f[j] at index j + 1
+            g = [*(x * (e // Gd.den) for x in Gd.nums), 0]  # g[j + 1] at index j + 1
             stencil = [(j, fj, gj - fj) for j, fj, gj in zip(range(-1, d + 1), f, g) if fj or gj]
             if stencil:
                 out[d] = (stencil, e)
@@ -162,13 +163,11 @@ class LyapunovSeries:
         return sorted(self.L.items())
 
 
-def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
-    """The degree-k source term R_k built from already-solved V terms, as
-    ``(num, den)`` with R_k = num/den exactly: ``num`` has integer
-    coefficients and ``den`` is a positive int, the lcm of V_m.den * e_d
-    over the terms present (not necessarily the least denominator).  In
-    float mode it is the exact source term of the stored values, and ``den``
-    is a power of two.
+def accumulate_rhs(series: LyapunovSeries, k: int) -> HomogPoly:
+    """The degree-k source term R_k built from already-solved V terms, exactly,
+    as ``nums``/``den`` with ``den`` the lcm of V_m.den * e_d over the terms
+    present (not necessarily the least denominator).  In float mode it is the
+    exact source term of the stored values, and ``den`` is a power of two.
 
     With m = k+1-d and v the numerators of V_m, the two products of field
     degree d, (V_m)'_x F_d + (V_m)'_y G_d, are one stencil over slots:
@@ -182,7 +181,6 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
     for d, (stencil, e) in series._field_terms.items():
         Vm = series.V.get(k + 1 - d)
         if Vm is not None and not Vm.is_zero():
-            Vm = _scaled(Vm)
             live.append((stencil, Vm.nums, Vm.den * e))
     den = lcm(*(t[2] for t in live))
     out = [0] * (k + 3)  # slots -1..k+1; the two ends only ever get zeros
@@ -194,14 +192,7 @@ def accumulate_rhs(series: LyapunovSeries, k: int) -> tuple[HomogPoly, int]:
         for j, fj, step in stencil:
             lo, hi = j + 1, j + m + 2
             out[lo:hi] = map(add, out[lo:hi], map(mul, v, count(m * fj, step)))
-    return HomogPoly(k, out[1:-1]), den
-
-
-def _scaled(p: HomogPoly) -> ScaledPoly:
-    """``p`` in stored form (``read_ints``), or ``p`` if it already is."""
-    if isinstance(p, ScaledPoly):
-        return p
-    return ScaledPoly(p.degree, *read_ints(p.coeffs))
+    return HomogPoly.from_ints(k, out[1:-1], den)
 
 
 def rotational_solve(
@@ -210,9 +201,9 @@ def rotational_solve(
     """Solve rot(V) + R = [k even] * L * (x^2+y^2)^(k/2) for V (and L).
 
     Returns (V, L); L is None at odd degrees.  Both modes solve the parity
-    chains on ints (``_solve_ints``) on R read exactly (``_scaled``), so V
-    is a ``ScaledPoly``.  The domain turns the exact solution into stored
-    form (``store_ints``) and builds L (``ratio``): in exact mode V is
+    chains on ints (``_solve_ints``) on R's ``nums``/``den``.  The domain
+    turns the exact solution into stored form (``store_ints``, then
+    ``HomogPoly.from_ints``) and builds L (``ratio``): in exact mode V is
     reduced in one division pass and L is a Fraction; in float mode each V
     coefficient and L is the exact solution rounded once, to nearest at the
     working precision of ``domain``.  The two parity chains are always
@@ -223,9 +214,8 @@ def rotational_solve(
         raise UsageError("rotational solve needs degree >= 3")
     if R.degree != k:
         raise UsageError(f"source term has degree {R.degree}, expected {k}")
-    R = _scaled(R)
     v, L, den = _solve_ints(k, R.nums, R.den)
-    V = ScaledPoly(k, *domain.store_ints(v, den))
+    V = HomogPoly.from_ints(k, *domain.store_ints(v, den))
     return V, (None if L is None else domain.ratio(L, den))
 
 
@@ -395,13 +385,13 @@ def compute_series(vf: VectorField, J: int) -> LyapunovSeries:
     """Plain series: V_3..V_(2J+2) and L_1..L_J in the field's domain."""
     if J < 1:
         raise UsageError("need at least one Lyapunov constant (J >= 1)")
-    v2 = HomogPoly(2, [vf.domain.ratio(x, V2_DEN) for x in V2_NUMS])
-    return extend_series(LyapunovSeries(vf, V={2: _scaled(v2)}), J)
+    v2 = read_ints([vf.domain.ratio(x, V2_DEN) for x in V2_NUMS])  # as the domain stores it
+    return extend_series(LyapunovSeries(vf, V={2: HomogPoly.from_ints(2, *v2)}), J)
 
 
 def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
     """Continue a plain series in place until L_J is solved, one degree at a
-    time; every V_k is stored in integer form (``_scaled``).  Lets callers
+    time; every V_k is stored by ``HomogPoly.from_ints``.  Lets callers
     that only need the first nonzero constant grow the budget one pattern
     index at a time instead of paying for the full run up front.  The
     certificate series holds no V_2 and is refused."""
@@ -410,13 +400,12 @@ def extend_series(series: LyapunovSeries, J: int) -> LyapunovSeries:
     domain = series.domain
     zero = domain.coerce(0)
     for k in range(series.max_degree + 1, 2 * J + 3):
-        num, den = accumulate_rhs(series, k)
-        if num.is_zero():
+        R = accumulate_rhs(series, k)
+        if R.is_zero():
             # the unique solution is zero: gap degrees of homogeneous fields
-            Vk, L = HomogPoly.zero(k), (zero if k % 2 == 0 else None)
+            series.V[k], L = HomogPoly.from_ints(k, R.nums, 1), (zero if k % 2 == 0 else None)
         else:
-            Vk, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), domain)
-        series.V[k] = _scaled(Vk)
+            series.V[k], L = rotational_solve(k, R, domain)
         if L is not None:
             series.L[k // 2 - 1] = L
     return series
@@ -431,7 +420,7 @@ def compute_series_unknown(vf: VectorField, levels: Iterable[int], J: int) -> Ly
     Both parts of L_j come from one reverse sweep (``_covectors``) with V_2
     as one more replaced block, and no forward series is run: the
     coefficients are the row of ``covector_rows`` and c = <w_2, V_2> / den_2
-    (every replaced block at zero), each stored once by the domain.  A
+    (every replaced block at zero), each built once by ``domain.ratio``.  A
     constant solved at a replaced even degree never involves that block, so
     with no lower levels selected (the homogeneous case) its coefficients
     are all zero."""
@@ -448,7 +437,7 @@ def compute_series_unknown(vf: VectorField, levels: Iterable[int], J: int) -> Ly
     for j in range(1, J + 1):
         blocks = _covectors(series, 2 * j + 2, [2, *degrees])
         w2, den2 = blocks.pop(2)
-        nums, den = domain.store_ints(*_stacked(blocks, series.unknowns))
+        nums, den = _stacked(blocks, series.unknowns)
         coeffs = {uid: domain.ratio(x, den) for uid, x in zip(series.unknowns, nums)}
         series.L[j] = LinearForm(domain.ratio(sum(map(mul, w2, V2_NUMS)), V2_DEN * den2), coeffs)
     return series

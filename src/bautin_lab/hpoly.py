@@ -7,21 +7,22 @@ the target workloads) and the rotational operator x*d/dy - y*d/dx only couples
 neighbouring entries, so a dense layout is both simpler and faster than a
 sparse one.
 
-Coefficients may be any scalar the package knows (Fraction, a residue, or
-plain int for structural zeros); operations never assume a particular
-carrier.
+Every polynomial holds its coefficients as integer numerators over one
+positive denominator, ``nums[a] / den``, and the engine computes on those ints
+alone.  ``HomogPoly(degree, coeffs)`` takes ints and Fractions (a residue is
+an int; anything else is refused) and reads them once with
+``scalars.read_ints``, keeping the given objects as ``coeffs``.
+``HomogPoly.from_ints(degree, nums, den)`` is the engine's form: every V_k of
+a series and every source term R_k is built so, and coefficient a is then
+``Fraction(nums[a], den)`` in every domain (a float block's dyadic value, an
+integral Fraction for a residue), built on the first read of ``coeffs`` and
+kept, so reading them again returns the same objects.
+
 The operations are the ones the field generators and ``coerce_field`` use:
 products, which skip zero coefficients of either carrier, negation, partial
 derivatives and coefficient maps.  The engine's per-degree loop uses neither
 products nor derivatives: it builds each source term in one fused pass over
 integer numerators (see ``engine.accumulate_rhs``).
-
-``ScaledPoly`` stores integer numerators over one positive denominator,
-``nums[a] / den``.  Every V_k of a series is held this way, and the engine
-computes on ``nums``/``den`` alone; coefficient a is ``Fraction(nums[a],
-den)`` in every domain (a float block's dyadic value, an integral Fraction
-for a residue), built on the first read of ``coeffs`` and kept, so reading
-them again returns the same objects.
 """
 
 from __future__ import annotations
@@ -32,21 +33,39 @@ from functools import cached_property
 from math import comb
 
 from .errors import UsageError
-from .scalars import Scalar, exact_str
+from .scalars import Scalar, exact_str, read_ints
 
 
 class HomogPoly:
     """Homogeneous polynomial of fixed degree in x and y."""
 
     def __init__(self, degree: int, coeffs: Sequence[Scalar]):
+        coeffs = tuple(coeffs)
+        bad = next((c for c in coeffs if not isinstance(c, (int, Fraction))), None)
+        if bad is not None:
+            raise UsageError(f"a polynomial coefficient must be an int or a Fraction, not {bad!r}")
+        self._store(degree, *read_ints(coeffs))
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_ints(cls, degree: int, nums: Sequence[int], den: int) -> "HomogPoly":
+        """Coefficient a is ``Fraction(nums[a], den)``: integer numerators over
+        one positive denominator, the Fractions built on first read."""
+        p = cls.__new__(cls)
+        p._store(degree, nums, den)
+        return p
+
+    def _store(self, degree: int, nums: Sequence[int], den: int) -> None:
         if degree < 0:
             raise UsageError("degree must be >= 0")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != degree + 1:
-            raise UsageError(
-                f"degree-{degree} polynomial needs {degree + 1} coefficients, got {len(coeffs)}"
-            )
-        self.degree, self.coeffs = degree, coeffs
+        self.degree, self.nums, self.den = degree, tuple(nums), den
+        if len(self.nums) != degree + 1 or den <= 0:
+            raise UsageError(f"a degree-{degree} polynomial takes {degree + 1} coefficients over"
+                             f" a positive denominator, not {len(self.nums)} over {den}")
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @classmethod
     def zero(cls, degree: int) -> "HomogPoly":
@@ -68,7 +87,7 @@ class HomogPoly:
         return self.coeffs[j]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def map_coeffs(self, fn: Callable[[Scalar], Scalar]) -> "HomogPoly":
         return HomogPoly(self.degree, [fn(c) for c in self.coeffs])
@@ -115,27 +134,6 @@ class HomogPoly:
 
     def __str__(self) -> str:
         return terms_str((i, j, exact_str(c)) for i, j, c in self.terms())
-
-
-class ScaledPoly(HomogPoly):
-    """Coefficient a is ``Fraction(nums[a], den)``: integer numerators over
-    one positive denominator, built on the first read of ``coeffs`` and
-    kept."""
-
-    def __init__(self, degree: int, nums: Sequence[int], den: int):
-        nums = tuple(nums)
-        if len(nums) != degree + 1 or den <= 0:
-            raise UsageError(
-                f"degree-{degree} polynomial needs {degree + 1} numerators over a positive den"
-            )
-        self.degree, self.nums, self.den = degree, nums, den
-
-    @cached_property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
 
 def terms_str(terms: Iterable[tuple[int, int, str]]) -> str:

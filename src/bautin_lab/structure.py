@@ -59,9 +59,8 @@ class GapProfile:
         return k > 2 and (k - 2) % self.step == 0
 
     def l_index_expected_nonzero(self, j: int) -> bool:
-        if self.degree % 2 == 0:
-            return j >= 1 and j % self.step == 0
-        return j >= 1 and j % (self.step // 2) == 0
+        """True when L_j may be nonzero: it is solved at degree 2j+2, with V's law."""
+        return self.v_degree_expected_nonzero(2 * j + 2)
 
     def l_indices_upto(self, jmax: int) -> list[int]:
         return [j for j in range(1, jmax + 1) if self.l_index_expected_nonzero(j)]
@@ -308,6 +307,17 @@ class CenterCertificate:
         return {"center-generic": 0, "weak-focus": 5, "inconclusive": 6}[self.verdict]
 
 
+def check_declared_degree(vf: VectorField) -> None:
+    """Refuse a field whose header degree n lies above its highest nonzero
+    part, or that has no nonzero part, with UsageError naming both degrees.
+    ``center_check`` (the center bound) and the ``gaps`` audit (J = 2(n + 2))
+    size their work by n, so such a header would spend it on zero parts."""
+    top = max((k for part in (vf.F, vf.G) for k, p in part.items() if not p.is_zero()), default=0)
+    if top != vf.degree:
+        held = f"highest nonzero part has degree {top}" if top else "field has no nonzero part"
+        raise UsageError(f"the header declares degree {vf.degree} but the {held}")
+
+
 def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertificate:
     """Compute the exact leading nontrivial constants in pattern order up to
     the center bound; the first nonzero one gives a weak focus of that order,
@@ -321,12 +331,9 @@ def center_check(vf: VectorField, domain: Domain | None = None) -> CenterCertifi
     ``ResidueDomain``.  No nonzero residue, or a denominator divisible by p,
     gives "inconclusive"; a nonzero residue proves that constant nonzero, so
     the exact search stops at it at the latest and never reaches P.  The
-    work follows the declared n: a field with no nonzero part at n is refused.
+    work follows the declared n (``check_declared_degree``).
     """
-    top = max((k for part in (vf.F, vf.G) for k, p in part.items() if not p.is_zero()), default=0)
-    if top != vf.degree:
-        held = f"highest nonzero part has degree {top}" if top else "field has no nonzero part"
-        raise UsageError(f"the header declares degree {vf.degree} but the {held}")
+    check_declared_degree(vf)
     if domain is None:
         domain = vf.domain
     pattern = _leading_indices(vf.degree, vf.is_homogeneous())

@@ -20,7 +20,7 @@ import mpmath
 
 from bautin_lab.engine import LyapunovSeries, accumulate_rhs, rotational_solve
 from bautin_lab.fields import VectorField
-from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
+from bautin_lab.hpoly import HomogPoly, circle_power
 
 
 def poly_sum(*polys: HomogPoly) -> HomogPoly:
@@ -71,8 +71,7 @@ def rot_apply(p: HomogPoly) -> HomogPoly:
 def residual(series: LyapunovSeries, k: int) -> HomogPoly:
     """rot(V_k) + R_k - [k even] L * (x^2+y^2)^(k/2) of an exact series:
     identically zero for every degree of a plain series (``compute_series``)."""
-    num, den = accumulate_rhs(series, k)
-    terms = [rot_apply(series.V[k]), num.map_coeffs(lambda c: Fraction(c, den))]
+    terms = [rot_apply(series.V[k]), accumulate_rhs(series, k)]
     L = series.L.get(k // 2 - 1) if k % 2 == 0 else None
     if L is not None:
         terms.append(circle_power(k // 2).map_coeffs(lambda b: -L * b))
@@ -89,8 +88,7 @@ def pinned_run(vf: VectorField, J: int, pins, v2=None) -> LyapunovSeries:
         v2 = HomogPoly(2, [half, 0, half])
     series = LyapunovSeries(vf, V={2: v2})
     for k in range(3, 2 * J + 3):
-        num, den = accumulate_rhs(series, k)
-        V, L = rotational_solve(k, ScaledPoly(k, num.coeffs, den), vf.domain)
+        V, L = rotational_solve(k, accumulate_rhs(series, k), vf.domain)
         series.V[k] = pins.get(k, V)
         if L is not None:
             series.L[k // 2 - 1] = L

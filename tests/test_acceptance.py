@@ -249,9 +249,9 @@ def test_criterion_9_solver_oracle_equivalence():
         J = n + 2
         series = compute_series(vf, J)
         for k in range(3, 2 * J + 3):
-            num, _ = accumulate_rhs(series, k)  # the solve is linear in R_k = num/den
-            V_fast, L_fast = rotational_solve(k, num)
-            V_dense, L_dense = dense_rotational_solve(k, num)
+            R = accumulate_rhs(series, k)
+            V_fast, L_fast = rotational_solve(k, R)
+            V_dense, L_dense = dense_rotational_solve(k, R)
             assert V_fast.coeffs == V_dense.coeffs, (seed, k)
             assert L_fast == L_dense, (seed, k)
         run += 1

@@ -696,10 +696,11 @@ def test_cost_follows_the_parts_present_not_the_declared_degree(tmp_path, capsys
 
 def test_center_check_refuses_a_header_above_the_parts_present(tmp_path, capsys):
     # center-check sizes its work by the header's n, (n^2 + 4n - 4)/2
-    # constants: at n = 20000 about 2*10^8 indices.  A header above the
-    # highest nonzero part, or a field with none, is refused before any of
-    # it is built; the child's address space is capped at 1 GiB, so building
-    # them would end in MemoryError (exit 3) or worse, not in exit 1
+    # constants: at n = 20000 about 2*10^8 indices; gaps audits to
+    # J = 2(n + 2), at a cost quadratic in n.  A header above the highest
+    # nonzero part, or a field with none, is refused before any of it is
+    # built; the child's address space is capped at 1 GiB, so building them
+    # would end in MemoryError (exit 3) or worse, not in exit 1
     import resource
 
     def cap():
@@ -707,17 +708,19 @@ def test_center_check_refuses_a_header_above_the_parts_present(tmp_path, capsys)
 
     src = str(Path(bautin_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "bautin_lab", "center-check", "-"],
-        input="n 20000\nF 2 0 1\nG 0 2 1\n", env=env, capture_output=True, text=True,
-        timeout=120, preexec_fn=cap,
-    )
-    assert (done.returncode, done.stdout) == (1, ""), done.stderr[-500:]
-    assert "Traceback" not in done.stderr
-    assert "degree 20000" in done.stderr and "degree 2\n" in done.stderr
-    for text, held in (("n 3\n", "no nonzero part"), ("n 4\nF 3 0 1\nF 4 0 0\n", "degree 3")):
-        code, out, err = run(capsys, "center-check", write_field(tmp_path, "f.vf", text))
-        assert (code, out) == (1, "") and held in err, text
+    for command in ("center-check", "gaps"):
+        for text, held in (("F 2 0 1\nG 0 2 1\n", "degree 2\n"), ("", "no nonzero part")):
+            done = subprocess.run(
+                [sys.executable, "-m", "bautin_lab", command, "-"],
+                input="n 20000\n" + text, env=env, capture_output=True, text=True,
+                timeout=120, preexec_fn=cap,
+            )
+            assert (done.returncode, done.stdout) == (1, ""), (command, done.stderr[-500:])
+            assert "Traceback" not in done.stderr
+            assert "degree 20000" in done.stderr and held in done.stderr, command
+        for text, held in (("n 3\n", "no nonzero part"), ("n 4\nF 3 0 1\nF 4 0 0\n", "degree 3")):
+            code, out, err = run(capsys, command, write_field(tmp_path, "f.vf", text))
+            assert (code, out) == (1, "") and held in err, (command, text)
     with pytest.raises(UsageError, match="degree 5"):
         center_check(parse_vector_field("n 5\nG 0 2 1\n"))
 

@@ -27,7 +27,7 @@ from bautin_lab.fields import (
     random_reversible_field,
     rotational_family_field,
 )
-from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
+from bautin_lab.hpoly import HomogPoly, circle_power
 from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm, ResidueDomain, exact_str
 from bautin_lab.structure import build_p_matrix, gap_profile
 from oracles import mp_round, pinned_run, poly_sum, residual, scaled_field, stored_field
@@ -85,17 +85,16 @@ def _reference_rhs(series, k):
     return total
 
 
-def _assert_rhs(series, k, num, den):
-    """``(num, den)`` is R_k of ``series`` as ``accumulate_rhs`` promises:
-    integer numerators over a positive int (a power of two in float mode),
-    equal to the HomogPoly-product formula on the exact values the series
-    stores."""
-    assert isinstance(den, int) and den > 0
-    assert all(isinstance(c, int) for c in num.coeffs)
+def _assert_rhs(series, k, R):
+    """``R`` is R_k of ``series`` as ``accumulate_rhs`` promises: integer
+    numerators over a positive int (a power of two in float mode), equal to
+    the HomogPoly-product formula on the exact values the series stores."""
+    assert isinstance(R.den, int) and R.den > 0
+    assert all(isinstance(c, int) for c in R.nums)
     if not series.domain.exact:
-        assert den & (den - 1) == 0
+        assert R.den & (R.den - 1) == 0
     want = _reference_rhs(series, k).coeffs
-    assert [F(c, den) for c in num.coeffs] == list(want), (series.field, k)
+    assert [F(c, R.den) for c in R.nums] == list(want), (series.field, k)
 
 
 def _checked_rhs(monkeypatch):
@@ -105,10 +104,10 @@ def _checked_rhs(monkeypatch):
     accumulate = engine.accumulate_rhs
 
     def check(series, k):
-        num, den = accumulate(series, k)
-        _assert_rhs(series, k, num, den)
+        R = accumulate(series, k)
+        _assert_rhs(series, k, R)
         checked.append(k)
-        return num, den
+        return R
 
     monkeypatch.setattr(engine, "accumulate_rhs", check)
     return checked
@@ -120,13 +119,11 @@ def test_accumulate_homogeneous_cubic():
     x = HomogPoly.monomial(1, 0, F(1))
     y = HomogPoly.monomial(0, 1, F(1))
     expected4 = poly_sum(x * vf.f_part(3), y * vf.g_part(3))
-    num, den = accumulate_rhs(series, 4)
-    assert [F(c, den) for c in num.coeffs] == list(expected4.coeffs)
+    assert accumulate_rhs(series, 4).coeffs == expected4.coeffs
     # V_3 = 0, so the degree-5 source is empty
-    assert accumulate_rhs(series, 5)[0].is_zero()
+    assert accumulate_rhs(series, 5).is_zero()
     expected6 = poly_sum(series.V[4].dx() * vf.f_part(3), series.V[4].dy() * vf.g_part(3))
-    num, den = accumulate_rhs(series, 6)
-    assert [F(c, den) for c in num.coeffs] == list(expected6.coeffs)
+    assert accumulate_rhs(series, 6).coeffs == expected6.coeffs
 
     # the shared-denominator kernel against the HomogPoly-product formula
     fields = [random_field(n, seed=40 + n) for n in (2, 3, 4, 5)]
@@ -146,10 +143,10 @@ def test_accumulate_homogeneous_cubic():
         exact = compute_series(vf, J)
         inexact = compute_series(coerce_field(vf, float_domain), J)
         for k in range(3, 2 * J + 4):
-            _assert_rhs(exact, k, *accumulate_rhs(exact, k))
+            _assert_rhs(exact, k, accumulate_rhs(exact, k))
             # float R_k: the exact source term of the stored values, over a
             # power of two
-            _assert_rhs(inexact, k, *accumulate_rhs(inexact, k))
+            _assert_rhs(inexact, k, accumulate_rhs(inexact, k))
 
 
 #: Fields with one part of a degree zero: F_2 = 0 != G_2 with G_3 = 0 != F_3,
@@ -193,15 +190,15 @@ def test_stencil_transpose_against_accumulate():
     fields += [coerce_field(vf, BigRealDomain(dps=60)) for vf in fields[:4]]
     for vf in fields:
         for m in (2, 3, 6, 9):
-            V = ScaledPoly(m, [rng.randint(-99, 99) for _ in range(m + 1)], rng.randint(1, 99))
+            V = HomogPoly.from_ints(m, [rng.randint(-99, 99) for _ in range(m + 1)], rng.randint(1, 99))
             series = LyapunovSeries(vf, V={m: V})
             taps, want = [], 0
             for d, (stencil, e) in series._field_terms.items():
                 k = m + d - 1
-                num, den = accumulate_rhs(series, k)
+                R = accumulate_rhs(series, k)
                 r, s = [rng.randint(-99, 99) for _ in range(k + 1)], rng.randint(1, 9)
                 taps.append((stencil, [0, *r, 0], s))
-                lhs = F(s * sum(map(operator.mul, r, num.coeffs)), den)
+                lhs = F(s * sum(map(operator.mul, r, R.nums)), R.den)
                 w = engine._gather(m, taps[-1:])
                 assert lhs == F(sum(map(operator.mul, w, V.nums)), V.den * e), (vf, m, d)
                 want += lhs * e
@@ -284,9 +281,9 @@ def test_dense_oracle_agreement():
         vf = random_field(n, seed + 100)
         series = compute_series(vf, n + 2)
         for k in range(3, 2 * (n + 2) + 3):
-            num, _ = accumulate_rhs(series, k)
-            fast = rotational_solve(k, num)
-            dense = dense_rotational_solve(k, num)
+            R = accumulate_rhs(series, k)
+            fast = rotational_solve(k, R)
+            dense = dense_rotational_solve(k, R)
             assert fast[0].coeffs == dense[0].coeffs
             assert fast[1] == dense[1]
 
@@ -396,6 +393,7 @@ def _fraction_chains(k, c, seen=None):
     """The parity chains of rotational_solve run value by value on
     Fractions: the reference for the integer solve.  A list ``seen`` gets
     the odd-slot values of the first pass (at even k, those for L = 0)."""
+    c = [F(x) for x in c]  # an int source slot would make 0 / int a float
     v = [F(0)] * (k + 1)
     for b in range(0, k, 2):
         v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) / (b + 1)
@@ -462,11 +460,13 @@ def test_integer_solve_on_every_degree_of_plain_runs(monkeypatch):
         J = vf.degree + 3
         series = compute_series(vf, J)
         ref = _fraction_chain_series(vf, J)
+        assert all(type(x) is Fraction for x in ref.L.values()), vf
+        assert all(type(x) is Fraction for k, V in ref.V.items() if k > 2 for x in V.coeffs), vf
         assert series.L == ref.L and all(type(L) is Fraction for L in series.L.values())
         for k, want in ref.V.items():
             got = series.V[k]
             # stored as numerators over one denominator, reduced together
-            assert isinstance(got, ScaledPoly) and got.den > 0
+            assert got.den > 0
             assert math.gcd(*got.nums, got.den) == 1
             assert [F(n, got.den) for n in got.nums] == list(want.coeffs), (vf, k)
             assert got.coeffs == want.coeffs, (vf, k)
@@ -658,7 +658,7 @@ def test_float_blocks_read_back_bit_for_bit(monkeypatch):
     def capture(k, R, domain=RATIONAL):
         V, L = solve(k, R, domain)
         # read a copy, so the stored block is left unread
-        solved[k] = ScaledPoly(k, V.nums, V.den).coeffs
+        solved[k] = HomogPoly.from_ints(k, V.nums, V.den).coeffs
         return V, L
 
     monkeypatch.setattr(engine, "rotational_solve", capture)
@@ -666,7 +666,7 @@ def test_float_blocks_read_back_bit_for_bit(monkeypatch):
     assert len(solved) == 12 and not any("coeffs" in vars(series.V[k]) for k in solved)
     for k, want in solved.items():
         V = series.V[k]
-        fresh = ScaledPoly(k, V.nums, V.den)
+        fresh = HomogPoly.from_ints(k, V.nums, V.den)
         assert fresh.coeffs == want == tuple(F(n, V.den) for n in V.nums), k
         # each value is on the 60-digit grid: rounding it again changes nothing
         assert want == tuple(BigRealDomain(dps=60).ratio(n, V.den) for n in V.nums), k

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bautin_lab.errors import UsageError
-from bautin_lab.hpoly import HomogPoly, ScaledPoly, circle_power
+from bautin_lab.hpoly import HomogPoly, circle_power
 from oracles import poly_sum, rot_apply
 
 rationals = st.fractions(
@@ -88,17 +89,37 @@ def test_coeff_accessor_bounds():
         p.coeff(3, 1)
 
 
-def test_scaled_poly_builds_fractions_once():
-    p = ScaledPoly(2, [2, 0, -3], 4)
+def test_from_ints_builds_fractions_once():
+    p = HomogPoly.from_ints(2, [2, 0, -3], 4)
     assert not p.is_zero() and "coeffs" not in vars(p)
     assert p.coeffs == (Fraction(1, 2), 0, Fraction(-3, 4))
     assert p.coeffs is p.coeffs and p.coeff(2, 0) is p.coeffs[0]
-    assert ScaledPoly(2, [0, 0, 0], 5).is_zero()
+    assert HomogPoly.from_ints(2, [0, 0, 0], 5).is_zero()
     # every value read is the Fraction nums[a] / den, whatever the domain
-    q = ScaledPoly(1, [1, 2], 4)
+    q = HomogPoly.from_ints(1, [1, 2], 4)
     assert q.coeffs == (Fraction(1, 4), Fraction(1, 2)) and (q.nums, q.den) == ((1, 2), 4)
     assert all(type(c) is Fraction for c in q.coeffs)
     with pytest.raises(UsageError):
-        ScaledPoly(2, [1, 2], 3)
+        HomogPoly.from_ints(2, [1, 2], 3)
     with pytest.raises(UsageError):
-        ScaledPoly(1, [1, 2], 0)
+        HomogPoly.from_ints(1, [1, 2], 0)
+
+
+def test_coefficients_are_read_once_as_integers_over_one_denominator():
+    # the given objects stay the coefficients; nums/den are their exact
+    # integer form over the lcm of the denominators
+    cs = (Fraction(1, 6), 0, Fraction(-3, 4), 5)
+    p = HomogPoly(3, cs)
+    assert p.coeffs is cs and (p.nums, p.den) == ((2, 0, -9, 60), 12)
+    zero = HomogPoly.zero(2)
+    assert zero.is_zero() and (zero.nums, zero.den) == ((0, 0, 0), 1)
+
+
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused():
+    # a float, a nan or text used to pass construction and fail later in the
+    # engine with AttributeError
+    for bad in (0.5, float("nan"), "1/2"):
+        with pytest.raises(UsageError, match=re.escape(repr(bad))):
+            HomogPoly(2, [Fraction(1), bad, 0])
+        with pytest.raises(UsageError):
+            HomogPoly.monomial(1, 1, bad)

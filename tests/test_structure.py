@@ -514,10 +514,11 @@ def test_float_weak_focus_order_equals_the_exact_order():
 
 def test_float_center_check_raises_on_a_non_finite_coefficient():
     # only a denominator divisible by p makes the residue pass inconclusive;
-    # a library float field holding nan is an error, not a verdict
+    # a library float field holding nan is an error, not a verdict (the
+    # polynomial refuses the nan when it is built)
     dom = BigRealDomain(dps=60)
     vf = coerce_field(random_field(2, 0), dom)
-    bad = VectorField(2, {**vf.F, 2: HomogPoly.monomial(2, 0, float("nan"))}, vf.G, dom)
     with pytest.raises(UsageError, match="nan") as info:
+        bad = VectorField(2, {**vf.F, 2: HomogPoly.monomial(2, 0, float("nan"))}, vf.G, dom)
         center_check(bad, dom)
     assert not isinstance(info.value, NoResidueError)
