@@ -77,7 +77,10 @@ pinned input, and its covector there gives the constant part, exact: no
 forward series is run.  A column stands for one full V_k coefficient, the
 attribution of the published tables.  The sweep for L_j visits only the
 degrees up to 2j+2 whose R_k leads to a pinned block (for a homogeneous
-field of degree n, the degrees 2 + m(n-1)), on ints with one gcd per degree.
+field of degree n, the degrees 2 + m(n-1)), on ints: each gather aligns its
+taps to one denominator, the chain scale multiplies the gathered covector
+once before the transposed solve, and the domain reduces the result once per
+degree (``reduce_row``: a gcd, or residues over 1).
 ``covector_rows`` yields the linear parts one row at a time, so a caller
 that needs only det P sweeps no row it does not draw.
 """
@@ -88,7 +91,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import add, mul
 
 from .errors import SolverInternalError, UsageError
@@ -485,18 +488,19 @@ def _covectors(
     L = <w, V_k> / den + (terms in the other blocks), V_2 among them unless
     2 is replaced; with 2 replaced L is the sum of these terms alone.
     One reverse sweep from the covector that reads L off R_K.  The covector
-    r on the numerators of each R_k, reduced by one gcd and padded with a
-    zero at each end, is kept until the last degree that reads it, k + 1 -
-    (top field degree).  The covector on each lower V_m is gathered in one
-    list from the taps of every kept R_(m+d-1) (``_gather``), each scaled
-    to the lcm of their denominators and, at a solved degree, by the chain
-    scale that ``_solve_transpose`` expects.  A replaced block is pinned, so
+    r on the numerators of each R_k, reduced once by the domain's
+    ``reduce_row`` and padded with a zero at each end, is kept until the
+    last degree that reads it, k + 1 - (top field degree).  The covector on
+    each lower V_m is gathered in one list from the taps of every kept
+    R_(m+d-1) (``_gather``), each scaled to the lcm of their denominators;
+    at a solved degree it is then multiplied once by the chain scale that
+    ``_solve_transpose`` expects.  A replaced block is pinned, so
     its covector is read off and not handed further down; the sweep stops
     at the lowest replaced degree, and skips a solved degree whose R_k
     enters no degree of ``reach``.  Degree 2 is read off like any other
     replaced one (it has no solve); a covector no tap reaches stays zero."""
     low = min(replaced)
-    terms = series._field_terms
+    terms, reduce_row = series._field_terms, series.domain.reduce_row
     top = max(terms, default=0)  # a field with no nonlinear part reads nothing
     reach = set(replaced)  # and each solved degree whose R_k enters one in it
     for k in range(low + 1, K):  # a quadratic part (d = 2) reaches every k
@@ -515,16 +519,16 @@ def _covectors(
             if not taps:
                 continue
             den = lcm(*(dr * e for _, _, dr, e in taps))
-            s0 = 1 if k in replaced else _chain_constants(k)[0]
-            w = _gather(k, [(st, r, s0 * den // (dr * e)) for st, r, dr, e in taps])
+            w = _gather(k, [(st, r, den // (dr * e)) for st, r, dr, e in taps])
             if k in replaced:
                 out[k] = (w, den)
                 continue
             if not any(w):
                 continue
-            r, den = _solve_transpose(k, w), den * s0
-        red = gcd(*r, den)
-        kept[k] = ([0, *r, 0], den) if red == 1 else ([0, *(x // red for x in r), 0], den // red)
+            s0 = _chain_constants(k)[0]
+            r, den = _solve_transpose(k, [s0 * x for x in w]), den * s0
+        r, den = reduce_row(r, den)
+        kept[k] = ([0, *r, 0], den)
     return out
 
 

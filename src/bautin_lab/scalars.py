@@ -21,7 +21,10 @@ once in real mode, den inverted once mod p) and builds one value from
 num/den (``ratio``: the Fraction, the correctly rounded dyadic one, or the
 residue).  The engine's per-degree loop and the certificate determinant
 compute on those ints in every mode, so real mode rounds each solved
-coefficient, each Lyapunov constant and det P once.
+coefficient, each Lyapunov constant and det P once.  The certificate sweep
+reduces each covector it carries by ``reduce_row``: the exact and real
+domains divide out one gcd, so the real-mode certificate stays exact, and
+residues invert den once, as ``store_ints`` does.
 
 ``LinearForm`` is not a carrier but a record of an affine expression
 c0 + sum_i c_i * u_i  in registered unknowns, with c0 and the c_i in one
@@ -306,7 +309,14 @@ def read_ints(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
 
 
 class _Reader:
-    """The one ``coerce`` of every domain."""
+    """The one ``coerce`` of every domain, and the certificate sweep's
+    reduction that the exact and real domains share."""
+
+    def reduce_row(self, nums: list[int], den: int) -> tuple[list[int], int]:
+        """nums/den with the gcd of den and every numerator divided out: the
+        same exact covector, so a real-mode certificate stays exact."""
+        g = gcd(*nums, den)
+        return (nums, den) if g == 1 else ([x // g for x in nums], den // g)
 
     def coerce(self, x) -> Scalar:
         """The exact value of an int, a Fraction or text (``parse_rational``),
@@ -394,7 +404,8 @@ class ResidueDomain(_Reader):
     """Residues modulo the prime p (a/b is a * b^-1 mod p).  A nonzero residue
     proves a rational nonzero, a zero one proves nothing: ``exact`` is False.
     The engine's chain steps divide exactly for any integer source, so its
-    loop solves on residues unchanged and ``store_ints`` reduces the result."""
+    loop and the certificate sweep run on residues unchanged, and
+    ``store_ints`` reduces each result."""
 
     p = 2**61 - 1
     exact = False
@@ -405,6 +416,8 @@ class ResidueDomain(_Reader):
             return [], 1
         inv = self.ratio(1, den)
         return [x * inv % self.p for x in nums], 1
+
+    reduce_row = store_ints  # the sweep reduces each covector to residues over 1
 
     def ratio(self, num: int, den: int) -> int:
         if den % self.p == 0:

@@ -11,6 +11,9 @@ reduction that ``RationalDomain.store_ints`` is checked against, and
 ``mp_round`` (mpmath's correctly rounded division) the rounding of
 ``BigRealDomain``.  ``pinned_run`` is the forward loop with chosen blocks
 pinned, the oracle of the certificate series' linear parts and offsets.
+``reflected_field`` and ``dilated_field`` apply the reflection with time
+reversal and the scaling of the coordinates, whose exact action on every
+Lyapunov constant and certificate entry the symmetry tests check.
 """
 
 from fractions import Fraction
@@ -115,6 +118,27 @@ def scaled_field(vf: VectorField, s) -> VectorField:
         return {k: p.map_coeffs(lambda c: c * s) for k, p in parts.items()}
 
     return VectorField(vf.degree, scale(vf.F), scale(vf.G), vf.domain)
+
+
+def reflected_field(vf: VectorField) -> VectorField:
+    """The field under (x, y, t) -> (x, -y, -t): F'(x, y) = -F(x, -y) and
+    G'(x, y) = G(x, -y), read off slot a (the y-exponent) coefficient-wise."""
+    def flip(parts, sign):
+        return {
+            k: HomogPoly(k, [sign * (-1) ** a * c for a, c in enumerate(p.coeffs)])
+            for k, p in parts.items()
+        }
+
+    return VectorField(vf.degree, flip(vf.F, -1), flip(vf.G, 1), vf.domain)
+
+
+def dilated_field(vf: VectorField, mu) -> VectorField:
+    """The field in the coordinates (x, y) = mu (X, Y): F_d and G_d times
+    mu^(d-1)."""
+    def dilate(parts):
+        return {k: HomogPoly(k, [mu ** (k - 1) * c for c in p.coeffs]) for k, p in parts.items()}
+
+    return VectorField(vf.degree, dilate(vf.F), dilate(vf.G), vf.domain)
 
 
 def apply_p(P, values) -> list:

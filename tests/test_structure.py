@@ -31,7 +31,15 @@ from bautin_lab.structure import (
     gap_profile,
     verify_gaps,
 )
-from oracles import apply_p, det_cofactor, mp_round, poly_sum, stored_field
+from oracles import (
+    apply_p,
+    det_cofactor,
+    dilated_field,
+    mp_round,
+    poly_sum,
+    reflected_field,
+    stored_field,
+)
 
 
 def F(*args):
@@ -175,24 +183,72 @@ def test_p_matrix_float_agrees_with_exact():
         assert abs(approx.determinant() - dom.coerce(det_q)) <= abs(det_q) * F(1, 10**45)
 
 
-def test_p_matrix_residues_reduce_the_exact_matrix():
+def test_p_matrix_residues_reduce_the_exact_matrix(monkeypatch):
     # the reverse sweeps and Bareiss run unchanged on residues: every entry,
-    # every row offset and det P is the exact value reduced modulo p
+    # every row offset and det P is the exact value reduced modulo p.
+    # ResidueDomain.reduce_row hands each swept covector on as residues over
+    # 1, so no tap the sweep gathers from holds a grown exact int
     dom = ResidueDomain()
+    p = dom.p
+    taps = []
+
+    def gather(m, tap_list):
+        taps.extend(r for _, r, _ in tap_list)
+        return real_gather(m, tap_list)
+
+    real_gather = engine._gather
+    monkeypatch.setattr(engine, "_gather", gather)
 
     def mod_p(x):
-        return dom.ratio(x.numerator, x.denominator)
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     for make in (random_field, random_homogeneous_field):
         for n in range(2, 7):
             for seed in (0, 1):
                 exact = build_p_matrix(make(n, seed))
+                taps.clear()
                 residues = build_p_matrix(coerce_field(make(n, seed), dom))
+                assert taps and all(0 <= x < p for r in taps for x in r), (make, n, seed)
                 assert residues.row_labels == exact.row_labels, (make, n, seed)
                 assert residues.col_labels == exact.col_labels, (make, n, seed)
                 assert residues.entries == [[mod_p(x) for x in row] for row in exact.entries]
                 assert residues.row_offsets == [mod_p(x) for x in exact.row_offsets]
                 assert residues.determinant() == mod_p(exact.determinant()), (make, n, seed)
+
+
+def test_domains_reduce_a_swept_row():
+    nums, den = [6, -9, 0, 15], 12
+    for dom in (RATIONAL, BigRealDomain(60)):  # exact in both: the gcd divided out
+        assert dom.reduce_row(nums, den) == ([2, -3, 0, 5], 4)
+        assert dom.reduce_row([1, 2], 3) == ([1, 2], 3)
+    p = ResidueDomain.p
+    assert ResidueDomain().reduce_row(nums, den) == ([x * pow(12, -1, p) % p for x in nums], 1)
+
+
+@pytest.mark.parametrize("dom, mu", [(RATIONAL, F(3, 2)), (BigRealDomain(60), F(2))])
+def test_p_matrix_under_reflection_and_scaling(dom, mu):
+    # (x, y, t) -> (x, -y, -t) sends L_j to -L_j and the unknown of slot
+    # (i, a) to (-1)^a times itself; x = mu X sends L_j to mu^(2j) L_j and
+    # an unknown of V_k to mu^(k-2) times itself.  Float entries are the
+    # exact ones rounded once, and a sign or a power of two commutes with
+    # the rounding, so both identities hold exactly in both modes
+    for make in (random_field, random_homogeneous_field):
+        for n in range(2, 7):
+            vf = coerce_field(make(n, 4), dom)
+            P = build_p_matrix(vf)
+            assert any(map(any, P.entries)), (make, n)
+            if make is random_field and n > 2:  # general fields have nonzero offsets
+                assert any(P.row_offsets), n
+            flip, dil = build_p_matrix(reflected_field(vf)), build_p_matrix(dilated_field(vf, mu))
+            for Q in (flip, dil):
+                assert (Q.row_labels, Q.col_labels) == (P.row_labels, P.col_labels)
+            for j, row, row_f, row_d in zip(P.row_labels, P.entries, flip.entries, dil.entries):
+                cols = P.col_labels
+                assert row_f == [-(-1) ** a * x for (_, a), x in zip(cols, row)], (make, n, j)
+                want = [mu ** (2 * j - (i + a - 2)) * x for (i, a), x in zip(cols, row)]
+                assert row_d == want, (make, n, j)
+            assert flip.row_offsets == [-c for c in P.row_offsets]
+            assert dil.row_offsets == [mu ** (2 * j) * c for j, c in zip(P.row_labels, P.row_offsets)]
 
 
 def test_p_matrix_column_order_override():
