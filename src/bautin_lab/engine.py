@@ -34,22 +34,21 @@ a+1, the K+1 equations decouple by slot parity into two chains:
 
   * odd K: both chains are square bidiagonal systems with unit-free integer
     coefficients, solved by forward/backward substitution -- unique V_K, no L;
-  * even K: the even-slot equations couple the odd-slot coefficients together
-    with L (square, nonsingular: solved by carrying the solution as an affine
-    function of L and closing with the last equation); the odd-slot equations
-    leave the even-slot coefficients with a one-dimensional kernel spanned by
+  * even K: on the unit circle rot is d/dt, whose image has mean zero,
+    so L = L_(K/2-1) is the circle mean of R_K, computed first; the
+    even-slot equations then give the odd-slot coefficients by forward
+    substitution with L a known source, and the odd-slot equations leave the
+    even-slot coefficients with a one-dimensional kernel spanned by
     (x^2+y^2)^(K/2), resolved by pinning one designated slot to zero.
 
 Both modes run both chains on ints.  The source numerators are first
-multiplied by a per-degree scale -- lcm(1, 3, ..., K) at odd K; at even K
-the lcm of the closing factor 1 + unit[K-1] (as an integer over the
-odd-chain product) times lcm(1, 3, ..., K-1) and of 2 * lcm(1, ..., K/2) --
-so every step is an exact floor division, and the exact V_K and L are those
-numerators over the scale times den.  Every chain coefficient is m
-consecutive multipliers over m+1 consecutive divisors, so the divisors
-exceed the multipliers at a prime p by at most floor(log_p K) factors, and
-a least common multiple suffices (``_chain_constants`` has the proof); the
-smaller the scale, the less the reduction below has to divide back out.
+multiplied by a per-degree scale -- lcm(1, 3, ..., K) at odd K, and at even
+K the lcm of 2 * lcm(1, 2, ..., K/2) and the power of two D under the circle
+weights -- so every step is an exact floor division, and the exact V_K and L
+are those numerators over the scale times den.  Each step yields a
+coefficient of the exact solution, and the scale is the least that clears
+them all (``_chain_constants`` has the proof): the smaller the scale, the
+less the reduction below has to divide back out.
 Exact mode stores V_K so, in lowest terms by one division pass; L is the
 Fraction of its numerator over the same denominator.  Float mode rounds
 each V_K coefficient and L once, to nearest at the working precision, and
@@ -78,7 +77,7 @@ forward series is run.  A column stands for one full V_k coefficient, the
 attribution of the published tables.  The sweep for L_j visits only the
 degrees up to 2j+2 whose R_k leads to a pinned block (for a homogeneous
 field of degree n, the degrees 2 + m(n-1)), on ints: each gather aligns its
-taps to one denominator, the chain scale multiplies the gathered covector
+taps to one denominator, the sweep scale multiplies the gathered covector
 once before the transposed solve, and the domain reduces the result once per
 degree (``reduce_row``: a gcd, or residues over 1).
 ``covector_rows`` yields the linear parts one row at a time, so a caller
@@ -87,11 +86,11 @@ that needs only det P sweeps no row it does not draw.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
-from math import lcm, prod
+from math import comb, lcm
 from operator import add, mul
 
 from .errors import SolverInternalError, UsageError
@@ -209,9 +208,7 @@ def rotational_solve(
     ``HomogPoly.from_ints``) and builds L (``ratio``): in exact mode V is
     reduced in one division pass and L is a Fraction; in float mode each V
     coefficient and L is the exact solution rounded once, to nearest at the
-    working precision of ``domain``.  The two parity chains are always
-    solvable in exact arithmetic; a vanishing closing denominator would mean
-    a solver bug, not bad input.
+    working precision of ``domain``.
     """
     if k < 3:
         raise UsageError("rotational solve needs degree >= 3")
@@ -222,101 +219,104 @@ def rotational_solve(
     return V, (None if L is None else domain.ratio(L, den))
 
 
-def _solve_ints(k: int, nums: Iterable[int], den: int) -> tuple[list[int], int | None, int]:
+def _solve_ints(k: int, nums: Sequence[int], den: int) -> tuple[list[int], int | None, int]:
     """The parity chains of ``rotational_solve`` for R = nums/den on ints:
     (v, l, d) with V's coefficients v[a]/d and L = l/d (l None at odd k).
 
     The numerators are scaled by the ``scale`` of ``_chain_constants(k)``,
-    a least common multiple that makes every step an exact floor division
+    the least multiplier that makes every step an exact floor division
     (proved there), so d = den * scale."""
-    scale, odd, unit, close = _chain_constants(k)
+    scale, _, circle = _chain_constants(k)
     c = [scale * x for x in nums]
+    l = None
+    if circle:  # L first, as the circle mean of R, then a known source
+        D, weights, cp = circle
+        l = sum(map(mul, weights, nums)) * (scale // D)
+        for b in range(0, k, 2):
+            c[b] -= l * cp[b]
     v = [0] * (k + 1)
     # Equation at slot b: (b+1) v[b+1] - (k-b+1) v[b-1] + c[b] = 0.
-    for b in range(0, k, 2):  # odd slots, left to right (at even k: the L = 0 part)
+    for b in range(0, k, 2):  # odd slots, left to right
         v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) // (b + 1)
     den *= scale
     if k % 2 == 1:
         for b in range(k, 0, -2):  # even slots, right to left
             v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
         return v, None, den
-
-    # Close with the slot-k equation -v[k-1] + c[k] = L, where the odd slots
-    # are v + L * unit / odd and 1 + unit[k-1] / odd = close / odd.
-    step = (c[k] - v[k - 1]) // close  # L * den / odd
-    for a in range(1, k, 2):
-        v[a] += step * unit[a]
     a_t = tiebreak_slot(k)[1]  # v[a_t] stays 0
     for b in range(a_t + 1, k, 2):
         v[b + 1] = ((k - b + 1) * v[b - 1] - c[b]) // (b + 1)
     for b in range(a_t - 1, 0, -2):
         v[b - 1] = ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
-    return v, step * odd, den
+    return v, l, den
 
 
 @cache
-def _chain_constants(k: int) -> tuple[int, int, tuple[int, ...] | None, int | None]:
-    """Per-degree constants of ``_solve_ints``, computed on first use:
-    (scale, odd, unit, close).  ``odd`` is the product 3 * 5 * ... of the
-    odd-slot chain divisors, the odd numbers up to k.  At even k, ``unit`` is
-    odd times the odd-slot solution for L = 1 and R = 0, and ``close`` =
-    odd + unit[k-1] is odd times the closing factor 1 + unit[k-1] / odd; at
-    odd k both are None.  ``scale`` is lcm(1, 3, ..., k) at odd k and
+def _chain_constants(k: int) -> tuple[int, int, tuple | None]:
+    """Per-degree constants of ``_solve_ints`` and ``_solve_transpose``,
+    computed on first use: (scale, sweep, circle).  At odd k both scales are
+    lcm(1, 3, ..., k) and circle is None.  At even k = 2h, circle is
+    (D, weights, cp): cp holds the coefficients of (x^2+y^2)^h, weights[a] =
+    D * W_a for W_a = (a-1)!! (k-a-1)!! / k!! at even a (0 at odd a), and
+    D = 2^(k-s) for s the number of ones in h's binary digits; scale =
+    D * lcm(1, 3, ..., h) and sweep = D * lcm(1, 3, ..., k-1).
 
-        lcm(close * lcm(1, 3, ..., k-1), 2 * lcm(1, 2, ..., k/2))
+    Chains.  Along a chain, the coefficient of a source in the value solved
+    m steps after the step that reads it is, up to sign, m multipliers over
+    m + 1 divisors (the first step divides by 1 when it copies a source),
+    each a run of consecutive terms of step 2: odd divisors up to k in the
+    odd-slot chains and in the even-slot chain at odd k, even ones in the
+    even-slot chain at even k.  For an odd prime p, every p^e consecutive
+    terms hold one multiple of p^e, so the multipliers hold at least
+    floor(m / p^e) and the divisors at most floor(m / p^e) + 1, none once
+    p^e > k: the divisors exceed the multipliers at p by at most
+    floor(log_p k), and odd divisors hold no 2.  So lcm(1, 3, ..., k) clears
+    both chains at odd k, and lcm(1, 3, ..., k-1) the odd-slot chain at even
+    k on integer sources.  Halved, the even terms of the even-slot chain at
+    even k are consecutive integers up to h, with one 2 left over, so the
+    same count gives 2 * lcm(1, ..., h), which divides scale: its power of
+    two, 2^floor(log2 k), divides D, as s <= floor(log2 k) <= k/2.
 
-    at even k, the least multiplier this argument shows to make every step
-    of the solve and of its transpose an exact floor division.
+    Circle.  At x = cos t, y = sin t, x^(k-a) y^a is (e^(it) + e^(-it))^(k-a)
+    (e^(it) - e^(-it))^a / (2^k i^a), so every Fourier mode of R_k is an
+    integer combination of the nums over 2^(k-1) * den, and the mean W_a
+    is an integer over 2^k.  W_a has an odd numerator and k!! = 2^h h!
+    holds 2^(k-s) (Legendre), so W_a is odd over D.  rot is d/dt there, so
+    L is the mean of R_k: scale * den * L = sum(weights * nums) * scale / D.
 
-    Each step of ``_solve_ints`` yields a value linear in the source
-    c = scale * nums: a coefficient of the exact solution, or at even k one
-    of the odd-slot run with L = 0 or the closing quotient.  It is an
-    integer for every integer nums when scale times its coefficient of each
-    nums[b'] is an integer.  Along a chain, the coefficient of nums[b'] in
-    the value solved m steps after the step that reads it is, up to sign, a
-    product of m multipliers over a product of m + 1 divisors (the first
-    step divides by 1 when it only copies a source).  The divisors are consecutive odd numbers up to k
-    in the odd-slot chains and in the even-slot chain at odd k, and
-    consecutive even numbers up to k in the even-slot chain at even k; the
-    multipliers are consecutive terms of step 2 as well.  For an odd prime p,
-    every p^e consecutive terms of such a progression hold exactly one
-    multiple of p^e, so the multipliers hold at least floor(m / p^e) of them
-    and the divisors at most floor(m / p^e) + 1, and none once p^e > k.
-    Summed over e (Legendre: the first sums to the power of p in m!), the
-    divisors exceed the multipliers at p by at most floor(log_p k), the
-    power of p in lcm(1, 3, ..., k), and odd divisors hold no 2.  So
-    lcm(1, 3, ..., k) clears both chains at odd k, and lcm(1, 3, ..., k-1)
-    the odd-slot run at even k with L = 0.  At even k, halving the divisors
-    and the multipliers leaves m + 1 consecutive integers up to k/2 over m
-    consecutive integers and one factor 2, so the same count at every prime
-    p gives 2 * lcm(1, ..., k/2).  The closing step divides c[k] - v[k-1] =
-    scale * X by ``close``, where X = nums[k] minus the L = 0 value at slot
-    k-1 and lcm(1, 3, ..., k-1) * X is an integer, so the factor
-    close * lcm(1, 3, ..., k-1) makes the quotient scale * L / odd an
-    integer; adding it times the integers ``unit`` keeps the odd slots
-    integral.  ``unit`` itself is the odd-slot chain on the source
-    odd * (x^2+y^2)^(k/2), exact because odd is a multiple of
-    lcm(1, 3, ..., k-1).
+    Forward steps.  Each yields a coefficient of V or L times scale * den,
+    so it is exact where that is an integer.  At even k the even slots come
+    from the pinned chain; the odd slots, which the kernel does not touch,
+    are integers at 2 because the odd-slot chain divides by odd numbers only
+    and its sources c[b] - l * cp[b] are integers, and at an odd prime
+    because on the circle d/dt V = L - R divides the mode-m part of R by m,
+    even and at most k, while cos(mt), sin(mt) are the circle values of the
+    integer polynomials Re, Im (x + iy)^m (x^2+y^2)^(h-m/2).  No smaller
+    scale is exact: L needs D at a = 0, and an odd prime power p^e <= h is
+    needed by the source Re (x + iy)^m (x^2+y^2)^(h-p^e), m = 2p^e, whose V
+    is -Im (x + iy)^m (x^2+y^2)^(h-p^e) / m up to the kernel, while
+    Im (x + iy)^m = +-2 x^(p^e) y^(p^e) mod p (Frobenius).  At odd k the
+    source Re (x + iy)^m (x^2+y^2)^((k-m)/2), m = p^e <= k, does the same
+    for lcm(1, 3, ..., k), as Im (x + iy)^m = +-y^m mod p.
 
-    ``_solve_transpose`` undoes these steps in reverse, on w scaled by
-    scale.  Each c[b] enters exactly one forward step, so each quotient of
-    the transpose is, up to sign, one entry of scale * (M^T w + t l), where
-    V = M R and L = <l, R> is the exact solve; scale * M and scale * l are
-    integer matrices by the argument above, and w and t are integers.  No
-    step is left to a run-time check."""
-    odd = prod(range(3, k + 1, 2))
+    ``_solve_transpose`` undoes the steps in reverse, on w scaled by sweep.
+    Each even-slot quotient is one entry of the covector g on the source,
+    and each odd-slot one an entry of the covector on the odd-slot chain's
+    sources c[b] - l * cp[b]: by the chain bounds, sweep makes both integers
+    and the odd-slot ones multiples of D.  So the covector on l, sweep * t
+    minus their sum weighted by cp, is a multiple of D.  No step is left to
+    a run-time check."""
     if k % 2 == 1:
-        return lcm(*range(1, k + 1, 2)), odd, None, None
-    cp = circle_power(k // 2).coeffs
-    unit = [0] * k
-    for b in range(0, k, 2):
-        prev = unit[b - 1] if b else 0
-        unit[b + 1] = ((k - b + 1) * prev + odd * cp[b]) // (b + 1)
-    close = odd + unit[k - 1]
-    if close == 0:
-        raise SolverInternalError(f"closing denominator vanished at degree {k}")
-    scale = lcm(close * lcm(*range(1, k, 2)), 2 * lcm(*range(1, k // 2 + 1)))
-    return scale, odd, tuple(unit), close
+        scale = lcm(*range(1, k + 1, 2))
+        return scale, scale, None
+    h = k // 2
+    D = 1 << (k - h.bit_count())
+    weights = [0] * (k + 1)
+    weights[0] = comb(k, h) >> h.bit_count()  # D * (k-1)!! / k!!
+    for a in range(0, k, 2):
+        weights[a + 2] = weights[a] * (a + 1) // (k - a - 1)
+    circle = (D, tuple(weights), circle_power(h).nums)
+    return D * lcm(*range(1, h + 1, 2)), D * lcm(*range(1, k, 2)), circle
 
 
 def dense_rotational_solve(k: int, R: HomogPoly) -> tuple[HomogPoly, Scalar | None]:
@@ -493,7 +493,7 @@ def _covectors(
     last degree that reads it, k + 1 - (top field degree).  The covector on
     each lower V_m is gathered in one list from the taps of every kept
     R_(m+d-1) (``_gather``), each scaled to the lcm of their denominators;
-    at a solved degree it is then multiplied once by the chain scale that
+    at a solved degree it is then multiplied once by the sweep scale that
     ``_solve_transpose`` expects.  A replaced block is pinned, so
     its covector is read off and not handed further down; the sweep stops
     at the lowest replaced degree, and skips a solved degree whose R_k
@@ -511,7 +511,7 @@ def _covectors(
     for k in range(K, low - 1, -1):
         kept.pop(k + top, None)  # read last at degree k + 1
         if k == K:
-            r, den = _solve_transpose(k, [0] * (k + 1), 1), _chain_constants(k)[0]
+            r, den = _solve_transpose(k, [0] * (k + 1), 1), _chain_constants(k)[1]
         elif k not in reach:
             continue
         else:
@@ -525,8 +525,8 @@ def _covectors(
                 continue
             if not any(w):
                 continue
-            s0 = _chain_constants(k)[0]
-            r, den = _solve_transpose(k, [s0 * x for x in w]), den * s0
+            s = _chain_constants(k)[1]
+            r, den = _solve_transpose(k, [s * x for x in w]), den * s
         r, den = reduce_row(r, den)
         kept[k] = ([0, *r, 0], den)
     return out
@@ -547,13 +547,13 @@ def _gather(m: int, taps: list[tuple[list[tuple[int, int, int]], list[int], int]
 
 def _solve_transpose(k: int, w: list[int], t: int = 0) -> list[int]:
     """The transpose of ``_solve_ints``: for V, L the rotational solve of R,
-    the covector g on R with <g, R> = <w, V> + scale * t * L, where scale
-    is that of ``_chain_constants(k)``; w comes multiplied by scale and is
-    overwritten.  The forward steps of the parity chains are undone in
-    reverse order.  Each source numerator enters one forward step, so each
-    quotient is, up to sign, one entry of the integer covector g, and every
-    step is an exact floor division, as in the forward solve."""
-    scale, odd, unit, close = _chain_constants(k)
+    the covector g on R with <g, R> = <w, V> + sweep * t * L, where sweep
+    is that of ``_chain_constants(k)``; w comes multiplied by sweep and is
+    overwritten.  The forward steps are undone in reverse order, each an
+    exact floor division (proved there).  The quotients of the odd-slot
+    chain are the covector on its sources c[b] - l * cp[b], so l gets minus
+    their sum weighted by cp, and hands it to R through the circle weights."""
+    sweep, circle = _chain_constants(k)[1:]
     g = [0] * (k + 1)
 
     def up(slots):  # undo v[b+1] = ((k-b+1) v[b-1] - c[b]) / (b+1)
@@ -575,11 +575,10 @@ def _solve_transpose(k: int, w: list[int], t: int = 0) -> list[int]:
         a_t = tiebreak_slot(k)[1]  # v[a_t] is pinned: its covector is dropped
         up(range(k - 1, a_t, -2))
         down(range(1, a_t, 2))
-        # step = (c[k] - v[k-1]) / close gives L = odd * step and adds
-        # step * unit[a] to each odd slot a
-        step = (scale * t * odd + sum(w[a] * unit[a] for a in range(1, k, 2))) // close
-        g[k] += step
-        w[k - 1] -= step
     up(range(k - 2 + k % 2, 0, -2))  # odd slots, from v[1] = -c[0]
     g[0] -= w[1]
+    if circle:
+        D, weights, cp = circle
+        q = (sweep * t - sum(map(mul, g, cp))) // D  # the covector on l, over D
+        g = [x + q * n for x, n in zip(g, weights)]
     return g

@@ -2,10 +2,10 @@
 
 A polynomial of degree k is a coefficient vector of length k+1: entry a holds
 the coefficient of x^(k-a) * y^a, so the vector reads in descending x-power
-order.  Zero coefficients are stored explicitly; degrees stay small (<= ~60 in
-the target workloads) and the rotational operator x*d/dy - y*d/dx only couples
-neighbouring entries, so a dense layout is both simpler and faster than a
-sparse one.
+order.  Zero coefficients are stored explicitly; degrees stay small (122 for
+L_60, the deepest target workload) and the rotational operator x*d/dy - y*d/dx
+only couples neighbouring entries, so a dense layout is both simpler and
+faster than a sparse one.
 
 Every polynomial holds its coefficients as integer numerators over one
 positive denominator, ``nums[a] / den``, and the engine computes on those ints

@@ -14,10 +14,13 @@ pinned, the oracle of the certificate series' linear parts and offsets.
 ``reflected_field`` and ``dilated_field`` apply the reflection with time
 reversal and the scaling of the coordinates, whose exact action on every
 Lyapunov constant and certificate entry the symmetry tests check.
+``circle_mean`` is the mean of a polynomial over the unit circle, read off
+Euler's formula term by term: on the circle rot is d/dt, so L_j is the mean
+of R_(2j+2).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import mpmath
 
@@ -79,6 +82,23 @@ def residual(series: LyapunovSeries, k: int) -> HomogPoly:
     if L is not None:
         terms.append(circle_power(k // 2).map_coeffs(lambda b: -L * b))
     return poly_sum(*terms)
+
+
+def circle_mean(p: HomogPoly) -> Fraction:
+    """The mean of p over x = cos t, y = sin t.  With z = e^(it), the
+    monomial x^(k-a) y^a is (z + 1/z)^(k-a) (z - 1/z)^a / (2^k i^a), whose
+    mean is its constant term in z: the sum over r + s = k/2 of
+    C(k-a, r) C(a, s) (-1)^(a-s), times 1/i^a = (-1)^(a/2).  Only even k
+    and a contribute."""
+    k, total = p.degree, Fraction(0)
+    h = k // 2
+    for a, c in enumerate(p.coeffs):
+        if k % 2 or a % 2 or not c:
+            continue
+        rs = range(max(0, h - a), min(k - a, h) + 1)
+        const = sum(comb(k - a, r) * comb(a, h - r) * (-1) ** (a - h + r) for r in rs)
+        total += c * Fraction(const * (-1) ** (a // 2), 2**k)
+    return total
 
 
 def pinned_run(vf: VectorField, J: int, pins, v2=None) -> LyapunovSeries:

@@ -30,7 +30,17 @@ from bautin_lab.fields import (
 from bautin_lab.hpoly import HomogPoly, circle_power
 from bautin_lab.scalars import RATIONAL, BigRealDomain, LinearForm, ResidueDomain, exact_str
 from bautin_lab.structure import build_p_matrix, gap_profile
-from oracles import mp_round, pinned_run, poly_sum, residual, scaled_field, stored_field
+from oracles import (
+    circle_mean,
+    dilated_field,
+    mp_round,
+    pinned_run,
+    poly_sum,
+    reflected_field,
+    residual,
+    scaled_field,
+    stored_field,
+)
 
 
 def F(*args):
@@ -474,40 +484,41 @@ def test_integer_solve_on_every_degree_of_plain_runs(monkeypatch):
 
 
 def test_solve_transpose_against_dense_solve():
-    # <g, R> = scale * (<w, V> + t L) for the dense solution V, L of R; the
+    # <g, R> = sweep * (<w, V> + t L) for the dense solution V, L of R; the
     # even degrees pin slots (h, h) and (h-1, h+1) alternately
     rng = random.Random(12)
     for k in range(3, 42):
         R = HomogPoly(k, [rng.randint(-99, 99) for _ in range(k + 1)])
         V, L = dense_rotational_solve(k, R)
-        scale = engine._chain_constants(k)[0]
+        sweep = engine._chain_constants(k)[1]
         draws = [([rng.randint(-99, 99) for _ in range(k + 1)], 0)]
         if k % 2 == 0:
             draws += [([0] * (k + 1), 1), ([rng.randint(-99, 99) for _ in range(k + 1)], -7)]
         for w, t in draws:
-            g = engine._solve_transpose(k, [scale * x for x in w], t)
+            g = engine._solve_transpose(k, [sweep * x for x in w], t)
             assert all(type(x) is int for x in g)
             want = sum(map(operator.mul, w, V.coeffs)) + (t * L if t else 0)
-            assert sum(map(operator.mul, g, R.coeffs)) == scale * want, (k, t)
+            assert sum(map(operator.mul, g, R.coeffs)) == sweep * want, (k, t)
 
 
 def test_chain_solve_is_exact_at_every_degree_to_202():
     # the scaled chains on ~100-bit sources, to past the benchmark's top
     # degree 122: d is the scale, every slice equation holds on the ints,
-    # the pinned slot is zero, and the transpose gives <g, R> = <w, v> + t l
+    # the pinned slot is zero, and the transpose on w scaled by the sweep
+    # scale gives scale * <g, R> = sweep * (<w, v> + t l)
     rng = random.Random(18)
 
     def draw(n):
         return [rng.getrandbits(100) - (1 << 99) for _ in range(n)]
 
     for k in range(3, 203):
-        scale = engine._chain_constants(k)[0]
+        scale, sweep, _ = engine._chain_constants(k)
         R = draw(k + 1)
         v, l, d = engine._solve_ints(k, R, 1)
         assert d == scale and all(type(x) is int for x in v), k
         cp = circle_power(k // 2).coeffs if k % 2 == 0 else (0,) * (k + 1)
         if k % 2 == 0:
-            assert v[tiebreak_slot(k)[1]] == 0, k
+            assert v[tiebreak_slot(k)[1]] == 0 and type(l) is int, k
         else:
             assert l is None, k
         l = l or 0
@@ -516,40 +527,44 @@ def test_chain_solve_is_exact_at_every_degree_to_202():
             lhs = (b + 1) * padded[b + 2] - (k - b + 1) * padded[b] + scale * R[b]
             assert lhs == l * cp[b], (k, b)
         w, t = draw(k + 1), (draw(1)[0] if k % 2 == 0 else 0)
-        g = engine._solve_transpose(k, [scale * x for x in w], t)
+        g = engine._solve_transpose(k, [sweep * x for x in w], t)
         assert all(type(x) is int for x in g), k
-        assert sum(map(operator.mul, g, R)) == sum(map(operator.mul, w, v)) + t * l, k
+        lhs = scale * sum(map(operator.mul, g, R))
+        assert lhs == sweep * (sum(map(operator.mul, w, v)) + t * l), k
 
 
 def test_chain_scale_clears_every_intermediate():
-    # brute force on Fractions, source by source: the scale is a multiple of
-    # every denominator the chains meet (the first pass, the closing value
-    # L / odd, V and L), and it divides the product of the chain divisors
+    # brute force on Fractions, source by source.  Every forward step yields
+    # a coefficient of V or L, so the forward scale must be a multiple of
+    # each of their denominators, and it may exceed the least such multiple
+    # only by a power of two (an odd factor is pure overshoot).  The sweep
+    # scale must also clear the L = 0 pass of the odd-slot chain, whose
+    # values the transposed steps meet, and the power of two under the
+    # circle weights
     for k in range(3, 61):
-        scale, odd, _, close = engine._chain_constants(k)
-        needed = 1
+        scale, sweep, circle = engine._chain_constants(k)
+        needed, first = 1, 1
         for b in range(k + 1):
             seen = []
             v, L = _fraction_chains(k, [F(int(a == b)) for a in range(k + 1)], seen)
-            seen += v if L is None else [*v, L, L / odd]
-            needed = math.lcm(needed, *(x.denominator for x in seen))
-        assert scale % needed == 0, k
-        product = odd
-        if k % 2 == 0:
-            a_t = tiebreak_slot(k)[1]
-            product *= close * math.prod(range(a_t + 2, k + 1, 2))
-            product *= math.prod(range(k - a_t + 2, k + 1, 2))
-        assert product % scale == 0, k
+            needed = math.lcm(needed, *(x.denominator for x in v), F(L or 0).denominator)
+            first = math.lcm(first, *(x.denominator for x in seen))
+        least = math.lcm(needed, first, circle[0] if circle else 1)
+        for got, want in ((scale, needed), (sweep, least)):
+            over = got // want
+            assert got % want == 0 and over & (over - 1) == 0, (k, got, want)
 
 
 def test_residue_prime_divides_no_chain_constant():
-    # the residue solve divides by each degree's scale once; the prime of
-    # ResidueDomain divides neither the scale nor the closing factor up to
-    # degree 220 (L_109), so no run that short is refused for it
+    # the residue solve divides by each degree's scale once and the sweep by
+    # its own; the prime of ResidueDomain divides neither scale nor the power
+    # of two under the circle weights up to degree 220 (L_109), so no run
+    # that short is refused for it
     p = ResidueDomain().p
     for k in range(3, 221):
-        scale, _, _, close = engine._chain_constants(k)
-        assert scale % p != 0 and (close is None or close % p != 0), k
+        scale, sweep, circle = engine._chain_constants(k)
+        assert scale % p != 0 and sweep % p != 0, k
+        assert circle is None or circle[0] % p != 0, k
 
 
 def test_residue_series_reduces_the_exact_constants():
@@ -573,6 +588,51 @@ def test_residue_series_reduces_the_exact_constants():
             assert residues[j] == want, (vf, j)
     stored = compute_series(coerce_field(stored_field(inexact), dom), 6).L
     assert compute_series(coerce_field(inexact, dom), 6).L == stored
+
+
+def test_constants_are_circle_means_of_the_source():
+    # on the unit circle rot is d/dt, so L_j is the mean of R_(2j+2) there
+    # (oracles.circle_mean, from Euler's formula); on residue fields L_j is
+    # that mean of the residue source, reduced mod p
+    dom = ResidueDomain()
+    for make in (random_field, random_homogeneous_field):
+        for n in range(2, 7):
+            J = 30 if n < 5 else 20
+            vf = make(n, 3)
+            for f in (vf, coerce_field(vf, dom)):
+                series = compute_series(f, J)
+                assert any(series.L.values()), (make, n)
+                for j in range(1, J + 1):
+                    m = circle_mean(accumulate_rhs(series, 2 * j + 2))
+                    if f is not vf:
+                        m = m.numerator * pow(m.denominator, -1, dom.p) % dom.p
+                    assert series.L[j] == m, (make, n, j)
+
+
+@pytest.mark.parametrize("dom", [RATIONAL, ResidueDomain()])
+def test_constants_under_reflection_and_scaling(dom):
+    # (x, y, t) -> (x, -y, -t) sends every L_j to -L_j, and x = mu X sends
+    # it to mu^(2j) L_j; both maps act on the exact field, then its values
+    # are read in the domain
+    mu, J = F(3, 2), 20
+
+    def constants(vf):
+        L = compute_series(coerce_field(vf, dom), J).L
+        return [L[j] for j in range(1, J + 1)]
+
+    def times(c, x):  # c * x in the domain
+        y = dom.ratio(c.numerator, c.denominator) * x
+        return y % dom.p if isinstance(dom, ResidueDomain) else y
+
+    for make in (random_field, random_homogeneous_field):
+        for n in range(2, 6):
+            vf = make(n, 5)
+            L = constants(vf)
+            assert any(L), (make, n)
+            flip, dil = constants(reflected_field(vf)), constants(dilated_field(vf, mu))
+            for j, (x, x_f, x_d) in enumerate(zip(L, flip, dil), start=1):
+                assert x_f == times(F(-1), x), (make, n, j)
+                assert x_d == times(mu ** (2 * j), x), (make, n, j)
 
 
 def _digest(values):
