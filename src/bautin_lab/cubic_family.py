@@ -241,20 +241,19 @@ def substitution_chain(
         raise StageDomainError("b4", "b4 must be negative")
     a9 = sigma * b4
 
+    # With a9 = sigma b4 the denominators of b6^2, a8 and b8 are
+    # 36 b4^4 (2 sigma + 15)^2 (149 sigma^2 + 1960 sigma + 5600),
+    # 20 b4 (sigma + 4) and 48 b4^2 (sigma + 4)(2 sigma + 15); b6^2 is
+    # -2800/9 b4^2 < 0 at sigma = -4, so once b6^2 is accepted neither a8's
+    # nor b8's denominator vanishes
     b6_sq = b6_squared_value(a9, b4)
     if b6_sq < 0:
         raise StageDomainError("b6_squared", f"negative radicand {domain.to_str(b6_sq)}")
     b6 = b6_sign * domain.sqrt(b6_sq)
-
-    a8_den = 20 * (a9 + 4 * b4)
-    if a8_den == 0:
-        raise StageDomainError("a8", "denominator vanished")
-    a8 = (13 * a9 * b6 + 60 * b4 * b6) / a8_den
-
-    b8_den = 48 * (2 * a9**2 + 23 * a9 * b4 + 60 * b4**2)
-    if b8_den == 0:
-        raise StageDomainError("b8", "denominator vanished")
-    b8 = (-601 * a9**3 - 7240 * a9**2 * b4 - 30480 * a9 * b4**2 - 43200 * b4**3) / b8_den
+    a8 = (13 * a9 * b6 + 60 * b4 * b6) / (20 * (a9 + 4 * b4))
+    b8 = (-601 * a9**3 - 7240 * a9**2 * b4 - 30480 * a9 * b4**2 - 43200 * b4**3) / (
+        48 * (2 * a9**2 + 23 * a9 * b4 + 60 * b4**2)
+    )
 
     ra = (b8 - a8) / 2
     if ra < 0:

@@ -30,16 +30,18 @@ rounding rule (``store_ints``, ``ratio``), so nothing here branches on the
 mode.
 
 Because rot maps the monomial slot a (the y-exponent) only to slots a-1 and
-a+1, the K+1 equations decouple by slot parity into two chains:
+a+1, the K+1 equations decouple by slot parity into two chains, solved in
+one order at every K (``_chain_slots``):
 
-  * odd K: both chains are square bidiagonal systems with unit-free integer
-    coefficients, solved by forward/backward substitution -- unique V_K, no L;
-  * even K: on the unit circle rot is d/dt, whose image has mean zero,
-    so L = L_(K/2-1) is the circle mean of R_K, computed first; the
-    even-slot equations then give the odd-slot coefficients by forward
-    substitution with L a known source, and the odd-slot equations leave the
-    even-slot coefficients with a one-dimensional kernel spanned by
-    (x^2+y^2)^(K/2), resolved by pinning one designated slot to zero.
+  * even K only: on the unit circle rot is d/dt, whose image has mean zero,
+    so L = L_(K/2-1) is the circle mean of R_K, computed first and then a
+    known source;
+  * the even-slot equations give the odd-slot coefficients left to right;
+  * the odd-slot equations give the even-slot coefficients outward from one
+    pinned slot held at zero: at even K the tie-break slot, which resolves
+    the one-dimensional kernel spanned by (x^2+y^2)^(K/2); at odd K the
+    slot K+1 past the end, so that chain runs right to left and V_K is
+    unique.
 
 Both modes run both chains on ints.  The source numerators are first
 multiplied by a per-degree scale -- lcm(1, 3, ..., K) at odd K, and at even
@@ -225,7 +227,8 @@ def _solve_ints(k: int, nums: Sequence[int], den: int) -> tuple[list[int], int |
 
     The numerators are scaled by the ``scale`` of ``_chain_constants(k)``,
     the least multiplier that makes every step an exact floor division
-    (proved there), so d = den * scale."""
+    (proved there), so d = den * scale.  The steps run in the order of
+    ``_chain_slots(k)``."""
     scale, _, circle = _chain_constants(k)
     c = [scale * x for x in nums]
     l = None
@@ -234,21 +237,24 @@ def _solve_ints(k: int, nums: Sequence[int], den: int) -> tuple[list[int], int |
         l = sum(map(mul, weights, nums)) * (scale // D)
         for b in range(0, k, 2):
             c[b] -= l * cp[b]
-    v = [0] * (k + 1)
-    # Equation at slot b: (b+1) v[b+1] - (k-b+1) v[b-1] + c[b] = 0.
-    for b in range(0, k, 2):  # odd slots, left to right
-        v[b + 1] = -c[0] if b == 0 else ((k - b + 1) * v[b - 1] - c[b]) // (b + 1)
-    den *= scale
-    if k % 2 == 1:
-        for b in range(k, 0, -2):  # even slots, right to left
-            v[b - 1] = c[k] if b == k else ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
-        return v, None, den
-    a_t = tiebreak_slot(k)[1]  # v[a_t] stays 0
-    for b in range(a_t + 1, k, 2):
+    ups, downs = _chain_slots(k)
+    v = [0] * (k + 2)  # v[k+1], also read as v[-1] by the first up, stays 0
+    for b in ups:
         v[b + 1] = ((k - b + 1) * v[b - 1] - c[b]) // (b + 1)
-    for b in range(a_t - 1, 0, -2):
+    for b in downs:
         v[b - 1] = ((b + 1) * v[b + 1] + c[b]) // (k - b + 1)
-    return v, l, den
+    return v[:-1], l, den * scale
+
+
+def _chain_slots(k: int) -> tuple[list[int], list[int]]:
+    """The order of the chain steps at degree k, as the slots b of the
+    equations (b+1) v[b+1] - (k-b+1) v[b-1] + c[b] = 0 they solve: ``ups``
+    give v[b+1] (the odd slots left to right, then the even slots right of
+    the pinned one), ``downs`` give v[b-1] (the even slots left of the pinned
+    one, right to left).  The pinned slot, which stays zero, is the
+    tie-break slot at even k and the slot k+1, past the end, at odd k."""
+    pin = tiebreak_slot(k)[1] if k % 2 == 0 else k + 1
+    return [*range(0, k, 2), *range(pin + 1, k, 2)], [*range(pin - 1, 0, -2)]
 
 
 @cache
@@ -299,7 +305,8 @@ def _chain_constants(k: int) -> tuple[int, int, tuple | None]:
     source Re (x + iy)^m (x^2+y^2)^((k-m)/2), m = p^e <= k, does the same
     for lcm(1, 3, ..., k), as Im (x + iy)^m = +-y^m mod p.
 
-    ``_solve_transpose`` undoes the steps in reverse, on w scaled by sweep.
+    ``_solve_transpose`` replays the steps of ``_chain_slots`` backwards, on
+    w scaled by sweep.
     Each even-slot quotient is one entry of the covector g on the source,
     and each odd-slot one an entry of the covector on the odd-slot chain's
     sources c[b] - l * cp[b]: by the chain bounds, sweep makes both integers
@@ -523,8 +530,6 @@ def _covectors(
             if k in replaced:
                 out[k] = (w, den)
                 continue
-            if not any(w):
-                continue
             s = _chain_constants(k)[1]
             r, den = _solve_transpose(k, [s * x for x in w]), den * s
         r, den = reduce_row(r, den)
@@ -549,34 +554,22 @@ def _solve_transpose(k: int, w: list[int], t: int = 0) -> list[int]:
     """The transpose of ``_solve_ints``: for V, L the rotational solve of R,
     the covector g on R with <g, R> = <w, V> + sweep * t * L, where sweep
     is that of ``_chain_constants(k)``; w comes multiplied by sweep and is
-    overwritten.  The forward steps are undone in reverse order, each an
-    exact floor division (proved there).  The quotients of the odd-slot
+    not changed.  The steps of ``_chain_slots(k)`` are undone backwards, the
+    downs and then the ups, on a copy of w padded as v is, each an exact
+    floor division (proved there).  The quotients of the odd-slot
     chain are the covector on its sources c[b] - l * cp[b], so l gets minus
     their sum weighted by cp, and hands it to R through the circle weights."""
     sweep, circle = _chain_constants(k)[1:]
-    g = [0] * (k + 1)
-
-    def up(slots):  # undo v[b+1] = ((k-b+1) v[b-1] - c[b]) / (b+1)
-        for b in slots:
-            q = w[b + 1] // (b + 1)
-            g[b] -= q
-            w[b - 1] += (k - b + 1) * q
-
-    def down(slots):  # undo v[b-1] = ((b+1) v[b+1] + c[b]) / (k-b+1)
-        for b in slots:
-            q = w[b - 1] // (k - b + 1)
-            g[b] += q
-            w[b + 1] += (b + 1) * q
-
-    if k % 2 == 1:
-        down(range(1, k - 1, 2))  # even slots, from v[k-1] = c[k]
-        g[k] += w[k - 1]
-    else:
-        a_t = tiebreak_slot(k)[1]  # v[a_t] is pinned: its covector is dropped
-        up(range(k - 1, a_t, -2))
-        down(range(1, a_t, 2))
-    up(range(k - 2 + k % 2, 0, -2))  # odd slots, from v[1] = -c[0]
-    g[0] -= w[1]
+    ups, downs = _chain_slots(k)
+    w, g = [*w, 0], [0] * (k + 1)  # no step reads w[k+1] or the pinned slot
+    for b in reversed(downs):  # undo v[b-1] = ((b+1) v[b+1] + c[b]) / (k-b+1)
+        q = w[b - 1] // (k - b + 1)
+        g[b] += q
+        w[b + 1] += (b + 1) * q
+    for b in reversed(ups):  # undo v[b+1] = ((k-b+1) v[b-1] - c[b]) / (b+1)
+        q = w[b + 1] // (b + 1)
+        g[b] -= q
+        w[b - 1] += (k - b + 1) * q
     if circle:
         D, weights, cp = circle
         q = (sweep * t - sum(map(mul, g, cp))) // D  # the covector on l, over D

@@ -13,7 +13,10 @@ reduction that ``RationalDomain.store_ints`` is checked against, and
 pinned, the oracle of the certificate series' linear parts and offsets.
 ``reflected_field`` and ``dilated_field`` apply the reflection with time
 reversal and the scaling of the coordinates, whose exact action on every
-Lyapunov constant and certificate entry the symmetry tests check.
+Lyapunov constant and certificate entry the symmetry tests check;
+``rotated_field`` applies a rotation of the coordinates, which keeps L_1, the
+first nonzero constant and the center verdict, but not the later constants;
+``order_two_weak_focus`` is a cubic whose first nonzero constant is L_2.
 ``circle_mean`` is the mean of a polynomial over the unit circle, read off
 Euler's formula term by term: on the circle rot is d/dt, so L_j is the mean
 of R_(2j+2).
@@ -24,8 +27,8 @@ from math import comb, gcd
 
 import mpmath
 
-from bautin_lab.engine import LyapunovSeries, accumulate_rhs, rotational_solve
-from bautin_lab.fields import VectorField
+from bautin_lab.engine import LyapunovSeries, accumulate_rhs, compute_series, rotational_solve
+from bautin_lab.fields import VectorField, random_field
 from bautin_lab.hpoly import HomogPoly, circle_power
 
 
@@ -159,6 +162,42 @@ def dilated_field(vf: VectorField, mu) -> VectorField:
         return {k: HomogPoly(k, [mu ** (k - 1) * c for c in p.coeffs]) for k, p in parts.items()}
 
     return VectorField(vf.degree, dilate(vf.F), dilate(vf.G), vf.domain)
+
+
+def rotated_field(vf: VectorField, c, s) -> VectorField:
+    """The field in the coordinates (x, y) = (cX - sY, sX + cY), c^2 + s^2 = 1:
+    F and G are substituted by ``HomogPoly`` products and the velocity
+    rotated back, F' = cF + sG and G' = -sF + cG, which keeps the linear
+    center."""
+    lx, ly = HomogPoly(1, [c, -s]), HomogPoly(1, [s, c])
+
+    def power(p: HomogPoly, e: int) -> HomogPoly:
+        out = HomogPoly(0, [1])
+        for _ in range(e):
+            out = out * p
+        return out
+
+    def substituted(p: HomogPoly) -> HomogPoly:
+        k = p.degree
+        terms = [(power(lx, k - a) * power(ly, a)).map_coeffs(lambda x: x * t)
+                 for a, t in enumerate(p.coeffs)]
+        return poly_sum(*terms)
+
+    F, G = {}, {}
+    for k in sorted(vf.F.keys() | vf.G.keys()):
+        f, g = substituted(vf.f_part(k)), substituted(vf.g_part(k))
+        F[k] = poly_sum(f.map_coeffs(lambda x: c * x), g.map_coeffs(lambda x: s * x))
+        G[k] = poly_sum(f.map_coeffs(lambda x: -s * x), g.map_coeffs(lambda x: c * x))
+    return VectorField(vf.degree, F, G, vf.domain)
+
+
+def order_two_weak_focus(seed: int) -> VectorField:
+    """``random_field(3, seed)`` with L_1 moved to zero: the x^3 coefficient
+    of F_3 enters L_1 with weight 3/8, so it is moved by -8 L_1 / 3."""
+    vf = random_field(3, seed)
+    f3 = list(vf.F[3].coeffs)
+    f3[0] -= 8 * compute_series(vf, 1).L[1] / 3
+    return VectorField(3, {**vf.F, 3: HomogPoly(3, f3)}, vf.G)
 
 
 def apply_p(P, values) -> list:

@@ -238,6 +238,15 @@ def test_chain_domain_errors_name_their_stage():
     assert err.value.stage == "b4"
     with pytest.raises(UsageError):
         substitution_chain(Fraction(-1), Fraction(-1), 60, b6_sign=2)
+    # b6^2 = -2800/9 b4^2 at sigma = -4, where a8's and b8's denominators
+    # vanish; at sigma = -15/2 b6^2's own denominator (and b8's) vanishes
+    for b4 in (Fraction(-1), Fraction(-3, 7)):
+        with pytest.raises(StageDomainError) as err:
+            substitution_chain(b4, Fraction(-4), 60)
+        assert err.value.stage == "b6_squared" and "negative radicand" in str(err.value)
+        with pytest.raises(StageDomainError) as err:
+            substitution_chain(b4, Fraction(-15, 2), 60)
+        assert err.value.stage == "b6_squared" and "denominator vanished" in str(err.value)
 
 
 def test_chain_output_satisfies_parameter_relations():

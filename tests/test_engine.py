@@ -34,10 +34,12 @@ from oracles import (
     circle_mean,
     dilated_field,
     mp_round,
+    order_two_weak_focus,
     pinned_run,
     poly_sum,
     reflected_field,
     residual,
+    rotated_field,
     scaled_field,
     stored_field,
 )
@@ -609,12 +611,13 @@ def test_constants_are_circle_means_of_the_source():
                     assert series.L[j] == m, (make, n, j)
 
 
-@pytest.mark.parametrize("dom", [RATIONAL, ResidueDomain()])
+@pytest.mark.parametrize("dom", [RATIONAL, ResidueDomain(), BigRealDomain(60)])
 def test_constants_under_reflection_and_scaling(dom):
     # (x, y, t) -> (x, -y, -t) sends every L_j to -L_j, and x = mu X sends
     # it to mu^(2j) L_j; both maps act on the exact field, then its values
-    # are read in the domain
-    mu, J = F(3, 2), 20
+    # are read in the domain.  In float mode mu = 2 is exact in binary, so
+    # both maps commute with every rounding and the identities hold bit for bit
+    mu, J = (F(2) if isinstance(dom, BigRealDomain) else F(3, 2)), 20
 
     def constants(vf):
         L = compute_series(coerce_field(vf, dom), J).L
@@ -633,6 +636,22 @@ def test_constants_under_reflection_and_scaling(dom):
             for j, (x, x_f, x_d) in enumerate(zip(L, flip, dil), start=1):
                 assert x_f == times(F(-1), x), (make, n, j)
                 assert x_d == times(mu ** (2 * j), x), (make, n, j)
+
+
+@pytest.mark.parametrize("c, s", [(F(3, 5), F(4, 5)), (F(5, 13), F(12, 13))])
+def test_rotations_keep_l1_and_the_first_nonzero_constant(c, s):
+    # a rotation of the coordinates keeps L_1, and the first nonzero
+    # constant of a weak focus; the later constants change, because the
+    # tie-break slots are not rotation-invariant, so nothing is said of them
+    for n in range(2, 6):
+        for seed in (1, 2, 3):
+            vf = random_field(n, seed)
+            assert compute_series(rotated_field(vf, c, s), 1).L[1] == compute_series(vf, 1).L[1]
+    for seed in (1, 2, 3):
+        vf = order_two_weak_focus(seed)
+        L, L_rot = compute_series(vf, 2).L, compute_series(rotated_field(vf, c, s), 2).L
+        assert L[1] == L_rot[1] == 0 and L[2] != 0, seed
+        assert L_rot[2] == L[2], seed
 
 
 def _digest(values):

@@ -36,8 +36,10 @@ from oracles import (
     det_cofactor,
     dilated_field,
     mp_round,
+    order_two_weak_focus,
     poly_sum,
     reflected_field,
+    rotated_field,
     stored_field,
 )
 
@@ -518,6 +520,29 @@ def _near_centers():
         bump = HomogPoly.monomial(2, 0, F(1, 10**45))
         out.append(VectorField(n, {**vf.F, 2: poly_sum(vf.f_part(2), bump)}, vf.G))
     return out
+
+
+@pytest.mark.parametrize("c, s", [(F(3, 5), F(4, 5)), (F(5, 13), F(12, 13))])
+def test_center_check_under_rotations(c, s):
+    # a rotation of the coordinates keeps the weak-focus order and maps a
+    # center to a center: the order-2 weak foci stay of order 2, and the
+    # divergence-free and reversible centers stay inconclusive with det P = 0
+    # (its value is not rotation-invariant, its vanishing here is); float
+    # mode gives the same verdict or inconclusive
+    dom = BigRealDomain(60)
+    for seed in (1, 2, 3):
+        rot = rotated_field(order_two_weak_focus(seed), c, s)
+        cert = center_check(rot)
+        assert (cert.verdict, cert.weak_focus_order) == ("weak-focus", 2), seed
+        assert center_check(rot, dom).verdict in (cert.verdict, "inconclusive"), seed
+    for make in (random_divergence_free_field, random_reversible_field):
+        for n in range(2, 5):
+            for homogeneous in (False, True):
+                rot = rotated_field(make(n, 1, homogeneous=homogeneous), c, s)
+                cert = center_check(rot)
+                assert (cert.verdict, cert.det_p) == ("inconclusive", 0), (make, n, homogeneous)
+                float_verdict = center_check(rot, dom).verdict
+                assert float_verdict in (cert.verdict, "inconclusive"), (make, n, homogeneous)
 
 
 def test_float_center_check_is_exact_or_inconclusive():
